@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -59,7 +60,7 @@ def _params_or_none(cfg):
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(json.dumps(obj, indent=2, allow_nan=False))
 
 
 def _write_manifest(primary_out, subcommand, cfg_hash, options, outputs, t0):
@@ -178,8 +179,10 @@ def cmd_value(args) -> int:
     params = _params_or_none(cfg)
     if params is None:
         return EXIT_USER
-    if not 0.0 <= args.y <= 1.0 or args.regime not in (1, 2):
-        print("error: need 0 <= y <= 1 and regime in {1,2}", file=sys.stderr)
+    if (not math.isfinite(args.x) or not 0.0 <= args.y <= 1.0
+            or args.regime not in (1, 2)):
+        print("error: need finite x, 0 <= y <= 1 and regime in {1,2}",
+              file=sys.stderr)
         return EXIT_USER
     try:
         cs = from_stopping(solve_z(params))
@@ -236,6 +239,9 @@ def cmd_simulate(args) -> int:
              "extract_all_at_start": Policy.extract_all_at_start}
     if args.policy not in kinds:
         print(f"error: unknown policy {args.policy!r}", file=sys.stderr)
+        return EXIT_USER
+    if not math.isfinite(args.x):
+        print("error: need a finite x", file=sys.stderr)
         return EXIT_USER
     try:
         sim = SimConfig(dt=args.dt, horizon=args.horizon, n_paths=args.paths,

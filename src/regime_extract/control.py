@@ -3,9 +3,10 @@
 U(x, y, i) integrates the selling value v(x, i; z) over reserve z in
 [0, y]. The integrand switches branch where z crosses the boundary
 inverses b_1(x) <= b_2(x) (internal labels), so the integral is split
-into panels and each panel integrates one smooth closed-form branch by
-adaptive Simpson. Inside each region the exponentials only ever see
-non-positive arguments times positive rates, so nothing overflows.
+into panels: the fully stopped one is exact, the others integrate one
+smooth closed-form branch each by Simpson doubling batched over states,
+regimes and x-derivative orders. Inside each region the exponentials
+only ever see non-positive arguments times positive rates.
 """
 from __future__ import annotations
 
@@ -66,121 +67,85 @@ def b_star(cs: ControlSolution, i: int, x):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _internal_b(cs: ControlSolution, k: int, x: float) -> float:
-    p = cs.params
-    sh = cs.stopping.shift(k)
-    return float(p.cost.derivative_inverse(p.rho*(p.c + sh - x)))
+def _u_surface(cs: ControlSolution, x, y, series, tol: float = 1e-9):
+    """U or its x-derivatives at the states (x, y), broadcast as arrays:
+    one entry per (regime, order 0..2 of the x-derivative) in series.
 
-
-def _u_region(cs: ControlSolution, x: float, z, k: int, region: int,
-              order: int = 0):
-    """u(x, k; z) (or its x-derivatives) with the region forced.
-
-    region 0: both regimes continue; 1: regime 1 stopped, regime 2
-    continues; 2: both stopped. k is the internal regime label, z a vector
-    of reserve levels inside one panel.
+    Below b_1(x) both regimes continue, up to b_2(x) only regime 2 does
+    (internal labels): one batched Simpson per panel, exponentials shared
+    by every series. The stopped panel is exact for any cost. Raises
+    OutOfRange on non-finite states or y outside [0, 1].
     """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
+    if not (np.isfinite(x).all() and ((y >= 0.0) & (y <= 1.0)).all()):
+        raise OutOfRange(f"need finite x and y in [0, 1], got x={x}, y={y}")
+    shape, x, y = x.shape, x.ravel(), y.ravel()
     sol = cs.stopping
+    series = [(sol.internal_regime(i), o) for i, o in series]
     p, rt = sol.iparams, sol.roots
-    z = np.asarray(z, dtype=float)
-    ch = chat(p, z)
-    if region == 2 or (region == 1 and k == 1):
-        if order == 0:
-            return x - ch
-        return np.ones_like(z) if order == 1 else np.zeros_like(z)
-    a3r, a4r, a5 = rt.alpha3, rt.alpha4, rt.alpha5
-    if region == 1:
-        x2 = sol.z1 + sol.z2 + ch
-        r = p.rho/(p.rho + p.lambda2)
-        zsum = sol.z1 + sol.z2
-        t5 = r*(1.0 + a5*zsum)/(2.0*a5)*np.exp(a5*(x - x2))
-        t6 = r*(a5*zsum - 1.0)/(2.0*a5)*np.exp(-a5*(x - x2))
-        lin = p.lambda2/(p.rho + p.lambda2)
-        if order == 0:
-            return t5 + t6 + lin*(x - ch)
-        if order == 1:
-            return a5*(t5 - t6) + lin
-        return a5*a5*(t5 + t6)
-    x1 = sol.z1 + ch
-    t3 = (a4r*sol.z1 - 1.0)/(a4r - a3r)*np.exp(a3r*(x - x1))
-    t4 = (1.0 - a3r*sol.z1)/(a4r - a3r)*np.exp(a4r*(x - x1))
+    a3, a4, a5 = rt.alpha3, rt.alpha4, rt.alpha5
+    b1, b2 = (np.minimum(p.cost.derivative_inverse(
+        p.rho*(p.c + sol.shift(k) - x)), y) for k in (1, 2))
     if sol.case == "B":
-        f3, f4 = (1.0, 1.0) if k == 1 else (1.0, -p.lambda2/p.lambda1)
-    elif k == 1:
-        f3, f4 = 1.0, 1.0
+        f34 = {1: (1.0, 1.0), 2: (1.0, -p.lambda2/p.lambda1)}
     else:
-        phi13 = -0.5*p.sigma1**2*a3r**2 + p.rho + p.lambda1
-        phi14 = -0.5*p.sigma1**2*a4r**2 + p.rho + p.lambda1
-        f3, f4 = phi13/p.lambda1, phi14/p.lambda1
-    if order == 0:
-        return f3*t3 + f4*t4
-    if order == 1:
-        return a3r*f3*t3 + a4r*f4*t4
-    return a3r*a3r*f3*t3 + a4r*a4r*f4*t4
+        phi13 = -0.5*p.sigma1**2*a3**2 + p.rho + p.lambda1
+        phi14 = -0.5*p.sigma1**2*a4**2 + p.rho + p.lambda1
+        f34 = {1: (1.0, 1.0), 2: (phi13/p.lambda1, phi14/p.lambda1)}
+    coef = [((1.0, a3, a3*a3)[o]*f34[k][0], (1.0, a4, a4*a4)[o]*f34[k][1])
+            for k, o in series]
+
+    def both_continue(z, xr):
+        x1 = sol.z1 + (p.c - p.cost.derivative(z)/p.rho)
+        t3 = (a4*sol.z1 - 1.0)/(a4 - a3)*np.exp(a3*(xr - x1))
+        t4 = (1.0 - a3*sol.z1)/(a4 - a3)*np.exp(a4*(xr - x1))
+        return np.stack([c3*t3 + c4*t4 for c3, c4 in coef])
+
+    band = [j for j, (k, _) in enumerate(series) if k == 2]
+    r, lin = p.rho/(p.rho + p.lambda2), p.lambda2/(p.rho + p.lambda2)
+
+    def regime2_continues(z, xr):
+        ch = p.c - p.cost.derivative(z)/p.rho
+        zsum = sol.z1 + sol.z2
+        x2 = zsum + ch
+        t5 = r*(1.0 + a5*zsum)/(2.0*a5)*np.exp(a5*(xr - x2))
+        t6 = r*(a5*zsum - 1.0)/(2.0*a5)*np.exp(-a5*(xr - x2))
+        terms = {0: lambda: t5 + t6 + lin*(xr - ch),
+                 1: lambda: a5*(t5 - t6) + lin, 2: lambda: a5*a5*(t5 + t6)}
+        return np.stack([terms[series[j][1]]() for j in band])
+
+    out = adaptive_simpson(both_continue, 0.0, b1, x, tol=tol)
+    if band:
+        out[band] += adaptive_simpson(regime2_continues, b1, b2, x, tol=tol)
+    for j, (k, o) in enumerate(series):
+        lo = b1 if k == 1 else b2
+        # stopped on [lo, y]: u = x - c + f'(z)/rho; order 0 also carries
+        # the -f(y)/rho of U, which leaves -f(lo)/rho
+        out[j] += ((x - p.c)*(y - lo) - p.cost.value(lo)/p.rho if o == 0
+                   else y - lo if o == 1 else 0.0)
+    return out.reshape((len(series),) + shape)
 
 
-def _panels(cs: ControlSolution, x: float, y: float):
-    b1 = _internal_b(cs, 1, x)
-    b2 = _internal_b(cs, 2, x)
-    return min(b1, y), min(b2, y)
+def _value(cs: ControlSolution, x, y, i: int, order: int, tol: float):
+    out = _u_surface(cs, x, y, [(i, order)], tol)[0]
+    return float(out) if out.ndim == 0 else out
 
 
-def U(cs: ControlSolution, x: float, y: float, i: int,
-      tol: float = 1e-9) -> float:
-    """Control value U(x,y,i) = integral_0^y v(x,i;z) dz by panel-split
-    adaptive Simpson (absolute tolerance tol per panel)."""
-    if not 0.0 <= y <= 1.0:
-        raise OutOfRange(f"reserve level must lie in [0, 1], got {y}")
-    if y == 0.0:
-        return 0.0
-    sol = cs.stopping
-    k = sol.internal_regime(i)
-    p1, p2 = _panels(cs, x, y)
-    total = 0.0
-    if p1 > 0.0:
-        total += adaptive_simpson(
-            lambda z: _u_region(cs, x, z, k, 0), 0.0, p1, tol=tol)
-    if p2 > p1:
-        total += adaptive_simpson(
-            lambda z: _u_region(cs, x, z, k, 1), p1, p2, tol=tol)
-    if y > p2:
-        total += adaptive_simpson(
-            lambda z: _u_region(cs, x, z, k, 2), p2, y, tol=tol)
-    return total - cs.params.cost.value(y)/cs.params.rho
+def U(cs: ControlSolution, x, y, i: int, tol: float = 1e-9):
+    """Control value U(x,y,i) = integral_0^y v(x,i;z) dz, to tol (absolute)
+    per Simpson panel. x and y broadcast as arrays; scalars give a float."""
+    return _value(cs, x, y, i, 0, tol)
 
 
-def U_x(cs: ControlSolution, x: float, y: float, i: int,
-        tol: float = 1e-9) -> float:
-    if y == 0.0:
-        return 0.0
-    k = cs.stopping.internal_regime(i)
-    p1, p2 = _panels(cs, x, y)
-    total = 0.0
-    if p1 > 0.0:
-        total += adaptive_simpson(
-            lambda z: _u_region(cs, x, z, k, 0, order=1), 0.0, p1, tol=tol)
-    if p2 > p1:
-        total += adaptive_simpson(
-            lambda z: _u_region(cs, x, z, k, 1, order=1), p1, p2, tol=tol)
-    total += y - p2  # u_x = 1 on the stopped panel
-    return total
+def U_x(cs: ControlSolution, x, y, i: int, tol: float = 1e-9):
+    """First x-derivative of U; arrays as in U."""
+    return _value(cs, x, y, i, 1, tol)
 
 
-def U_xx(cs: ControlSolution, x: float, y: float, i: int,
-         tol: float = 1e-9) -> float:
+def U_xx(cs: ControlSolution, x, y, i: int, tol: float = 1e-9):
     """Second x-derivative; the fully stopped panel contributes nothing."""
-    if y == 0.0:
-        return 0.0
-    k = cs.stopping.internal_regime(i)
-    p1, p2 = _panels(cs, x, y)
-    total = 0.0
-    if p1 > 0.0:
-        total += adaptive_simpson(
-            lambda z: _u_region(cs, x, z, k, 0, order=2), 0.0, p1, tol=tol)
-    if p2 > p1 and k != 1:
-        total += adaptive_simpson(
-            lambda z: _u_region(cs, x, z, k, 1, order=2), p1, p2, tol=tol)
-    return total
+    return _value(cs, x, y, i, 2, tol)
 
 
 @dataclass(frozen=True)
@@ -192,36 +157,31 @@ class ValueReport:
     hjb_residual: float
 
     def to_dict(self) -> dict:
-        return {"U": float(self.U), "Uy": float(self.Uy), "Ux": float(self.Ux),
-                "Uxx": float(self.Uxx),
-                "hjb_residual": float(self.hjb_residual)}
+        return {k: float(v) for k, v in vars(self).items()}
 
 
-def _branches(cs: ControlSolution, x: float, y: float, i: int,
-              u_vals: dict, uxx_vals: dict,
-              perturbation: Optional[Callable] = None):
+def _branches(cs: ControlSolution, x, y, i: int, u: dict, uxx: dict, uy,
+              pert: Callable):
+    """The two HJB branches at regime i; u and uxx map each regime to U and
+    U_xx at the states (x, y), uy is U_y = v(x, i; y)."""
     p = cs.params
-    pert = perturbation or (lambda *_: 0.0)
-    ui = u_vals[i] + pert(x, y, i)
-    uo = u_vals[3 - i] + pert(x, y, 3 - i)
-    b1r = (0.5*p.sigma(i)**2*uxx_vals[i] - p.rho*ui + p.lam(i)*(uo - ui)
+    ui = u[i] + pert(x, y, i)
+    uo = u[3 - i] + pert(x, y, 3 - i)
+    b1r = (0.5*p.sigma(i)**2*uxx[i] - p.rho*ui + p.lam(i)*(uo - ui)
            - p.cost.value(y))
-    b2r = (x - p.c) - v_stop(cs.stopping, x, i, y)
+    b2r = (x - p.c) - uy
     return b1r, b2r
 
 
 def U_report(cs: ControlSolution, x: float, y: float, i: int) -> ValueReport:
     """Value, derivatives and the HJB residual at one state. Uy is the
     selling value v(x,i;y) (the exact derivative of the reserve integral)."""
-    if not 0.0 <= y <= 1.0:
-        raise OutOfRange(f"reserve level must lie in [0, 1], got {y}")
-    u_vals = {j: U(cs, x, y, j) for j in (1, 2)}
-    uxx_vals = {j: U_xx(cs, x, y, j) for j in (1, 2)}
-    b1r, b2r = _branches(cs, x, y, i, u_vals, uxx_vals)
-    return ValueReport(U=float(u_vals[i]),
-                       Uy=float(v_stop(cs.stopping, x, i, y)),
-                       Ux=float(U_x(cs, x, y, i)), Uxx=float(uxx_vals[i]),
-                       hjb_residual=float(max(b1r, b2r)))
+    vals = _u_surface(cs, x, y, [(1, 0), (2, 0), (1, 2), (2, 2), (i, 1)])
+    u, uxx = {1: vals[0], 2: vals[1]}, {1: vals[2], 2: vals[3]}
+    uy = v_stop(cs.stopping, x, i, y)
+    b1r, b2r = _branches(cs, x, y, i, u, uxx, uy, lambda *_: 0.0)
+    return ValueReport(U=float(u[i]), Uy=float(uy), Ux=float(vals[4]),
+                       Uxx=float(uxx[i]), hjb_residual=float(max(b1r, b2r)))
 
 
 @dataclass(frozen=True)
@@ -237,12 +197,7 @@ class HjbReport:
     worst_regional: float
 
     def to_dict(self) -> dict:
-        return {"nx": self.nx, "ny": self.ny, "x_lo": self.x_lo,
-                "x_hi": self.x_hi, "tau": self.tau,
-                "worst_max_abs": self.worst_max_abs,
-                "worst_state": list(self.worst_state),
-                "worst_branch_excess": self.worst_branch_excess,
-                "worst_regional": self.worst_regional}
+        return {**vars(self), "worst_state": list(self.worst_state)}
 
 
 def verify_hjb(cs: ControlSolution, nx: int = 400, ny: int = 50,
@@ -255,7 +210,9 @@ def verify_hjb(cs: ControlSolution, nx: int = 400, ny: int = 50,
     in [-tau, tau], the first branch vanishes (to tau) where y <= b*_i(x)
     and the second where y >= b*_i(x). The generator uses the closed-form
     piecewise u_xx integrated per panel, so no differencing noise enters.
-    perturbation(x, y, i), if given, is added to U (test hook).
+    U and U_xx come from one batched evaluation over the whole grid.
+    perturbation(x, y, i), if given, is added to U (test hook); it is
+    called with (nx, ny) arrays of x and y and an integer regime i.
     """
     sol = cs.stopping
     zsum = sol.z1 + sol.z2
@@ -267,38 +224,36 @@ def verify_hjb(cs: ControlSolution, nx: int = 400, ny: int = 50,
         x_lo, x_hi = x_range
     xs = np.linspace(x_lo, x_hi, nx)
     ys = np.linspace(1.0/ny, 1.0, ny)
-
-    worst_abs = 0.0
-    worst_state = (xs[0], ys[0], 1)
-    worst_excess = -np.inf
-    worst_regional = 0.0
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    vals = _u_surface(cs, X, Y, [(1, 0), (2, 0), (1, 2), (2, 2)])
+    u, uxx = {1: vals[0], 2: vals[1]}, {1: vals[2], 2: vals[3]}
+    pert = perturbation or (lambda *_: 0.0)
+    branches, worst_regional = [], 0.0
+    for i in (1, 2):
+        uy = np.column_stack([v_stop(sol, xs, i, float(y)) for y in ys])
+        r1, r2 = _branches(cs, X, Y, i, u, uxx, uy, pert)
+        branches.append((r1, r2))
+        # y >= b_i(x) marks the stopped region only off the b = 1
+        # plateau; the price-side comparison covers the corner too
+        worst_regional = max(
+            worst_regional,
+            np.abs(r1[Y <= b_star(cs, i, xs)[:, None]]).max(initial=0.0),
+            np.abs(r2[X >= x_star(sol, i, ys)]).max(initial=0.0))
+    # axes (x, y, i): C order is the order of the grid loops
+    b1r, b2r = (np.stack(r, axis=-1) for r in zip(*branches))
+    mx = np.abs(np.maximum(b1r, b2r))
+    jx, jy, ji = np.unravel_index(np.argmax(mx), mx.shape)
+    worst_state = (float(xs[jx]), float(ys[jy]), int(ji) + 1)
+    bad = (mx > tau) | (b1r > tau) | (b2r > tau)
     fail = None
-    for x in xs:
-        b_at_x = {i: b_star(cs, i, float(x)) for i in (1, 2)}
-        for y in ys:
-            u_vals = {j: U(cs, float(x), float(y), j) for j in (1, 2)}
-            uxx_vals = {j: U_xx(cs, float(x), float(y), j) for j in (1, 2)}
-            for i in (1, 2):
-                b1r, b2r = _branches(cs, float(x), float(y), i, u_vals,
-                                     uxx_vals, perturbation)
-                mx = max(b1r, b2r)
-                if abs(mx) > worst_abs:
-                    worst_abs = abs(mx)
-                    worst_state = (float(x), float(y), i)
-                worst_excess = max(worst_excess, b1r, b2r)
-                if y <= b_at_x[i]:
-                    worst_regional = max(worst_regional, abs(b1r))
-                # y >= b_i(x) marks the stopped region only off the b = 1
-                # plateau; the price-side comparison covers the corner too
-                if x >= x_star(sol, i, float(y)):
-                    worst_regional = max(worst_regional, abs(b2r))
-                if fail is None and (abs(mx) > tau or b1r > tau or b2r > tau):
-                    fail = (f"HJB residual at (x={x}, y={y}, i={i}): "
-                            f"branches ({b1r}, {b2r})")
+    if bad.any():
+        jx, jy, ji = np.unravel_index(np.argmax(bad), bad.shape)
+        fail = (f"HJB residual at (x={xs[jx]}, y={ys[jy]}, i={ji + 1}): "
+                f"branches ({b1r[jx, jy, ji]}, {b2r[jx, jy, ji]})")
     report = HjbReport(nx=nx, ny=ny, x_lo=float(x_lo), x_hi=float(x_hi),
-                       tau=tau, worst_max_abs=float(worst_abs),
+                       tau=tau, worst_max_abs=float(mx.max()),
                        worst_state=worst_state,
-                       worst_branch_excess=float(worst_excess),
+                       worst_branch_excess=float(max(b1r.max(), b2r.max())),
                        worst_regional=float(worst_regional))
     if fail is not None or worst_regional > tau:
         raise VerificationFailed(fail or

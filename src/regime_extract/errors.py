@@ -17,7 +17,7 @@ class CostNotConvex(SolverError):
 
 
 class OutOfRange(SolverError):
-    """Reserve level outside [0, 1] or regime outside {1, 2}."""
+    """Reserve level outside [0, 1], regime outside {1, 2}, non-finite state."""
 
 
 class DegenerateDiscriminant(SolverError):

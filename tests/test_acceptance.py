@@ -263,7 +263,7 @@ def test_ac11_concavity_and_gradient_constraint(cs_a, sol_a):
     worst_d2 = -np.inf
     for x in xs:
         for i in (1, 2):
-            u = np.array([U_of(cs_a, float(x), float(y), i) for y in ys])
+            u = U_of(cs_a, float(x), ys, i)
             worst_d2 = max(worst_d2, float(np.diff(u, 2).max()))
     worst_grad = np.inf
     c = cs_a.params.c

@@ -175,6 +175,23 @@ def test_value_rejects_bad_reserve(capsys, cfg_path):
                  "--regime", "1"]) == 2
 
 
+@pytest.mark.parametrize("cmd", ["value", "simulate"])
+@pytest.mark.parametrize("x", ["nan", "inf"])
+def test_non_finite_price_rejected(capsys, cfg_path, cmd, x):
+    # value used to exit 0 with "Uy": NaN and a finite U of -f(y)/rho
+    assert main([cmd, "--config", cfg_path, f"--x={x}", "--y", "0.5",
+                 "--regime", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+def test_emit_refuses_non_finite_numbers():
+    from regime_extract.cli import _emit
+    with pytest.raises(ValueError):
+        _emit({"U": float("nan")})
+
+
 def test_verify_passes_small_grids(capsys, cfg_path):
     code, out = run_json(capsys, ["verify", "--config", cfg_path,
                                   "--fbp-points", "2000",

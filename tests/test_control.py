@@ -48,16 +48,65 @@ def test_value_rejects_bad_reserve(cs_a):
         rx.U(cs_a, 0.0, 1.2, 1)
 
 
-def test_value_against_quadrature_oracle(cs_a, sol_a):
-    """scipy.integrate.quad over v is the independent route for U."""
-    for (x, y, i) in [(0.6, 0.5, 2), (-1.5, 0.75, 1), (1.2, 0.3, 2),
-                      (0.1, 1.0, 1)]:
-        pts = sorted({rx.b_star(cs_a, 1, x), rx.b_star(cs_a, 2, x)})
-        oracle, err = integrate.quad(lambda z: rx.v(sol_a, x, i, z), 0.0, y,
-                                     epsabs=1e-12, limit=200,
-                                     points=[p for p in pts if p < y])
-        assert err < 1e-9
-        assert rx.U(cs_a, x, y, i) == pytest.approx(oracle, abs=5e-9)
+@pytest.fixture(scope="module")
+def cs_c(params_a):
+    cs = rx.solve_control(params_a.swapped())
+    assert cs.stopping.case == "C_relabeled"
+    return cs
+
+
+ORACLE_STATES = [(0.6, 0.5, 2), (-1.5, 0.75, 1), (1.2, 0.3, 2), (0.1, 1.0, 1),
+                 (-0.4, 0.9, 2), (-3.0, 0.6, 1)]
+
+
+def test_value_against_quadrature_oracle(cs_a, cs_b, cs_c):
+    """scipy.integrate.quad over v, w_x and w_xx, split at the boundary
+    inverses, is the independent route for U, U_x and U_xx."""
+    for cs in (cs_a, cs_b, cs_c):
+        sol = cs.stopping
+        integrands = ((rx.U, lambda x, i, z: rx.v(sol, x, i, z)),
+                      (rx.U_x, lambda x, i, z: rx.w_x(sol, x, i, z)),
+                      (rx.U_xx, lambda x, i, z: rx.w_xx(sol, x, i, z)))
+        for (x, y, i) in ORACLE_STATES:
+            pts = sorted({rx.b_star(cs, 1, x), rx.b_star(cs, 2, x)})
+            for value, integrand in integrands:
+                oracle, err = integrate.quad(
+                    lambda z: integrand(x, i, z), 0.0, y, epsabs=1e-12,
+                    limit=200, points=[p for p in pts if p < y])
+                assert err < 1e-9
+                assert value(cs, x, y, i) == pytest.approx(oracle, abs=5e-9)
+
+
+@pytest.mark.parametrize("case", ["A", "B", "C_relabeled"])
+def test_array_call_equals_scalar_calls(case, cs_a, cs_b, cs_c):
+    cs = {"A": cs_a, "B": cs_b, "C_relabeled": cs_c}[case]
+    rng = np.random.default_rng(11)
+    xs = rng.uniform(-8.0, 4.0, 60)
+    ys = rng.uniform(0.0, 1.0, 60)
+    ys[:3] = (0.0, 1.0, 0.0)
+    for value in (rx.U, rx.U_x, rx.U_xx):
+        for i in (1, 2):
+            arr = value(cs, xs, ys, i)
+            assert arr.shape == xs.shape
+            one = np.array([value(cs, float(x), float(y), i)
+                            for x, y in zip(xs, ys)])
+            assert np.array_equal(arr, one)
+    # broadcasting: one price against a reserve vector, grid shapes kept
+    grid = rx.U(cs, xs[:4, None], ys[None, :5], 2)
+    assert grid.shape == (4, 5)
+    assert grid[2, 3] == rx.U(cs, float(xs[2]), float(ys[3]), 2)
+    assert isinstance(rx.U(cs, 0.3, 0.4, 1), float)
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 0.5), (math.inf, 0.5),
+                                 (0.3, math.nan), (-math.inf, 1.0)])
+def test_value_rejects_non_finite_state(cs_a, bad):
+    x, y = bad
+    for value in (rx.U, rx.U_x, rx.U_xx, rx.U_report):
+        with pytest.raises(OutOfRange):
+            value(cs_a, x, y, 1)
+        with pytest.raises(OutOfRange):
+            value(cs_a, np.array([0.1, x]), np.array([0.5, y]), 2)
 
 
 def test_uy_identity(cs_a, sol_a, rng):
@@ -138,6 +187,67 @@ def test_verify_hjb_small_grid(cs_a):
 def test_verify_hjb_case_b(cs_b):
     rep = rx.verify_hjb(cs_b, nx=40, ny=10)
     assert rep.worst_max_abs <= 1e-5
+
+
+# 40x10 worst residuals recorded from the scalar-quadrature implementation
+HJB_40x10 = {
+    "A": ((-0.4944970292746991, 0.5, 2), 2.353347794414873e-10,
+          2.353347794414873e-10),
+    "B": ((3.8461538461538467, 0.8, 1), 8.881784197001252e-16,
+          8.881784197001252e-16),
+}
+
+
+@pytest.mark.parametrize("case", ["A", "B"])
+def test_verify_hjb_pinned_worst_residuals(case, cs_a, cs_b):
+    rep = rx.verify_hjb({"A": cs_a, "B": cs_b}[case], nx=40, ny=10)
+    state, max_abs, regional = HJB_40x10[case]
+    assert rep.worst_state == state
+    assert rep.worst_max_abs == pytest.approx(max_abs, rel=1e-6, abs=1e-15)
+    assert rep.worst_regional == pytest.approx(regional, rel=1e-6, abs=1e-15)
+
+
+def _verify_hjb_loop(cs, nx, ny, tau=1e-5, perturbation=None):
+    """Reference: the state-by-state loop over (x, y, i) with scalar calls."""
+    sol, p = cs.stopping, cs.params
+    pert = perturbation or (lambda *_: 0.0)
+    x2_at_0 = sol.z1 + sol.z2 + chat(p, 0.0)
+    xs = np.linspace(x2_at_0 - 5.0*sol.z1 - 5.0, x2_at_0 + 5.0, nx)
+    worst = (0.0, (xs[0], 1.0/ny, 1))
+    excess, regional, fail = -np.inf, 0.0, None
+    for x in map(float, xs):
+        for y in map(float, np.linspace(1.0/ny, 1.0, ny)):
+            u = {j: rx.U(cs, x, y, j) + pert(x, y, j) for j in (1, 2)}
+            for i in (1, 2):
+                b1r = (0.5*p.sigma(i)**2*rx.U_xx(cs, x, y, i) - p.rho*u[i]
+                       + p.lam(i)*(u[3 - i] - u[i]) - p.cost.value(y))
+                b2r = (x - p.c) - rx.v(sol, x, i, y)
+                if abs(max(b1r, b2r)) > worst[0]:
+                    worst = (abs(max(b1r, b2r)), (x, y, i))
+                excess = max(excess, b1r, b2r)
+                if y <= rx.b_star(cs, i, x):
+                    regional = max(regional, abs(b1r))
+                if x >= rx.x_star(sol, i, y):
+                    regional = max(regional, abs(b2r))
+                if fail is None and max(abs(max(b1r, b2r)), b1r, b2r) > tau:
+                    fail = (x, y, i)
+    return worst, excess, regional, fail
+
+
+@pytest.mark.parametrize("case", ["A", "B"])
+def test_verify_hjb_matches_scalar_loop(case, cs_a, cs_b):
+    cs = {"A": cs_a, "B": cs_b}[case]
+    (worst, state), excess, regional, _ = _verify_hjb_loop(cs, 13, 5)
+    rep = rx.verify_hjb(cs, nx=13, ny=5)
+    assert (rep.worst_max_abs, rep.worst_state) == (worst, state)
+    assert rep.worst_branch_excess == excess
+    assert rep.worst_regional == regional
+    pert = lambda x, y, i: 0.01*x*y + 1e-3*i  # noqa: E731
+    *_, fail = _verify_hjb_loop(cs, 9, 4, perturbation=pert)
+    with pytest.raises(VerificationFailed) as exc:
+        rx.verify_hjb(cs, nx=9, ny=4, perturbation=pert)
+    assert str(exc.value).startswith(
+        "HJB residual at (x={}, y={}, i={}):".format(*fail))
 
 
 def test_verify_hjb_detects_perturbation(cs_a):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -37,6 +38,35 @@ def test_simpson_raises_past_depth():
 
 def test_simpson_empty_interval():
     assert adaptive_simpson(lambda x: x, 1.0, 1.0) == 0.0
+
+
+def test_simpson_node_budget_stops_default_depth():
+    # tol=0 never converges; the node budget raises long before 8*2^40 nodes
+    t0 = time.time()
+    with pytest.raises(QuadratureNotConverged, match="budget"):
+        adaptive_simpson(lambda x: np.sin(50*x), 0.0, 3.0, tol=0.0)
+    assert time.time() - t0 < 5.0
+
+
+def test_simpson_rows_match_one_row_calls():
+    """Each (integrand, row) of a batch equals its own one-row call."""
+    rng = np.random.default_rng(3)
+    a = rng.uniform(-1.0, 0.5, 40)
+    b = a + rng.uniform(0.0, 1.5, 40)
+    b[::7] = a[::7]  # empty intervals integrate to 0
+
+    def g(z, c):
+        return np.stack([np.exp(c*z), np.sin(7.0*z)*c])
+
+    c = rng.uniform(-6.0, 12.0, 40)
+    batch = adaptive_simpson(g, a, b, c)
+    assert batch.shape == (2, 40)
+    rows = np.array([adaptive_simpson(g, lo, hi, ci)
+                     for lo, hi, ci in zip(a, b, c)]).T
+    assert np.array_equal(batch, rows)
+    assert np.all(batch[:, ::7] == 0.0)
+    assert batch[0, 1] == pytest.approx(
+        (math.exp(c[1]*b[1]) - math.exp(c[1]*a[1]))/c[1], rel=1e-9)
 
 
 @given(st.floats(0.02, 0.98))
