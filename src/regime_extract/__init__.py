@@ -20,7 +20,6 @@ from .control import (ControlSolution, U, U_report, U_x, U_xx, ValueReport,
                       b_sharp, b_star, compare_boundaries, from_stopping,
                       single_regime_boundary, solve_control, verify_hjb)
 from .mcsim import (Policy, SimConfig, SimOutcome, Trace, estimate_value,
-                    simulate_chain, simulate_path, simulate_traces,
-                    skorokhod_check, trace_to_csv)
+                    simulate_traces, skorokhod_check, trace_to_csv)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

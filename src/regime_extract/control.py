@@ -54,17 +54,19 @@ def external_shift(cs: ControlSolution, i: int) -> float:
     return sol.shift(sol.internal_regime(i))
 
 
-def b_star(cs: ControlSolution, i: int, x):
-    """Reflecting reserve boundary: clamped inverse of y -> x*_i(y).
-
-    Since x*_i(y) = shift_i + c - f'(y)/rho, the inverse reduces to
-    inverting f' (log for the exponential family, linear for the
-    quadratic one), clamped to [0, 1].
-    """
-    p = cs.params
-    sh = external_shift(cs, i)
-    out = p.cost.derivative_inverse(p.rho*(p.c + sh - np.asarray(x, dtype=float)))
+def _boundary_inverse(params: ModelParams, shift: float, x):
+    """Clamped inverse of y -> shift + c - f'(y)/rho: inverting f' (log
+    for the exponential family, linear for the quadratic one), clamped to
+    [0, 1]. Scalars give a float."""
+    out = params.cost.derivative_inverse(
+        params.rho*(params.c + shift - np.asarray(x, dtype=float)))
     return float(out) if np.ndim(out) == 0 else out
+
+
+def b_star(cs: ControlSolution, i: int, x):
+    """Reflecting reserve boundary: clamped inverse of y -> x*_i(y)
+    = shift_i + c - f'(y)/rho."""
+    return _boundary_inverse(cs.params, external_shift(cs, i), x)
 
 
 def _u_surface(cs: ControlSolution, x, y, series, tol: float = 1e-9):
@@ -85,8 +87,8 @@ def _u_surface(cs: ControlSolution, x, y, series, tol: float = 1e-9):
     series = [(sol.internal_regime(i), o) for i, o in series]
     p, rt = sol.iparams, sol.roots
     a3, a4, a5 = rt.alpha3, rt.alpha4, rt.alpha5
-    b1, b2 = (np.minimum(p.cost.derivative_inverse(
-        p.rho*(p.c + sol.shift(k) - x)), y) for k in (1, 2))
+    b1, b2 = (np.minimum(_boundary_inverse(p, sol.shift(k), x), y)
+              for k in (1, 2))
     if sol.case == "B":
         f34 = {1: (1.0, 1.0), 2: (1.0, -p.lambda2/p.lambda1)}
     else:
@@ -269,10 +271,7 @@ def single_regime_boundary(params: ModelParams, sigma: float, y):
 
 def b_sharp(params: ModelParams, sigma: float, x):
     """Clamped inverse of x#: the single-regime reflecting boundary."""
-    sh = sigma/math.sqrt(2.0*params.rho)
-    out = params.cost.derivative_inverse(
-        params.rho*(params.c + sh - np.asarray(x, dtype=float)))
-    return float(out) if np.ndim(out) == 0 else out
+    return _boundary_inverse(params, sigma/math.sqrt(2.0*params.rho), x)
 
 
 @dataclass(frozen=True)

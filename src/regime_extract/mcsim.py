@@ -9,15 +9,21 @@ reserve onto the boundary, Delta nu = (Y - b(regime, X))^+, which places
 a lump at t = 0 and, because the regime-1 boundary lies below the
 regime-2 one, automatic lumps at 2 -> 1 switches.
 
+One batch engine runs every policy. The running cost f(Y) is accrued
+lazily, at each extraction and at the horizon, since Y is constant in
+between; reflect_optimal triggers on the price threshold x*_i(Y) and
+projects in f'-space. Pairs whose reserve is exhausted are compacted
+away, which changes the draws the survivors see but not their law.
+Recording a trace turns compaction off and settles the running cost at
+every grid time.
+
 estimate_value runs path pairs in fixed-size batches whose generators are
-seeded from (base_seed, batch_index); aggregation is in batch order, so
-results are bit-reproducible and independent of worker scheduling.
+seeded from (base_seed, batch_index) and aggregates them in batch order,
+so results are bit-reproducible for a given batch size.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -100,8 +106,9 @@ class SimOutcome:
 
 @dataclass
 class Trace:
-    """Uniform-grid path record; jump-instant extractions fold into the
-    enclosing step's dnu. Columns follow the CSV dump format."""
+    """Uniform-grid path record; jump-instant extractions and running
+    cost fold into the enclosing step's dnu and disc_inc. Columns follow
+    the CSV dump format."""
 
     t: np.ndarray          # (K+1,)
     regime: np.ndarray     # (K+1, n) int8
@@ -111,6 +118,9 @@ class Trace:
     disc_inc: np.ndarray   # (K+1, n)
     dt: float
     policy_id: str
+    # in-step regime switches, one entry each in four arrays: the grid
+    # step that closes the switch, its column, the new regime and the price
+    switches: tuple = ()
 
     @property
     def n_paths(self) -> int:
@@ -118,31 +128,6 @@ class Trace:
 
     def payoffs(self) -> np.ndarray:
         return self.disc_inc.sum(axis=0)
-
-
-def simulate_chain(params: ModelParams, i0: int, T: float, rng) -> list:
-    """Exact event times of the two-state chain: [(time, new_state), ...]."""
-    if T <= 0:
-        raise OutOfRange(f"horizon must be positive, got {T}")
-    out = []
-    t, i = 0.0, i0
-    while True:
-        t += rng.exponential(1.0/params.lam(i))
-        if t >= T:
-            return out
-        i = 3 - i
-        out.append((t, i))
-
-
-def resolve_workers() -> int:
-    """Worker cap from REGIME_EXTRACT_THREADS (unset -> 1, 0 -> auto)."""
-    raw = os.environ.get("REGIME_EXTRACT_THREADS", "")
-    if raw.strip() == "":
-        return 1
-    n = int(raw)
-    if n < 0:
-        raise OutOfRange(f"REGIME_EXTRACT_THREADS must be >= 0, got {n}")
-    return n if n > 0 else (os.cpu_count() or 1)
 
 
 def tail_bound(cs: ControlSolution, T: float) -> float:
@@ -157,34 +142,27 @@ def tail_bound(cs: ControlSolution, T: float) -> float:
     return math.exp(-p.rho*T)*(p.cost.value(1.0)/p.rho + sup)
 
 
-def _boundary_closure(cs: ControlSolution, policy: Policy):
-    if policy.kind == "reflect_optimal":
-        return lambda i_arr, x_arr: _bstar_vec(cs, i_arr, x_arr)
-    if policy.kind == "reflect_at_custom_boundary":
-        fn = policy.bfun
-        return lambda i_arr, x_arr: np.clip(fn(i_arr, x_arr), 0.0, 1.0)
-    raise PreconditionViolated(f"{policy.kind} has no reflecting boundary")
+def _check_state(x0, y0, i0) -> None:
+    """Start state: finite price, reserve in [0, 1], regime 1 or 2."""
+    if not math.isfinite(x0):
+        raise OutOfRange(f"initial price must be finite, got {x0}")
+    if not 0.0 <= y0 <= 1.0:
+        raise OutOfRange(f"reserve level must lie in [0, 1], got {y0}")
+    if i0 not in (1, 2):
+        raise OutOfRange(f"regime must be 1 or 2, got {i0}")
 
 
-def _bstar_vec(cs: ControlSolution, i_arr, x_arr):
-    p = cs.params
-    sh1 = external_shift(cs, 1)
-    sh2 = external_shift(cs, 2)
-    sh = np.where(np.asarray(i_arr) == 1, sh1, sh2)
-    return p.cost.derivative_inverse(p.rho*(p.c + sh - np.asarray(x_arr)))
-
-
-# ---------------------------------------------------------------------------
-# fast closed-form engine (reflect_optimal, built-in cost families)
-
-def _fast_reflect_batch(cs: ControlSolution, x0, y0, i0, n_pairs, dt, K,
-                        seed, batch_idx, antithetic, compact_every=256):
+def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
+                    dt, K, seed, batch_idx, antithetic, record=False,
+                    compact_every=256):
+    """n_pairs path pairs (single paths without antithetics) seeded from
+    (seed, batch_idx): the (m, n_pairs) discounted payoffs, or with
+    record=True the Trace of all m*n_pairs paths."""
     p = cs.params
     cost = p.cost
     rho, c = p.rho, p.c
-    sol = cs.stopping
-    sh_of = {1: external_shift(cs, 1), 2: external_shift(cs, 2)}
-    shift_tbl = np.array([np.nan, sh_of[1], sh_of[2]])
+    kind = policy.kind
+    shift_tbl = np.array([np.nan, external_shift(cs, 1), external_shift(cs, 2)])
     sig_tbl = np.array([np.nan, p.sigma1, p.sigma2])
     lam_tbl = np.array([np.nan, p.lambda1, p.lambda2])
 
@@ -203,33 +181,86 @@ def _fast_reflect_batch(cs: ControlSolution, x0, y0, i0, n_pairs, dt, K,
     fpY = np.full((m, n), float(cost.derivative(y0)))
     fY = np.full((m, n), float(cost.value(y0)))
     pay = np.zeros((m, n))
-    dlast = np.ones((m, n))
+    dlast = np.ones((m, n))  # discount factor up to which f(Y) is paid
     shift_p = np.full(n, shift_tbl[i0])
-    xthr = shift_p + c - fpY/rho
+    xthr = shift_p + c - fpY/rho  # reflect_optimal's price threshold
     fp_lo, fp_hi = float(cost.derivative(0.0)), float(cost.derivative(1.0))
 
-    pay_done = []
+    if kind == "reflect_optimal":
+        def over(mm, idx):
+            return X[mm, idx] > xthr[mm, idx], None
+    elif kind == "reflect_at_custom_boundary":
+        def over(mm, idx):
+            b = np.clip(policy.bfun(i[idx], X[mm, idx]), 0.0, 1.0)
+            return b < Y[mm, idx], b
+    elif kind in ("never_extract", "extract_all_at_start"):
+        over = None
+    else:
+        raise PreconditionViolated(f"unknown policy {kind!r}")
 
-    def extract(mm, sel, d):
+    def extract(mm, sel, d, y_new=None):
+        """Lower the reserve of member mm on paths sel to y_new (default:
+        the optimal boundary) at discount factor d."""
         Xs = X[mm, sel]
-        g = rho*(c + shift_p[sel] - Xs)
-        fp_new = np.clip(g, fp_lo, fp_hi)
-        y_new = cost.derivative_inverse(fp_new)
+        if y_new is None:
+            fp_new = np.clip(rho*(c + shift_p[sel] - Xs), fp_lo, fp_hi)
+            y_new = cost.derivative_inverse(fp_new)
+            f_new = cost.value_from_derivative(fp_new)
+            fpY[mm, sel] = fp_new
+            xthr[mm, sel] = np.where(y_new > 0.0,
+                                     shift_p[sel] + c - fp_new/rho, np.inf)
+        else:
+            f_new = cost.value(y_new)
         dnu = Y[mm, sel] - y_new
         pay[mm, sel] += d*((Xs - c)*dnu) - fY[mm, sel]*(dlast[mm, sel] - d)/rho
         Y[mm, sel] = y_new
-        fpY[mm, sel] = fp_new
-        fY[mm, sel] = cost.value_from_derivative(fp_new)
+        fY[mm, sel] = f_new
         dlast[mm, sel] = d
-        xthr[mm, sel] = np.where(y_new > 0.0,
-                                 shift_p[sel] + c - fp_new/rho, np.inf)
+        if record:
+            dnu_row[mm, sel] += dnu
 
-    for mm in range(m):
-        sel = np.flatnonzero(X[mm] > xthr[mm])
-        if sel.size:
-            extract(mm, sel, 1.0)
+    def project(d, idx=None):
+        """Reflect the paths idx (default all) at discount factors d (one
+        per path of idx, or a scalar for all)."""
+        for mm in range(m):
+            trig, b = over(mm, slice(None) if idx is None else idx)
+            if trig.any():
+                sel = np.flatnonzero(trig)
+                extract(mm, sel if idx is None else idx[sel],
+                        d if idx is None else d[sel],
+                        None if b is None else b[sel])
 
+    if record:
+        compact_every = 0
+        N = m*n
+        trace = Trace(t=dt*np.arange(K + 1),
+                      regime=np.empty((K + 1, N), dtype=np.int8),
+                      X=np.empty((K + 1, N)), Y=np.empty((K + 1, N)),
+                      dnu=np.zeros((K + 1, N)), disc_inc=np.zeros((K + 1, N)),
+                      dt=dt, policy_id=policy.policy_id)
+        # pay and dnu_row are step k's rows of the trace, seen as (m, n)
+        inc_rows = trace.disc_inc.reshape(K + 1, m, n)
+        dnu_rows = trace.dnu.reshape(K + 1, m, n)
+        pay, dnu_row = inc_rows[0], dnu_rows[0]
+        switches = []
+
+        def snapshot(k):
+            trace.regime[k] = np.tile(i, m)
+            trace.X[k] = X.reshape(-1)
+            trace.Y[k] = Y.reshape(-1)
+
+    if kind == "extract_all_at_start":
+        for mm in range(m):
+            extract(mm, np.arange(n), 1.0, np.zeros(n))
+    elif over is not None:
+        project(1.0)
+    if record:
+        snapshot(0)
+
+    pay_done = []
     for k in range(K):
+        if record:
+            pay, dnu_row = inc_rows[k + 1], dnu_rows[k + 1]
         Z = gn.standard_normal(n)
         inc = Z*s_cur
         X[0] += inc
@@ -266,21 +297,25 @@ def _fast_reflect_batch(cs: ControlSolution, x0, y0, i0, n_pairs, dt, K,
                     Rj[ha] = newR
                     s_cur[hp] = sig_tbl[i[hp]]*sqdt
                     shift_p[hp] = shift_tbl[i[hp]]
-                    d_now = disc[k]*np.exp(-rho*tloc[ha])
-                    for mm in range(m):
-                        live = Y[mm, hp] > 0.0
-                        xthr[mm, hp] = np.where(
-                            live, shift_p[hp] + c - fpY[mm, hp]/rho, np.inf)
-                        csel = np.flatnonzero(live & (X[mm, hp] > xthr[mm, hp]))
-                        if csel.size:
-                            extract(mm, hp[csel], d_now[csel])
+                    xthr[:, hp] = np.where(Y[:, hp] > 0.0,
+                                           shift_p[hp] + c - fpY[:, hp]/rho,
+                                           np.inf)
+                    if record:
+                        for mm in range(m):
+                            switches.append((np.full(hp.size, k + 1),
+                                             hp + mm*n, i[hp], X[mm, hp]))
+                    if over is not None:
+                        project(disc[k]*np.exp(-rho*tloc[ha]), hp)
                 keep = rem[act] > 1e-15
                 R[pp[~keep]] = Rj[act[~keep]]
                 act = act[keep]
-        for mm in range(m):
-            trig = X[mm] > xthr[mm]
-            if trig.any():
-                extract(mm, np.flatnonzero(trig), disc[k + 1])
+        if over is not None:
+            project(disc[k + 1])
+        if record:
+            # settle the running cost so each row is one step's increment
+            pay -= fY*(dlast - disc[k + 1])/rho
+            dlast[:] = disc[k + 1]
+            snapshot(k + 1)
         if compact_every and (k + 1) % compact_every == 0 and n > 64:
             done = (Y == 0.0).all(axis=0)
             if done.mean() > 0.25:
@@ -291,149 +326,18 @@ def _fast_reflect_batch(cs: ControlSolution, x0, y0, i0, n_pairs, dt, K,
                 X, Y, fpY, fY = X[:, keep], Y[:, keep], fpY[:, keep], fY[:, keep]
                 pay, dlast, xthr = pay[:, keep], dlast[:, keep], xthr[:, keep]
                 n = int(keep.sum())
+    if record:
+        if switches:
+            trace.switches = tuple(map(np.concatenate, zip(*switches)))
+        return trace
     pay = pay - fY*(dlast - disc[K])/rho
     return np.concatenate(pay_done + [pay], axis=1) if pay_done else pay
-
-
-# ---------------------------------------------------------------------------
-# generic engine (any policy; optional trace recording)
-
-def _generic_batch(cs: ControlSolution, x0, y0, i0, policy, n_pairs, dt, K,
-                   seed, batch_idx, antithetic, record=False):
-    p = cs.params
-    cost = p.cost
-    rho, c = p.rho, p.c
-    sig_tbl = np.array([np.nan, p.sigma1, p.sigma2])
-    lam_tbl = np.array([np.nan, p.lambda1, p.lambda2])
-
-    ss = np.random.SeedSequence([seed, batch_idx])
-    gc, gn = (np.random.Generator(np.random.PCG64(s)) for s in ss.spawn(2))
-    m = 2 if antithetic else 1
-    n = n_pairs
-    N = m*n
-    disc = np.exp(-rho*dt*np.arange(K + 1))
-    sqdt = math.sqrt(dt)
-
-    reflecting = policy.kind in ("reflect_optimal", "reflect_at_custom_boundary")
-    bound = _boundary_closure(cs, policy) if reflecting else None
-
-    i = np.full(n, i0, dtype=np.int64)
-    R = gc.exponential(1.0/lam_tbl[i0], size=n)
-    X = np.full((m, n), float(x0))
-    Y = np.full((m, n), float(y0))
-    pay = np.zeros((m, n))
-
-    trace = None
-    if record:
-        ts = dt*np.arange(K + 1)
-        trace = Trace(t=ts, regime=np.empty((K + 1, N), dtype=np.int8),
-                      X=np.empty((K + 1, N)), Y=np.empty((K + 1, N)),
-                      dnu=np.zeros((K + 1, N)), disc_inc=np.zeros((K + 1, N)),
-                      dt=dt, policy_id=policy.policy_id)
-
-    def apply_policy(d_now, members=None, paths=None, initial=False):
-        """Extraction at the current state; returns per-entry revenue."""
-        if policy.kind == "never_extract":
-            return None
-        if policy.kind == "extract_all_at_start" and not initial:
-            return None
-        sel = slice(None) if paths is None else paths
-        for mm in (range(m) if members is None else members):
-            Xs = X[mm, sel]
-            if policy.kind == "extract_all_at_start":
-                dnu = Y[mm, sel].copy()
-            else:
-                ii = i[sel] if paths is not None else i
-                dnu = np.maximum(Y[mm, sel] - bound(ii, Xs), 0.0)
-            rev = d_now*(Xs - c)*dnu
-            pay[mm, sel] += rev
-            Y[mm, sel] -= dnu
-            if record:
-                k_row = 0 if initial else k_rec
-                cols = (np.arange(n) if paths is None else paths) + mm*n
-                trace.dnu[k_row, cols] += dnu
-                trace.disc_inc[k_row, cols] += rev
-        return None
-
-    k_rec = 0
-    apply_policy(1.0, initial=True)
-    if record:
-        trace.regime[0] = np.tile(i, m)
-        trace.X[0] = X.reshape(-1)
-        trace.Y[0] = Y.reshape(-1)
-
-    for k in range(K):
-        k_rec = k + 1
-        Z = gn.standard_normal(n)
-        inc = Z*sig_tbl[i]*sqdt
-        X[0] += inc
-        if m == 2:
-            X[1] -= inc
-        cost_lo, cost_hi = disc[k], disc[k + 1]
-        step_cost = (cost_lo - cost_hi)/rho  # per unit f(Y), no-jump case
-        fYv = cost.value(Y)
-        jumpmask = R < dt
-        R -= dt
-        if jumpmask.any():
-            jj = np.flatnonzero(jumpmask)
-            X[0, jj] -= inc[jj]
-            if m == 2:
-                X[1, jj] += inc[jj]
-            rem = np.full(jj.size, dt)
-            Rj = R[jj] + dt
-            tloc = np.zeros(jj.size)
-            act = np.arange(jj.size)
-            while act.size:
-                pp = jj[act]
-                tau = np.minimum(Rj[act], rem[act])
-                Zs = gn.standard_normal(act.size)
-                incs = sig_tbl[i[pp]]*np.sqrt(tau)*Zs
-                X[0, pp] += incs
-                if m == 2:
-                    X[1, pp] -= incs
-                d0 = disc[k]*np.exp(-rho*tloc[act])
-                d1 = disc[k]*np.exp(-rho*(tloc[act] + tau))
-                for mm in range(m):
-                    run = cost.value(Y[mm, pp])*(d0 - d1)/rho
-                    pay[mm, pp] -= run
-                    if record:
-                        trace.disc_inc[k_rec, pp + mm*n] -= run
-                tloc[act] += tau
-                hit = Rj[act] < rem[act]
-                rem[act] -= tau
-                Rj[act] -= tau
-                hp = pp[hit]
-                if hp.size:
-                    ha = act[hit]
-                    i[hp] = 3 - i[hp]
-                    newR = gc.exponential(1.0/lam_tbl[i[hp]])
-                    Rj[ha] = newR
-                    if reflecting:
-                        apply_policy(disc[k]*np.exp(-rho*tloc[ha]), paths=hp)
-                keep = rem[act] > 1e-15
-                R[pp[~keep]] = Rj[act[~keep]]
-                act = act[keep]
-            nj = ~jumpmask
-            for mm in range(m):
-                run = fYv[mm, nj]*step_cost
-                pay[mm, nj] -= run
-                if record:
-                    trace.disc_inc[k_rec, np.flatnonzero(nj) + mm*n] -= run
-        else:
-            pay -= fYv*step_cost
-            if record:
-                trace.disc_inc[k_rec] -= (fYv*step_cost).reshape(-1)
-        apply_policy(disc[k + 1])
-        if record:
-            trace.regime[k_rec] = np.tile(i, m)
-            trace.X[k_rec] = X.reshape(-1)
-            trace.Y[k_rec] = Y.reshape(-1)
-    return pay, trace
 
 
 def simulate_traces(cs: ControlSolution, x0, y0, i0, policy: Policy,
                     cfg: SimConfig, n_paths: int) -> Trace:
     """Record full uniform-grid traces for n_paths paths (memory permitting)."""
+    _check_state(x0, y0, i0)
     T = cfg.resolved_horizon(cs.params)
     K = int(round(T/cfg.dt))
     m = 2 if cfg.antithetic else 1
@@ -443,60 +347,8 @@ def simulate_traces(cs: ControlSolution, x0, y0, i0, policy: Policy,
     if need > 2**31:
         raise OutOfRange(f"trace would need {need/2**30:.1f} GiB; "
                          "reduce n_paths, dt resolution or horizon")
-    _, trace = _generic_batch(cs, x0, y0, i0, policy, n_paths//m, cfg.dt, K,
-                              cfg.base_seed, 0, cfg.antithetic, record=True)
-    return trace
-
-
-def simulate_path(cs: ControlSolution, x0, y0, i0, policy: Policy,
-                  cfg: SimConfig, path_index: int) -> float:
-    """One path, scalar loop, seeded from (base_seed, path_index)."""
-    p = cs.params
-    if not 0.0 <= y0 <= 1.0:
-        raise OutOfRange(f"reserve level must lie in [0, 1], got {y0}")
-    T = cfg.resolved_horizon(p)
-    K = int(round(T/cfg.dt))
-    ss = np.random.SeedSequence([cfg.base_seed, path_index])
-    gchain, gnoise = (np.random.Generator(np.random.PCG64(s))
-                      for s in ss.spawn(2))
-    jumps = simulate_chain(p, i0, T, gchain)
-    events = sorted({round(k*cfg.dt, 12) for k in range(K + 1)}
-                    | {t for t, _ in jumps})
-    jump_at = dict(jumps)
-    reflecting = policy.kind in ("reflect_optimal", "reflect_at_custom_boundary")
-    bound = _boundary_closure(cs, policy) if reflecting else None
-
-    x, y, i = float(x0), float(y0), int(i0)
-    pay = 0.0
-
-    def extract_now(t):
-        nonlocal y, pay
-        if policy.kind == "never_extract":
-            return
-        if policy.kind == "extract_all_at_start":
-            dnu = y if t == 0.0 else 0.0
-        else:
-            dnu = max(y - float(bound(np.array([i]), np.array([x]))[0]), 0.0)
-        if dnu > 0.0:
-            pay += math.exp(-p.rho*t)*(x - p.c)*dnu
-            y -= dnu
-
-    extract_now(0.0)
-    t_prev = 0.0
-    for t in events[1:]:
-        tau = t - t_prev
-        if tau > 0:
-            x += p.sigma(i)*math.sqrt(tau)*gnoise.standard_normal()
-            pay -= p.cost.value(y)*(
-                math.exp(-p.rho*t_prev) - math.exp(-p.rho*t))/p.rho
-        if t in jump_at:
-            i = jump_at[t]
-            if reflecting:
-                extract_now(t)
-        else:
-            extract_now(t)
-        t_prev = t
-    return pay
+    return _simulate_batch(cs, x0, y0, i0, policy, n_paths//m, cfg.dt, K,
+                           cfg.base_seed, 0, cfg.antithetic, record=True)
 
 
 def _deterministic_value(cs: ControlSolution, x0, y0, policy: Policy,
@@ -518,10 +370,7 @@ def estimate_value(cs: ControlSolution, x0, y0, i0, policy: Policy,
     policies reduce to their closed-form payoff with zero error.
     """
     p = cs.params
-    if not 0.0 <= y0 <= 1.0:
-        raise OutOfRange(f"reserve level must lie in [0, 1], got {y0}")
-    if i0 not in (1, 2):
-        raise OutOfRange(f"regime must be 1 or 2, got {i0}")
+    _check_state(x0, y0, i0)
     T = cfg.resolved_horizon(p)
     K = int(round(T/cfg.dt))
     tb = tail_bound(cs, T)
@@ -541,25 +390,9 @@ def estimate_value(cs: ControlSolution, x0, y0, i0, policy: Policy,
     if n_units % batch:
         sizes.append(n_units % batch)
 
-    fast = (policy.kind == "reflect_optimal"
-            and p.cost.kind in ("exponential", "quadratic"))
-
-    def run(args):
-        bidx, size = args
-        if fast:
-            return _fast_reflect_batch(cs, x0, y0, i0, size, cfg.dt, K,
-                                       cfg.base_seed, bidx, cfg.antithetic)
-        pay, _ = _generic_batch(cs, x0, y0, i0, policy, size, cfg.dt, K,
-                                cfg.base_seed, bidx, cfg.antithetic)
-        return pay
-
-    tasks = list(enumerate(sizes))
-    workers = resolve_workers()
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pays = list(pool.map(run, tasks))
-    else:
-        pays = [run(t) for t in tasks]
+    pays = [_simulate_batch(cs, x0, y0, i0, policy, size, cfg.dt, K,
+                            cfg.base_seed, bidx, cfg.antithetic)
+            for bidx, size in enumerate(sizes)]
     samples = np.concatenate([pp.mean(axis=0) for pp in pays])
     mean = float(samples.mean())
     se = (float(samples.std(ddof=1))/math.sqrt(samples.size)
@@ -576,14 +409,16 @@ def skorokhod_check(cs: ControlSolution, trace: Trace,
     (1) after every step the reserve sits at or below the boundary of the
     current regime/price; (2) extraction happens only when the pre-step
     reserve exceeded the boundary (allowing for within-step boundary
-    motion). Raises SRPViolated with the first offending step.
+    motion, or the boundary of the new regime at the price of a switch
+    inside the step, where the engine reflects too). Raises SRPViolated
+    with the first offending step.
     """
-    n = trace.n_paths
-    K1 = trace.X.shape[0]
-    i_rows = trace.regime.astype(np.int64)
     b_rows = np.empty_like(trace.X)
-    for k in range(K1):
-        b_rows[k] = _bstar_vec(cs, i_rows[k], trace.X[k])
+    for k in range(0, b_rows.shape[0], 256):
+        rows = slice(k, k + 256)
+        b_rows[rows] = np.where(trace.regime[rows] == 1,
+                                b_star(cs, 1, trace.X[rows]),
+                                b_star(cs, 2, trace.X[rows]))
     over = trace.Y > b_rows + barrier_tol
     if over.any():
         k, j = np.unravel_index(int(np.argmax(over)), over.shape)
@@ -594,6 +429,11 @@ def skorokhod_check(cs: ControlSolution, trace: Trace,
     slack = np.abs(b_rows[1:] - b_rows[:-1]) + barrier_tol
     low = trace.Y[:-1] <= b_rows[1:] - slack
     bad = moved & low
+    if trace.switches:
+        s_k, s_j, s_i, s_x = trace.switches
+        b_sw = np.where(s_i == 1, b_star(cs, 1, s_x), b_star(cs, 2, s_x))
+        fine = trace.Y[s_k - 1, s_j] > b_sw - barrier_tol
+        bad[s_k[fine] - 1, s_j[fine]] = False
     if bad.any():
         k, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise SRPViolated(

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -282,3 +283,38 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "regime_extract.cli", "--version"],
         capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+CONFIGS = Path(__file__).resolve().parent.parent/"configs"
+
+# stdout of the simulator before its engines were merged; seeded means
+# must stay bit-identical (paths 4000 at dt 0.04, seed 7)
+PINNED_SIMULATE = {
+    ("example.json", "0.6", "0.5", "2", None): (
+        '{\n  "mean": 0.10887279483184736,\n'
+        '  "std_error": 0.0037150285908267486,\n  "n_paths": 4000,\n'
+        '  "tail_bound": 0.0005467301267282992,\n'
+        '  "policy_id": "reflect_optimal",\n  "dt": 0.04,\n'
+        '  "horizon": 30.0,\n  "u_value": 0.11416649859204553,\n'
+        '  "abs_diff_vs_u": 0.005293703760198165\n}\n'),
+    ("equal_vol.json", "-2.0", "0.3", "1", "40"): (
+        '{\n  "mean": -0.7019914761023677,\n'
+        '  "std_error": 0.0007337289645481317,\n  "n_paths": 4000,\n'
+        '  "tail_bound": 3.091730433657837e-08,\n'
+        '  "policy_id": "reflect_optimal",\n  "dt": 0.04,\n'
+        '  "horizon": 40.0,\n  "u_value": -0.7015015797798406,\n'
+        '  "abs_diff_vs_u": 0.0004898963225270503\n}\n'),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_SIMULATE),
+                         ids=lambda k: k[0].split(".")[0])
+def test_simulate_stdout_pinned(capsys, key):
+    name, x, y, regime, horizon = key
+    argv = ["simulate", "--config", str(CONFIGS/name), "--x", x, "--y", y,
+            "--regime", regime, "--paths", "4000", "--dt", "0.04",
+            "--seed", "7"]
+    if horizon:
+        argv += ["--horizon", horizon]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == PINNED_SIMULATE[key]

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import regime_extract as rx
 from regime_extract.errors import OutOfRange, PreconditionViolated, SRPViolated
-from regime_extract.mcsim import (_fast_reflect_batch, _generic_batch,
-                                  resolve_workers, tail_bound)
+from regime_extract.mcsim import _simulate_batch, tail_bound
+from scalar_oracle import simulate_chain, simulate_path
 
 
 def test_chain_alternates_and_respects_horizon(params_a, rng):
-    jumps = rx.simulate_chain(params_a, 1, 50.0, rng)
+    jumps = simulate_chain(params_a, 1, 50.0, rng)
     states = [s for _, s in jumps]
     assert states[0] == 2
     assert all(a != b for a, b in zip(states, states[1:]))
@@ -20,7 +22,7 @@ def test_chain_alternates_and_respects_horizon(params_a, rng):
 
 
 def test_chain_empty_when_horizon_tiny(params_a, rng):
-    assert rx.simulate_chain(params_a, 1, 1e-12, rng) == []
+    assert simulate_chain(params_a, 1, 1e-12, rng) == []
 
 
 def test_holding_times_exponential_mean():
@@ -31,7 +33,7 @@ def test_holding_times_exponential_mean():
     rng = np.random.default_rng(7)
     holds = []
     while len(holds) < 100_000:
-        jumps = rx.simulate_chain(p, 1, 2000.0, rng)
+        jumps = simulate_chain(p, 1, 2000.0, rng)
         ts = [0.0] + [t for t, _ in jumps]
         holds.extend(np.diff(ts))
     holds = np.asarray(holds[:100_000])
@@ -43,7 +45,7 @@ def test_empty_reserve_pays_nothing(cs_a):
     cfg = rx.SimConfig(dt=1e-2, horizon=1.0, n_paths=4, base_seed=5)
     for pol in (rx.Policy.reflect_optimal(), rx.Policy.never_extract(),
                 rx.Policy.extract_all_at_start()):
-        assert rx.simulate_path(cs_a, 0.8, 0.0, 2, pol, cfg, 0) == 0.0
+        assert simulate_path(cs_a, 0.8, 0.0, 2, pol, cfg, 0) == 0.0
         out = rx.estimate_value(cs_a, 0.8, 0.0, 2, pol, cfg)
         assert out.mean == 0.0
 
@@ -53,7 +55,7 @@ def test_never_extract_closed_form(cs_a):
     y0, T = 0.62, 2.5
     cfg = rx.SimConfig(dt=1e-2, horizon=T, n_paths=6, base_seed=5)
     expected = -p.cost.value(y0)*(1 - math.exp(-p.rho*T))/p.rho
-    pay = rx.simulate_path(cs_a, 0.1, y0, 1, rx.Policy.never_extract(), cfg, 2)
+    pay = simulate_path(cs_a, 0.1, y0, 1, rx.Policy.never_extract(), cfg, 2)
     assert pay == pytest.approx(expected, rel=1e-12)
     out = rx.estimate_value(cs_a, 0.1, y0, 1, rx.Policy.never_extract(), cfg)
     assert out.mean == pytest.approx(expected, rel=1e-12)
@@ -62,8 +64,8 @@ def test_never_extract_closed_form(cs_a):
 
 def test_extract_all_closed_form(cs_a):
     cfg = rx.SimConfig(dt=1e-2, horizon=1.0, n_paths=6, base_seed=5)
-    pay = rx.simulate_path(cs_a, 0.9, 0.4, 2,
-                           rx.Policy.extract_all_at_start(), cfg, 1)
+    pay = simulate_path(cs_a, 0.9, 0.4, 2,
+                        rx.Policy.extract_all_at_start(), cfg, 1)
     assert pay == pytest.approx((0.9 - 0.5)*0.4, rel=1e-12)
     out = rx.estimate_value(cs_a, 0.9, 0.4, 2,
                             rx.Policy.extract_all_at_start(), cfg)
@@ -76,17 +78,6 @@ def test_estimate_is_bit_reproducible(cs_a):
     a = rx.estimate_value(cs_a, 0.6, 0.5, 2, pol, cfg)
     b = rx.estimate_value(cs_a, 0.6, 0.5, 2, pol, cfg)
     assert a.mean == b.mean and a.std_error == b.std_error
-
-
-def test_estimate_independent_of_batch_split_workers(cs_a, monkeypatch):
-    cfg = rx.SimConfig(dt=5e-3, horizon=1.0, n_paths=1200, base_seed=9,
-                       batch_pairs=100)
-    pol = rx.Policy.reflect_optimal()
-    serial = rx.estimate_value(cs_a, 0.6, 0.5, 2, pol, cfg)
-    monkeypatch.setenv("REGIME_EXTRACT_THREADS", "3")
-    assert resolve_workers() == 3
-    threaded = rx.estimate_value(cs_a, 0.6, 0.5, 2, pol, cfg)
-    assert serial.mean == threaded.mean
 
 
 def test_antithetic_needs_even_paths(cs_a):
@@ -103,21 +94,44 @@ def test_sim_config_validation(cs_a):
     assert rx.SimConfig().resolved_horizon(cs_a.params) == pytest.approx(30.0)
 
 
-def test_fast_and_generic_engines_agree(cs_a):
-    pf = _fast_reflect_batch(cs_a, 0.6, 0.5, 2, 400, 1e-3, 1500, 5, 0, True,
-                             compact_every=0)
-    pg, _ = _generic_batch(cs_a, 0.6, 0.5, 2, rx.Policy.reflect_optimal(),
-                           400, 1e-3, 1500, 5, 0, True)
-    assert np.allclose(np.sort(pf.ravel()), np.sort(pg.ravel()), atol=1e-12)
+def b_star_both(cs):
+    return lambda i, x: np.where(i == 1, rx.b_star(cs, 1, x),
+                                 rx.b_star(cs, 2, x))
+
+
+def test_custom_boundary_at_b_star_matches_reflect_optimal(cs_a):
+    # the price-threshold trigger and the projection onto b* pay the same
+    # on every path when compaction keeps the draws aligned
+    args = (cs_a, 0.6, 0.5, 2)
+    run = (400, 1e-3, 1500, 5, 0, True)
+    po = _simulate_batch(*args, rx.Policy.reflect_optimal(), *run,
+                         compact_every=0)
+    pc = _simulate_batch(*args, rx.Policy.reflect_at_custom_boundary(
+        b_star_both(cs_a)), *run, compact_every=0)
+    assert np.abs(po - pc).max() <= 1e-12
+
+
+@pytest.mark.parametrize("policy", ["reflect_optimal", "custom"])
+def test_engine_mean_matches_scalar_oracle(cs_a, policy):
+    pol = (rx.Policy.reflect_optimal() if policy == "reflect_optimal" else
+           rx.Policy.reflect_at_custom_boundary(
+               lambda i, x: np.clip(0.8 - 0.3*np.asarray(x), 0.0, 1.0)))
+    cfg = rx.SimConfig(dt=1e-2, horizon=2.0, n_paths=4000, base_seed=47)
+    out = rx.estimate_value(cs_a, 0.4, 0.8, 2, pol, cfg)
+    ref = np.array([simulate_path(cs_a, 0.4, 0.8, 2, pol, cfg, j)
+                    for j in range(400)])
+    se_ref = ref.std(ddof=1)/math.sqrt(ref.size)
+    assert abs(out.mean - ref.mean()) <= 4*math.hypot(out.std_error, se_ref)
 
 
 def test_compaction_is_statistically_neutral(cs_a):
     # dropping exhausted pairs reshuffles which draws the survivors see,
     # so only the distribution (not the path pairing) is preserved
-    a = _fast_reflect_batch(cs_a, 1.0, 0.5, 2, 4000, 2e-3, 1500, 11, 0, True,
-                            compact_every=0)
-    b = _fast_reflect_batch(cs_a, 1.0, 0.5, 2, 4000, 2e-3, 1500, 11, 1, True,
-                            compact_every=128)
+    pol = rx.Policy.reflect_optimal()
+    a = _simulate_batch(cs_a, 1.0, 0.5, 2, pol, 4000, 2e-3, 1500, 11, 0, True,
+                        compact_every=0)
+    b = _simulate_batch(cs_a, 1.0, 0.5, 2, pol, 4000, 2e-3, 1500, 11, 1, True,
+                        compact_every=128)
     ma, mb = a.mean(), b.mean()
     se = (a.mean(axis=0).std(ddof=1) + b.mean(axis=0).std(ddof=1))/math.sqrt(4000)
     assert abs(ma - mb) <= 4*se
@@ -170,11 +184,13 @@ def test_martingale_and_variance_sanity(cs_a, params_a):
 
 def test_trace_increments_sum_to_payoff(cs_a):
     cfg = rx.SimConfig(dt=2e-3, horizon=1.0, n_paths=64, base_seed=17)
-    tr = rx.simulate_traces(cs_a, 0.4, 0.7, 2, rx.Policy.reflect_optimal(),
-                            cfg, 64)
-    pay, _ = _generic_batch(cs_a, 0.4, 0.7, 2, rx.Policy.reflect_optimal(),
-                            32, cfg.dt, 500, cfg.base_seed, 0, True)
-    assert np.allclose(np.sort(tr.payoffs()), np.sort(pay.ravel()), atol=1e-12)
+    for pol in (rx.Policy.reflect_optimal(), rx.Policy.never_extract(),
+                rx.Policy.extract_all_at_start(),
+                rx.Policy.reflect_at_custom_boundary(b_star_both(cs_a))):
+        tr = rx.simulate_traces(cs_a, 0.4, 0.7, 2, pol, cfg, 64)
+        pay = _simulate_batch(cs_a, 0.4, 0.7, 2, pol, 32, cfg.dt, 500,
+                              cfg.base_seed, 0, True, compact_every=0)
+        assert np.abs(tr.payoffs() - pay.ravel()).max() <= 1e-12
 
 
 def test_trace_admissibility(cs_a):
@@ -254,13 +270,98 @@ def test_trace_csv_format(cs_a, tmp_path):
     assert len(lines) == 12  # header + 11 steps
 
 
-def test_workers_resolution(monkeypatch):
-    monkeypatch.delenv("REGIME_EXTRACT_THREADS", raising=False)
-    assert resolve_workers() == 1
-    monkeypatch.setenv("REGIME_EXTRACT_THREADS", "0")
-    assert resolve_workers() >= 1
-    monkeypatch.setenv("REGIME_EXTRACT_THREADS", "2")
-    assert resolve_workers() == 2
-    monkeypatch.setenv("REGIME_EXTRACT_THREADS", "-1")
+
+# estimate_value of reflect_optimal before the simulator's engines were
+# merged, (mean, std_error) at dt 0.04 on 3,000 antithetic pairs in
+# batches of 1,000; exhausted pairs are compacted away in every batch
+PINNED_ESTIMATES = {
+    ("b", (0.6, 0.5, 2)): (-0.19999999999999996, 1.0136592813758637e-18),
+    ("b", (1.5, 0.5, 2)): (0.25, 0.0),
+    ("b", (-2.0, 0.3, 1)): (-0.7035740041184463, 0.0005951169111198213),
+    ("a", (0.6, 0.5, 2)): (0.11020038856017789, 0.0030231868101133837),
+    ("a", (0.16, 0.9, 2)): (-0.1485481016747618, 0.004379332160299285),
+    ("a", (-1.5, 0.5, 1)): (-0.4068663210251366, 0.002459321246718727),
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_ESTIMATES),
+                         ids=lambda k: f"{k[0]}({','.join(map(str, k[1]))})")
+def test_reflect_optimal_estimates_pinned(cs_a, cs_b, key):
+    name, state = key
+    cs = cs_a if name == "a" else cs_b
+    # horizon 40 on the equal-volatility set lets compaction fire there too
+    cfg = rx.SimConfig(dt=0.04, horizon=40.0 if name == "b" else None,
+                       n_paths=6000, base_seed=2024, batch_pairs=1000)
+    out = rx.estimate_value(cs, *state, rx.Policy.reflect_optimal(), cfg)
+    assert (out.mean, out.std_error) == PINNED_ESTIMATES[key]
+
+
+def test_skorokhod_check_accepts_lump_at_in_step_switch(cs_a):
+    # the regime goes 2 -> 1 -> 2 inside step 164 of path 95, and the
+    # reserve drops to b*_1 at the switch price, below both grid ends'
+    # regime-2 boundary test
+    x0 = 0.16
+    cfg = rx.SimConfig(dt=1e-3, horizon=3.0, n_paths=1000, base_seed=12011,
+                       antithetic=False)
+    tr = rx.simulate_traces(cs_a, x0, float(rx.b_star(cs_a, 2, x0)), 2,
+                            rx.Policy.reflect_optimal(), cfg, 1000)
+    assert tr.regime[163, 95] == tr.regime[164, 95] == 2
+    assert rx.skorokhod_check(cs_a, tr)
+    s_k, s_j, s_i, s_x = tr.switches
+    cell = (s_k == 164) & (s_j == 95)
+    assert list(s_i[cell]) == [1, 2]
+    doctored = s_x.copy()
+    doctored[cell] = -10.0
+    tr.switches = (s_k, s_j, s_i, doctored)
+    with pytest.raises(SRPViolated) as exc:
+        rx.skorokhod_check(cs_a, tr)
+    assert (exc.value.step, exc.value.path) == (164, 95)
+
+
+@pytest.mark.parametrize("x0, y0, i0", [(0.2, 1.5, 2), (0.2, 0.5, 7),
+                                        (math.nan, 0.5, 2),
+                                        (math.inf, 0.5, 1)])
+def test_simulator_rejects_invalid_states(cs_a, x0, y0, i0):
+    cfg = rx.SimConfig(dt=1e-2, horizon=0.5, n_paths=8, base_seed=3)
+    pol = rx.Policy.reflect_optimal()
     with pytest.raises(OutOfRange):
-        resolve_workers()
+        rx.simulate_traces(cs_a, x0, y0, i0, pol, cfg, 8)
+    with pytest.raises(OutOfRange):
+        rx.estimate_value(cs_a, x0, y0, i0, pol, cfg)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["reflect_optimal", "never_extract",
+                             "extract_all_at_start", "custom"]),
+       x0=st.floats(-2.0, 2.0), y0=st.floats(0.0, 1.0),
+       i0=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1),
+       antithetic=st.booleans())
+def test_trace_control_is_admissible(cs_a, kind, x0, y0, i0, seed,
+                                     antithetic):
+    pol = (rx.Policy.reflect_at_custom_boundary(
+               lambda i, x: 0.9 - 0.2*i - 0.3*np.asarray(x))
+           if kind == "custom" else getattr(rx.Policy, kind)())
+    cfg = rx.SimConfig(dt=0.02, horizon=1.0, n_paths=8, base_seed=seed,
+                       antithetic=antithetic)
+    tr = rx.simulate_traces(cs_a, x0, y0, i0, pol, cfg, 8)
+    assert np.all(tr.dnu >= 0.0)
+    assert np.all(tr.Y[1:] <= tr.Y[:-1])
+    assert np.all((tr.Y >= 0.0) & (tr.Y <= y0))
+    assert np.allclose(tr.Y[0] + tr.dnu[0], y0, rtol=0.0, atol=1e-12)
+    assert np.allclose(tr.Y[:-1] - tr.Y[1:], tr.dnu[1:], rtol=0.0, atol=1e-12)
+
+
+def test_reflect_optimal_custom_cost_matches_builtin(params_a, cs_a):
+    # a custom cost equal to the exponential family takes the same
+    # threshold trigger and f'-space projection, inverted by bisection
+    g = params_a.cost.gamma
+    cost = rx.CostFunction.custom(lambda y: g*(np.exp(y) - 1.0),
+                                  lambda y: g*np.exp(y))
+    kw = {k: getattr(params_a, k) for k in ("rho", "sigma1", "sigma2",
+                                            "lambda1", "lambda2", "c")}
+    cs_c = rx.from_stopping(rx.solve_z(rx.validate(**kw, cost=cost)))
+    run = (0.6, 0.5, 2, rx.Policy.reflect_optimal(), 200, 0.01, 300, 3, 0,
+           True)
+    pa = _simulate_batch(cs_a, *run, compact_every=0)
+    pc = _simulate_batch(cs_c, *run, compact_every=0)
+    assert np.abs(pa - pc).max() <= 1e-12
