@@ -4,9 +4,10 @@ U(x, y, i) integrates the selling value v(x, i; z) over reserve z in
 [0, y]. The integrand switches branch where z crosses the boundary
 inverses b_1(x) <= b_2(x) (internal labels), so the integral is split
 into panels: the fully stopped one is exact, the others integrate one
-smooth closed-form branch each by Simpson doubling batched over states,
-regimes and x-derivative orders. Inside each region the exponentials
-only ever see non-positive arguments times positive rates.
+continuation branch of w each by Simpson doubling batched over states,
+regimes and x-derivative orders. The branches come from the stopping
+module's evaluator, anchored at the boundaries x*_i(z), so on its panel
+no exponential exceeds e^{alpha5 z2}.
 """
 from __future__ import annotations
 
@@ -20,7 +21,8 @@ from ._numerics import adaptive_simpson
 from .errors import OrderingViolated, OutOfRange, PreconditionViolated, \
     VerificationFailed
 from .model import ModelParams, chat
-from .stopping import StoppingSolution, solve_z, v as v_stop, x_star
+from .stopping import (StoppingSolution, _continuation, solve_z,
+                       v as v_stop, x_star)
 
 
 @dataclass(frozen=True)
@@ -74,9 +76,10 @@ def _u_surface(cs: ControlSolution, x, y, series, tol: float = 1e-9):
     one entry per (regime, order 0..2 of the x-derivative) in series.
 
     Below b_1(x) both regimes continue, up to b_2(x) only regime 2 does
-    (internal labels): one batched Simpson per panel, exponentials shared
-    by every series. The stopped panel is exact for any cost. Raises
-    OutOfRange on non-finite states or y outside [0, 1].
+    (internal labels): one batched Simpson per panel over w's anchored
+    continuation branches, exponentials shared by every series. The
+    stopped panel is exact for any cost. Raises OutOfRange on non-finite
+    states or y outside [0, 1].
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(y, dtype=float))
@@ -85,41 +88,17 @@ def _u_surface(cs: ControlSolution, x, y, series, tol: float = 1e-9):
     shape, x, y = x.shape, x.ravel(), y.ravel()
     sol = cs.stopping
     series = [(sol.internal_regime(i), o) for i, o in series]
-    p, rt = sol.iparams, sol.roots
-    a3, a4, a5 = rt.alpha3, rt.alpha4, rt.alpha5
+    p = sol.iparams
     b1, b2 = (np.minimum(_boundary_inverse(p, sol.shift(k), x), y)
               for k in (1, 2))
-    if sol.case == "B":
-        f34 = {1: (1.0, 1.0), 2: (1.0, -p.lambda2/p.lambda1)}
-    else:
-        phi13 = -0.5*p.sigma1**2*a3**2 + p.rho + p.lambda1
-        phi14 = -0.5*p.sigma1**2*a4**2 + p.rho + p.lambda1
-        f34 = {1: (1.0, 1.0), 2: (phi13/p.lambda1, phi14/p.lambda1)}
-    coef = [((1.0, a3, a3*a3)[o]*f34[k][0], (1.0, a4, a4*a4)[o]*f34[k][1])
-            for k, o in series]
-
-    def both_continue(z, xr):
-        x1 = sol.z1 + (p.c - p.cost.derivative(z)/p.rho)
-        t3 = (a4*sol.z1 - 1.0)/(a4 - a3)*np.exp(a3*(xr - x1))
-        t4 = (1.0 - a3*sol.z1)/(a4 - a3)*np.exp(a4*(xr - x1))
-        return np.stack([c3*t3 + c4*t4 for c3, c4 in coef])
-
-    band = [j for j, (k, _) in enumerate(series) if k == 2]
-    r, lin = p.rho/(p.rho + p.lambda2), p.lambda2/(p.rho + p.lambda2)
-
-    def regime2_continues(z, xr):
-        ch = p.c - p.cost.derivative(z)/p.rho
-        zsum = sol.z1 + sol.z2
-        x2 = zsum + ch
-        t5 = r*(1.0 + a5*zsum)/(2.0*a5)*np.exp(a5*(xr - x2))
-        t6 = r*(a5*zsum - 1.0)/(2.0*a5)*np.exp(-a5*(xr - x2))
-        terms = {0: lambda: t5 + t6 + lin*(xr - ch),
-                 1: lambda: a5*(t5 - t6) + lin, 2: lambda: a5*a5*(t5 + t6)}
-        return np.stack([terms[series[j][1]]() for j in band])
-
-    out = adaptive_simpson(both_continue, 0.0, b1, x, tol=tol)
-    if band:
-        out[band] += adaptive_simpson(regime2_continues, b1, b2, x, tol=tol)
+    out = adaptive_simpson(lambda z, xr: _continuation(sol, xr, z, series),
+                           0.0, b1, x, tol=tol)
+    in_band = [j for j, (k, _) in enumerate(series) if k == 2]
+    if in_band:
+        band = [series[j] for j in in_band]
+        out[in_band] += adaptive_simpson(
+            lambda z, xr: _continuation(sol, xr, z, band, band=True),
+            b1, b2, x, tol=tol)
     for j, (k, o) in enumerate(series):
         lo = b1 if k == 1 else b2
         # stopped on [lo, y]: u = x - c + f'(z)/rho; order 0 also carries

@@ -204,8 +204,7 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
         Xs = X[mm, sel]
         if y_new is None:
             fp_new = np.clip(rho*(c + shift_p[sel] - Xs), fp_lo, fp_hi)
-            y_new = cost.derivative_inverse(fp_new)
-            f_new = cost.value_from_derivative(fp_new)
+            y_new, f_new = cost.from_derivative(fp_new)
             fpY[mm, sel] = fp_new
             xthr[mm, sel] = np.where(y_new > 0.0,
                                      shift_p[sel] + c - fp_new/rho, np.inf)

@@ -8,6 +8,7 @@ unit time, with f strictly increasing, strictly convex and f(0) = 0.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -103,13 +104,16 @@ class CostFunction:
                                xtol=1e-14) for t in vals])
         return out[0] if scalar else out
 
-    def value_from_derivative(self, fp):
-        """f(y) evaluated at the y with f'(y) = fp (no transcendental call)."""
+    def from_derivative(self, fp):
+        """(y, f(y)) at the y with f'(y) = fp, from one inversion of f'
+        (clipped as in derivative_inverse); the built-in families give
+        f(y) without a transcendental call."""
+        y = self.derivative_inverse(fp)
         if self.kind == "exponential":
-            return fp - self.gamma
+            return y, fp - self.gamma
         if self.kind == "quadratic":
-            return (np.square(fp) - self.beta**2)/(4.0*self.alpha)
-        return self.value(self.derivative_inverse(fp))
+            return y, (np.square(fp) - self.beta**2)/(4.0*self.alpha)
+        return y, self.value(y)
 
     def _check_custom(self, n: int = 1001, tol: float = 1e-9) -> None:
         if self.value(0.0) != 0.0:
@@ -249,41 +253,66 @@ class AssumptionReport:
         }
 
 
-def condition_values(rho, sigma1, sigma2, lambda1, lambda2):
-    """Left-hand sides of the feasibility conditions, vectorized.
+Characteristic = namedtuple(
+    "Characteristic", "disc beta1 beta2 alpha3 alpha4 alpha5 a1 a2 a3 a4")
 
-    Returns (alpha5, lhs2, lhs3, lhs4, a5_cap, a1, a2, a3, a4) where
-    lhs2 = a1 + rho/(alpha5 (rho+lambda2)),
-    lhs3 = a1 + cosh(1) rho/(alpha5 (rho+lambda2)),
-    lhs4 = (rho/(rho+lambda2) + a4)/a3 - a2/lhs2,
-    a5_cap = min(lambda2, rho)/lambda2.
+
+def characteristic(rho, sigma1, sigma2, lambda1, lambda2) -> Characteristic:
+    """Roots of Phi_1(alpha) Phi_2(alpha) = lambda1 lambda2 and the
+    smooth-fit constants a1..a4, vectorized over the parameters.
+
+    Returns disc = b_o^2 - 4 a_o c_o, the roots beta1 > beta2 > 0 of the
+    reduced quadratic, alpha3 = sqrt(beta2) < alpha4 = sqrt(beta1), the
+    middle-region rate alpha5 = sqrt(2 (rho+lambda2) / sigma2^2) and a1..a4.
+    With beta = alpha^2 the quartic is a_o beta^2 + b_o beta + c_o = 0,
+    a_o = sigma1^2 sigma2^2 / 4, b_o = -(sigma1^2 (rho+lambda2)
+    + sigma2^2 (rho+lambda1)) / 2, c_o = (rho+lambda1)(rho+lambda2)
+    - lambda1 lambda2, solved branch-free: the larger-magnitude root
+    first, its companion through the product (no cancellation).
     """
     p1 = rho + lambda1
     p2 = rho + lambda2
     ao = 0.25*sigma1**2*sigma2**2
     bo = -0.5*sigma1**2*p2 - 0.5*sigma2**2*p1
     co = p1*p2 - lambda1*lambda2
-    q = 0.5*(-bo + np.sqrt(bo*bo - 4.0*ao*co))
+    disc = bo*bo - 4.0*ao*co
+    q = 0.5*(-bo + np.sqrt(disc))
     beta1 = q/ao
     beta2 = co/q
-    a3r, a4r = np.sqrt(beta2), np.sqrt(beta1)
+    alpha3, alpha4 = np.sqrt(beta2), np.sqrt(beta1)
     alpha5 = np.sqrt(2.0*p2/sigma2**2)
-    phi13 = -0.5*sigma1**2*beta2 + p1
-    phi14 = -0.5*sigma1**2*beta1 + p1
-    denom = lambda1*(a4r - a3r)
-    a1 = -(a4r*phi13 - a3r*phi14)/denom + rho/p2
+    phi13 = -0.5*sigma1**2*np.square(alpha3) + rho + lambda1
+    phi14 = -0.5*sigma1**2*np.square(alpha4) + rho + lambda1
+    denom = lambda1*(alpha4 - alpha3)
+    a1 = -(alpha4*phi13 - alpha3*phi14)/denom + rho/p2
     a2 = (phi13 - phi14)/denom
-    a3 = a3r*a4r*(phi14 - phi13)/denom
-    a4 = (a3r*phi13 - a4r*phi14)/denom + lambda2/p2
-    r5 = rho/(alpha5*p2)
-    lhs2 = a1 + r5
-    lhs3 = a1 + np.cosh(1.0)*r5
-    lhs4 = (rho/p2 + a4)/a3 - a2/lhs2
+    a3 = alpha3*alpha4*(phi14 - phi13)/denom
+    a4 = (alpha3*phi13 - alpha4*phi14)/denom + lambda2/p2
+    return Characteristic(disc, beta1, beta2, alpha3, alpha4, alpha5,
+                          a1, a2, a3, a4)
+
+
+def condition_values(rho, sigma1, sigma2, lambda1, lambda2):
+    """Left-hand sides of the feasibility conditions, vectorized.
+
+    Returns (k, lhs2, lhs3, lhs4, a5_cap), k the characteristic
+    constants, where
+    lhs2 = a1 + rho/(alpha5 (rho+lambda2)),
+    lhs3 = a1 + cosh(1) rho/(alpha5 (rho+lambda2)),
+    lhs4 = (rho/(rho+lambda2) + a4)/a3 - a2/lhs2,
+    a5_cap = min(lambda2, rho)/lambda2.
+    """
+    k = characteristic(rho, sigma1, sigma2, lambda1, lambda2)
+    p2 = rho + lambda2
+    r5 = rho/(k.alpha5*p2)
+    lhs2 = k.a1 + r5
+    lhs3 = k.a1 + np.cosh(1.0)*r5
+    lhs4 = (rho/p2 + k.a4)/k.a3 - k.a2/lhs2
     a5_cap = np.minimum(lambda2, rho)/lambda2
-    return alpha5, lhs2, lhs3, lhs4, a5_cap, a1, a2, a3, a4
+    return k, lhs2, lhs3, lhs4, a5_cap
 
 
-def check_assumptions(params: ModelParams, roots=None, eps: float = 0.0
+def check_assumptions(params: ModelParams, eps: float = 0.0
                       ) -> AssumptionReport:
     """Evaluate every feasibility condition with exact inequality directions.
 
@@ -291,12 +320,14 @@ def check_assumptions(params: ModelParams, roots=None, eps: float = 0.0
     rejected deterministically. A report is always produced.
     """
     case_b = _sigmas_equal(params)
-    alpha5, lhs2, lhs3, lhs4, a5_cap, a1, a2, a3, a4 = condition_values(
+    k, lhs2, lhs3, lhs4, a5_cap = condition_values(
         params.rho, params.sigma1, params.sigma2,
         params.lambda1, params.lambda2)
-    lemma = bool(a1 < -eps and a2 > eps and a3 < -eps and a4 > eps)
+    alpha5 = k.alpha5
+    lemma = bool(k.a1 < -eps and k.a2 > eps and k.a3 < -eps and k.a4 > eps)
     values = {"alpha5": alpha5, "lhs2": lhs2, "lhs3": lhs3, "lhs4": lhs4,
-              "a5_cap": a5_cap, "a1": a1, "a2": a2, "a3": a3, "a4": a4}
+              "a5_cap": a5_cap, "a1": k.a1, "a2": k.a2, "a3": k.a3,
+              "a4": k.a4}
     if case_b:
         return AssumptionReport(True, True, True, True, True, lemma,
                                 all_ok=True, case_b=True, values=values)
@@ -319,9 +350,9 @@ def feasibility_scan(rho, lambda1, lambda2, sigma1_grid, sigma2_grid):
     """
     s1 = np.asarray(sigma1_grid, dtype=float)[None, :]
     s2 = np.asarray(sigma2_grid, dtype=float)[:, None]
-    alpha5, lhs2, lhs3, lhs4, a5_cap, *_ = condition_values(
+    k, lhs2, lhs3, lhs4, a5_cap = condition_values(
         rho, s1, s2, lambda1, lambda2)
-    feasible = (alpha5 <= 1.0) & (lhs2 < 0.0) & (lhs3 >= 0.0) & (lhs4 < 0.0)
+    feasible = (k.alpha5 <= 1.0) & (lhs2 < 0.0) & (lhs3 >= 0.0) & (lhs4 < 0.0)
     case_b = np.abs(s1 - s2) <= 1e-14*np.maximum(s1, s2)
     feasible &= ~case_b
     return feasible, case_b

@@ -2,12 +2,8 @@
 
 The joint-continuation ODE pair has exponential solutions e^{alpha x} with
 alpha solving the even quartic Phi_1(alpha) Phi_2(alpha) = lambda1 lambda2.
-Substituting beta = alpha^2 reduces it to
-a_o beta^2 + b_o beta + c_o = 0 with
-    a_o = sigma1^2 sigma2^2 / 4,
-    b_o = -(sigma1^2 (rho+lambda2) + sigma2^2 (rho+lambda1)) / 2,
-    c_o = (rho+lambda1)(rho+lambda2) - lambda1 lambda2,
-which is solved exactly and branch-free here.
+model.characteristic computes the roots and a1..a4; this module checks
+them and packs them for one parameter set.
 """
 from __future__ import annotations
 
@@ -15,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CrossCheckFailed, DegenerateDiscriminant
-from .model import ModelParams, phi
+from .model import ModelParams, characteristic, phi
 
 
 @dataclass(frozen=True)
@@ -40,67 +36,40 @@ class RootSet:
 
 def solve_characteristic(params: ModelParams, residual_tol: float = 1e-10,
                          cross_tol: float = 1e-9) -> RootSet:
-    """Roots and constants for params, with structural invariants enforced."""
-    rho = params.rho
-    p1 = rho + params.lambda1
-    p2 = rho + params.lambda2
-    ao = 0.25*params.sigma1**2*params.sigma2**2
-    bo = -0.5*params.sigma1**2*p2 - 0.5*params.sigma2**2*p1
-    co = p1*p2 - params.lambda1*params.lambda2
-    disc = bo*bo - 4.0*ao*co
-    if disc <= 0.0:
-        raise DegenerateDiscriminant(
-            f"b_o^2 - 4 a_o c_o = {disc} <= 0 for valid parameters")
-    # larger-magnitude root first, companion via the product (no cancellation)
-    q = 0.5*(-bo + math.sqrt(disc))
-    beta1 = q/ao
-    beta2 = co/q
-    alpha4 = math.sqrt(beta1)
-    alpha3 = math.sqrt(beta2)
-    alpha5 = math.sqrt(2.0*p2/params.sigma2**2)
+    """Roots and constants for params, with structural invariants enforced.
 
+    a1 is cross-checked against the simplified form -(sigma1^2 alpha3
+    alpha4 / 2 + rho + lambda1)/lambda1 + rho/(rho+lambda2), taking
+    alpha3 alpha4 as the Vieta product sqrt(c_o/a_o) straight from the
+    parameters, so the two routes share no root extraction; disagreement
+    raises CrossCheckFailed.
+    """
+    rho, l1, l2 = params.rho, params.lambda1, params.lambda2
+    k = characteristic(rho, params.sigma1, params.sigma2, l1, l2)
+    if not k.disc > 0.0:
+        raise DegenerateDiscriminant(
+            f"b_o^2 - 4 a_o c_o = {k.disc} <= 0 for valid parameters")
+    alpha3, alpha4 = float(k.alpha3), float(k.alpha4)
+    p1, p2 = rho + l1, rho + l2
     scale = residual_tol*p1*p2
     for a in (alpha3, alpha4, -alpha3, -alpha4):
-        res = phi(params, 1, a)*phi(params, 2, a) - params.lambda1*params.lambda2
+        res = phi(params, 1, a)*phi(params, 2, a) - l1*l2
         if abs(res) > scale:
             raise DegenerateDiscriminant(
                 f"quartic residual {res} at root {a} exceeds {scale}")
     vieta = 2.0*(params.sigma1**2*p2 + params.sigma2**2*p1)/(
         params.sigma1**2*params.sigma2**2)
-    if abs(beta1 + beta2 - vieta) > residual_tol*vieta:
+    if abs(k.beta1 + k.beta2 - vieta) > residual_tol*vieta:
         raise DegenerateDiscriminant("Vieta sum check failed")
-
-    a1, a2, a3, a4 = coefficients_a(params, alpha3, alpha4, alpha5,
-                                    cross_tol=cross_tol)
-    return RootSet(-alpha4, -alpha3, alpha3, alpha4, alpha5,
-                   beta1, beta2, a1, a2, a3, a4)
-
-
-def coefficients_a(params: ModelParams, alpha3: float, alpha4: float,
-                   alpha5: float, cross_tol: float = 1e-9):
-    """Smooth-fit constants a1..a4 from the positive quartic roots.
-
-    a1 is computed both from its defining ratio in the passed roots and
-    from the simplified form -(sigma1^2 alpha3 alpha4 / 2 + rho
-    + lambda1)/lambda1 + rho/(rho+lambda2), taking alpha3 alpha4 as the
-    Vieta product sqrt(c_o/a_o) straight from the parameters, so the two
-    routes share no root extraction; disagreement raises CrossCheckFailed.
-    """
-    rho, l1, l2 = params.rho, params.lambda1, params.lambda2
-    phi13 = phi(params, 1, alpha3)
-    phi14 = phi(params, 1, alpha4)
-    denom = l1*(alpha4 - alpha3)
-    a1 = -(alpha4*phi13 - alpha3*phi14)/denom + rho/(rho + l2)
-    a2 = (phi13 - phi14)/denom
-    a3 = alpha3*alpha4*(phi14 - phi13)/denom
-    a4 = (alpha3*phi13 - alpha4*phi14)/denom + l2/(rho + l2)
     prod_vieta = 2.0*math.sqrt(
-        ((rho + l1)*(rho + l2) - l1*l2)/(params.sigma1**2*params.sigma2**2))
-    a1_alt = -(0.5*params.sigma1**2*prod_vieta + rho + l1)/l1 + rho/(rho + l2)
-    if abs(a1 - a1_alt) > cross_tol*max(abs(a1), abs(a1_alt)):
+        (p1*p2 - l1*l2)/(params.sigma1**2*params.sigma2**2))
+    a1_alt = -(0.5*params.sigma1**2*prod_vieta + p1)/l1 + rho/p2
+    if abs(k.a1 - a1_alt) > cross_tol*max(abs(k.a1), abs(a1_alt)):
         raise CrossCheckFailed(
-            f"a1 mismatch: ratio form {a1} vs simplified form {a1_alt}")
-    return a1, a2, a3, a4
+            f"a1 mismatch: ratio form {k.a1} vs simplified form {a1_alt}")
+    return RootSet(-alpha4, -alpha3, alpha3, alpha4, float(k.alpha5),
+                   float(k.beta1), float(k.beta2),
+                   *(float(a) for a in (k.a1, k.a2, k.a3, k.a4)))
 
 
 def check_sign_lemma(roots: RootSet) -> bool:

@@ -18,6 +18,12 @@ is equivalent to u = M1(v), M1(v) - M2(v) = 0 with M1 increasing to
 +infinity and M2 decreasing, so a guarded bisection finds the unique
 root. At v = 0, M1(0) and M2(0) reproduce the two equal-volatility
 boundary formulas, whose agreement is exactly the sigma1 = sigma2 case.
+
+Where it continues, w is a sum of exponentials (plus a linear term in
+regime 2's band between the boundaries). They are written once,
+in _continuation, anchored at x*_1(y) and x*_2(y) with prefactors that
+do not depend on y, so no exponential overflows where its branch
+applies; the control module integrates the same branches over y.
 """
 from __future__ import annotations
 
@@ -239,96 +245,65 @@ def x_star(sol: StoppingSolution, i: int, y):
     return sol.shift(k) + chat(sol.params, y)
 
 
-@dataclass(frozen=True)
-class WCoefficients:
-    """Exponential coefficients of w at a fixed reserve level (internal frame).
+def _continuation(sol: StoppingSolution, x, y, series, band: bool = False):
+    """w's continuation branches at prices x and reserve levels y
+    (broadcast), one row per (internal regime k, x-derivative order 0..2)
+    in series.
 
-    Case A fills A3..B6; Case B fills At3..Bt4. x1star <= x2star are the
-    boundary prices at this y.
+    Anchored at the boundaries x*_1 = z1 + chat(y) <= x*_2 = z1 + z2
+    + chat(y), so on its branch's region no exponential exceeds
+    e^{a5 z2}. Below x*_1 both regimes continue: w_k = f_k3 P3
+    e^{a3 (x - x*_1)} + f_k4 P4 e^{a4 (x - x*_1)}, with regime factors
+    f_1 = (1, 1) and f_2 = (phi13/l1, phi14/l1), or (1, -l2/l1) in
+    case B. With band, regime 2 continues on [x*_1, x*_2) (case A):
+    w_2 = P5 e^{a5 (x - x*_2)} + P6 e^{-a5 (x - x*_2)}
+    + l2/(rho+l2) (x - chat(y)). The prefactors P3..P6 do not depend
+    on y.
     """
-
-    case: str
-    x1star: float
-    x2star: float
-    A3: Optional[float] = None
-    A4: Optional[float] = None
-    B3: Optional[float] = None
-    B4: Optional[float] = None
-    B5: Optional[float] = None
-    B6: Optional[float] = None
-    At3: Optional[float] = None
-    At4: Optional[float] = None
-    Bt3: Optional[float] = None
-    Bt4: Optional[float] = None
-
-
-def w_coefficients(sol: StoppingSolution, y) -> WCoefficients:
     p, rt = sol.iparams, sol.roots
-    ch = chat(p, y)
-    x1 = sol.z1 + ch
-    x2 = x1 + sol.z2
-    a3r, a4r = rt.alpha3, rt.alpha4
+    a3, a4, a5 = rt.alpha3, rt.alpha4, rt.alpha5
+    ch = p.c - p.cost.derivative(y)/p.rho   # chat(y), y checked by callers
+    if band:
+        r, lin = p.rho/(p.rho + p.lambda2), p.lambda2/(p.rho + p.lambda2)
+        zsum = sol.z1 + sol.z2
+        x2 = zsum + ch
+        t5 = r*(1.0 + a5*zsum)/(2.0*a5)*np.exp(a5*(x - x2))
+        t6 = r*(a5*zsum - 1.0)/(2.0*a5)*np.exp(-a5*(x - x2))
+        terms = {0: lambda: t5 + t6 + lin*(x - ch),
+                 1: lambda: a5*(t5 - t6) + lin, 2: lambda: a5*a5*(t5 + t6)}
+        return np.stack([terms[o]() for _, o in series])
     if sol.case == "B":
-        At3 = (a4r*sol.z1 - 1.0)/(a4r - a3r)*math.exp(-a3r*x1)
-        At4 = (1.0 - a3r*sol.z1)/(a4r - a3r)*math.exp(-a4r*x1)
-        return WCoefficients(case="B", x1star=x1, x2star=x2,
-                             At3=At3, At4=At4, Bt3=At3,
-                             Bt4=-(p.lambda2/p.lambda1)*At4)
-    rho, l1, l2 = p.rho, p.lambda1, p.lambda2
-    phi13 = -0.5*p.sigma1**2*a3r**2 + rho + l1
-    phi14 = -0.5*p.sigma1**2*a4r**2 + rho + l1
-    a5 = rt.alpha5
-    A3 = (a4r*sol.z1 - 1.0)/(a4r - a3r)*math.exp(-a3r*x1)
-    A4 = (1.0 - a3r*sol.z1)/(a4r - a3r)*math.exp(-a4r*x1)
-    r = rho/(rho + l2)
-    zsum = sol.z1 + sol.z2
-    B5 = r*math.exp(-a5*x2)*(1.0 + a5*zsum)/(2.0*a5)
-    B6 = r*math.exp(a5*x2)*(a5*zsum - 1.0)/(2.0*a5)
-    return WCoefficients(case="A", x1star=x1, x2star=x2, A3=A3, A4=A4,
-                         B3=phi13/l1*A3, B4=phi14/l1*A4, B5=B5, B6=B6)
+        f34 = {1: (1.0, 1.0), 2: (1.0, -p.lambda2/p.lambda1)}
+    else:
+        phi13 = -0.5*p.sigma1**2*a3**2 + p.rho + p.lambda1
+        phi14 = -0.5*p.sigma1**2*a4**2 + p.rho + p.lambda1
+        f34 = {1: (1.0, 1.0), 2: (phi13/p.lambda1, phi14/p.lambda1)}
+    x1 = sol.z1 + ch
+    t3 = (a4*sol.z1 - 1.0)/(a4 - a3)*np.exp(a3*(x - x1))
+    t4 = (1.0 - a3*sol.z1)/(a4 - a3)*np.exp(a4*(x - x1))
+    return np.stack([(1.0, a3, a3*a3)[o]*f34[k][0]*t3
+                     + (1.0, a4, a4*a4)[o]*f34[k][1]*t4 for k, o in series])
 
 
 def _w_pieces(sol: StoppingSolution, x, i_ext: int, y, order: int, side: int):
     """Piecewise evaluation of w and its x-derivatives (vectorized in x)."""
     k = sol.internal_regime(i_ext)
-    p, rt = sol.iparams, sol.roots
-    ch = chat(p, y)
-    co = w_coefficients(sol, y)
-    x1, x2 = co.x1star, co.x2star
+    ch = chat(sol.iparams, y)
+    x1 = sol.z1 + ch
+    x2 = x1 + sol.z2
     xa = np.asarray(x, dtype=float)
-    out = np.empty_like(xa)
     if side < 0:
-        in_lo = xa <= x1
-        in_hi = xa > x2
+        in_lo, in_hi = xa <= x1, xa > x2
     else:
-        in_lo = xa < x1
-        in_hi = xa >= x2
-    in_mid = ~in_lo & ~in_hi
-    a3r, a4r, a5 = rt.alpha3, rt.alpha4, rt.alpha5
-    if sol.case == "B":
-        c3, c4 = (co.At3, co.At4) if k == 1 else (co.Bt3, co.Bt4)
-    else:
-        c3, c4 = (co.A3, co.A4) if k == 1 else (co.B3, co.B4)
-    e3 = np.exp(a3r*xa[in_lo])
-    e4 = np.exp(a4r*xa[in_lo])
-    pw3 = a3r**order
-    pw4 = a4r**order
-    out[in_lo] = pw3*c3*e3 + pw4*c4*e4
-    if k == 1 or sol.case == "B":
-        out[in_mid] = (xa[in_mid] - ch if order == 0
-                       else (1.0 if order == 1 else 0.0))
-    else:
-        e5 = np.exp(a5*xa[in_mid])
-        em5 = np.exp(-a5*xa[in_mid])
-        lin = p.lambda2/(p.rho + p.lambda2)
-        if order == 0:
-            out[in_mid] = co.B5*e5 + co.B6*em5 + lin*(xa[in_mid] - ch)
-        elif order == 1:
-            out[in_mid] = a5*(co.B5*e5 - co.B6*em5) + lin
-        else:
-            out[in_mid] = a5*a5*(co.B5*e5 + co.B6*em5)
-    out[in_hi] = (xa[in_hi] - ch if order == 0
-                  else (1.0 if order == 1 else 0.0))
+        in_lo, in_hi = xa < x1, xa >= x2
+    # the payoff x - chat(y), except where some branch continues
+    out = (np.array(xa - ch) if order == 0
+           else np.full(xa.shape, 1.0 if order == 1 else 0.0))
+    out[in_lo] = _continuation(sol, xa[in_lo], y, [(k, order)])[0]
+    if k == 2 and sol.case != "B":
+        in_mid = ~in_lo & ~in_hi
+        out[in_mid] = _continuation(sol, xa[in_mid], y, [(k, order)],
+                                    band=True)[0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -390,10 +365,10 @@ def verify_fbp(sol: StoppingSolution, y, n_points: int = 10000,
     difference slopes with step c1_step. Raises VerificationFailed with
     the worst offender, otherwise returns the residual report.
     """
-    p, rt = sol.iparams, sol.roots
+    p = sol.iparams
     ch = chat(p, y)
-    co = w_coefficients(sol, y)
-    x1, x2 = co.x1star, co.x2star
+    x1 = sol.z1 + ch
+    x2 = x1 + sol.z2
     if grid is None:
         lo, hi = ch - 10.0*sol.z1, x2 + 10.0*sol.z1
     else:

@@ -106,6 +106,10 @@ def test_solve_swapped_labels(capsys, cfg_path, tmp_path):
     code2, out = run_json(capsys, ["solve", "--config", str(path)])
     assert code == code2 == 0
     assert out["relabeled"] and out["case"] == "C_relabeled"
+    # check tests the conditions as labeled, so it fails where solve
+    # succeeds by relabeling
+    code3, rep = run_json(capsys, ["check", "--config", str(path)])
+    assert code3 == 1 and rep["case"] == "conditions_failed"
     assert out["z1"] == pytest.approx(base["z1"], abs=1e-9)
     assert out["z2"] == pytest.approx(base["z2"], abs=1e-9)
 
@@ -201,6 +205,21 @@ def test_verify_passes_small_grids(capsys, cfg_path):
     assert out["status"] == "pass"
     assert out["worst_hjb"] <= 1e-5
     assert len(out["fbp"]) == 9
+
+
+def test_verify_and_value_with_steep_roots(capsys, tmp_path):
+    # alpha4 ~ 24.6 and x*_1(0.9) ~ -29: e^{-alpha4 x*_1} overflowed
+    path = tmp_path/"steep.json"
+    path.write_text(json.dumps(dict(
+        EXAMPLE, rho=0.026, sigma1=0.039, sigma2=0.645, lambda1=0.435,
+        lambda2=0.043)))
+    code, out = run_json(capsys, ["verify", "--config", str(path),
+                                  "--hjb-nx", "40", "--hjb-ny", "10"])
+    assert code == 0 and out["status"] == "pass"
+    code, out = run_json(capsys, ["value", "--config", str(path), "--x",
+                                  "-30.5", "--y", "0.9", "--regime", "1"])
+    assert code == 0
+    assert abs(out["hjb_residual"]) <= 1e-5
 
 
 def test_verify_injected_error_fails(capsys, cfg_path):
@@ -305,6 +324,64 @@ PINNED_SIMULATE = {
         '  "horizon": 40.0,\n  "u_value": -0.7015015797798406,\n'
         '  "abs_diff_vs_u": 0.0004898963225270503\n}\n'),
 }
+
+
+# stdout of solve and the boundary CSV pair (grid 5) before the closed
+# forms were shared between the solver, the feasibility check and w
+PINNED_SOLVE = {
+    "example.json": (
+        '{\n  "case": "A",\n  "z1": 1.3078217229805618,\n'
+        '  "z2": 0.9070362850100658,\n  "zhat2": 1.7190574227684392,\n'
+        '  "alpha": [\n    -5.326156562976988,\n    -0.47223651756545215,\n'
+        '    0.47223651756545215,\n    5.326156562976988,\n'
+        '    0.6545529160062327\n  ],\n  "a": [\n    -0.8718662111384478,\n'
+        '    0.24626116495009662,\n    -0.6193974678700619,\n'
+        '    0.6939838581972715\n  ],\n  "relabeled": false,\n'
+        '  "residuals": {\n    "G1": -2.7755575615628914e-17,\n'
+        '    "G2": 4.5430326167661406e-13\n  }\n}\n'),
+    "equal_vol.json": (
+        '{\n  "case": "B",\n  "z1": 1.0,\n  "z2": 0.0,\n'
+        '  "zhat2": 1.416190409532931,\n  "alpha": [\n'
+        '    -2.23606797749979,\n    -1.0,\n    1.0,\n'
+        '    2.23606797749979,\n    1.7320508075688772\n  ],\n'
+        '  "a": [\n    -2.2847006554165614,\n    1.6180339887498951,\n'
+        '    -3.6180339887498953,\n    3.284700655416562\n  ],\n'
+        '  "relabeled": false,\n  "residuals": {\n'
+        '    "G1": 2.220446049250313e-16,\n    "G2": 0.0\n  }\n}\n'),
+}
+PINNED_BOUNDARY = (
+    "x,b1_star,b2_star,bhash_sigma1,bhash_sigma2\n"
+    "-1.0034238204684174,1.0,1.0,0.6774378687201872,1.0\n"
+    "-0.3006124346061726,0.7459455665823186,1.0,0.23587455566532287,1.0\n"
+    "0.4021989512560722,0.34048045847415426,0.8383979693297374,0.0,"
+    "0.8857557707523552\n"
+    "1.1050103371183169,0.0,0.47613956015512593,0.0,0.5434892622881627\n"
+    "1.8078217229805618,0.0,0.0,0.0,0.019011660312741853\n",
+    "y,x1_star,x2_star,xhash_sigma1,xhash_sigma2\n"
+    "0.0,0.8078217229805618,1.7148580079906277,-0.03459694887119613,"
+    "1.8270152556440191\n"
+    "0.25,0.5237963062928204,1.4308325913028863,-0.3186223655589375,"
+    "1.5429898389562777\n"
+    "0.5,0.15910045228043357,1.0661367372904995,-0.6833182195713243,"
+    "1.178293984943891\n"
+    "0.75,-0.309178293632113,0.5978579913779529,-1.151596965483871,"
+    "0.7100152390313443\n"
+    "1.0,-0.9104601054784833,-0.0034238204684173823,-1.7528787773302412,"
+    "0.10873342718497403\n")
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SOLVE))
+def test_solve_stdout_pinned(capsys, name):
+    assert main(["solve", "--config", str(CONFIGS/name)]) == 0
+    assert capsys.readouterr().out == PINNED_SOLVE[name]
+
+
+def test_boundary_csv_pinned(capsys, tmp_path):
+    out = tmp_path/"b.csv"
+    assert main(["boundary", "--config", str(CONFIGS/"example.json"),
+                 "--grid", "5", "--out", str(out)]) == 0
+    assert (out.read_text(), (tmp_path/"b_y.csv").read_text()) == \
+        PINNED_BOUNDARY
 
 
 @pytest.mark.parametrize("key", sorted(PINNED_SIMULATE),

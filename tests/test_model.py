@@ -53,6 +53,30 @@ def test_custom_cost_derivative_inverse_round_trip():
     assert y == pytest.approx(0.37, abs=1e-10)
 
 
+def test_from_derivative_inverts_custom_cost_once():
+    calls = [0]
+
+    def fprime(y):
+        calls[0] += 1
+        return 4*y**3 + 1
+
+    cost = rx.CostFunction.custom(f=lambda y: y**4 + y, fprime=fprime)
+    fp = np.array([1.1, 2.5, 4.0])
+    calls[0] = 0
+    y = cost.derivative_inverse(fp)
+    one_inversion = calls[0]
+    calls[0] = 0
+    y2, fy = cost.from_derivative(fp)
+    assert calls[0] == one_inversion
+    assert np.array_equal(y2, y) and np.array_equal(fy, cost.value(y))
+    for built_in in (rx.CostFunction.exponential(0.4),
+                     rx.CostFunction.quadratic(0.3, 0.5)):
+        fp = built_in.derivative(np.array([0.0, 0.3, 1.0]))
+        y, fy = built_in.from_derivative(fp)
+        assert np.allclose(y, [0.0, 0.3, 1.0], atol=1e-14)
+        assert np.allclose(fy, built_in.value(y), rtol=1e-14, atol=1e-15)
+
+
 def test_phi_at_zero_is_rho_plus_lambda(params_a):
     assert rx.phi(params_a, 1, 0.0) == pytest.approx(1/3 + 1.7)
     assert rx.phi(params_a, 2, 0.0) == pytest.approx(1/3 + 0.44)
@@ -105,8 +129,8 @@ def test_chat_rejects_out_of_range(params_a):
         rx.chat(params_a, 1.5)
 
 
-def test_assumptions_pass_for_example_set(params_a, roots_a):
-    rep = rx.check_assumptions(params_a, roots_a)
+def test_assumptions_pass_for_example_set(params_a):
+    rep = rx.check_assumptions(params_a)
     assert rep.all_ok and not rep.case_b
     # hand-checked magnitudes of the condition left-hand sides
     assert rep.values["alpha5"] == pytest.approx(0.65455, abs=1e-5)

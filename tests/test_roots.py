@@ -101,10 +101,17 @@ def test_a4_lower_bound_chain(params_a, roots_a):
     assert roots_a.a4 > lower > 0.0
 
 
-def test_a1_cross_check_rejects_mismatched_roots(params_a, roots_a):
+def test_a1_cross_check_rejects_mismatched_roots(params_a, monkeypatch):
+    # an a1 off the Vieta form sqrt(c_o/a_o) of alpha3 alpha4 is refused
+    real = rx.roots.characteristic
+
+    def skewed(*args):
+        k = real(*args)
+        return k._replace(a1=k.a1*(1.0 + 1e-6))
+
+    monkeypatch.setattr(rx.roots, "characteristic", skewed)
     with pytest.raises(CrossCheckFailed):
-        rx.coefficients_a(params_a, roots_a.alpha3*1.01, roots_a.alpha4,
-                          roots_a.alpha5)
+        rx.solve_characteristic(params_a)
 
 
 @given(st.integers(0, 10_000))

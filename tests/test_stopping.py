@@ -7,7 +7,8 @@ import regime_extract as rx
 from regime_extract.errors import (AssumptionViolated, DomainError,
                                    PreconditionViolated, VerificationFailed)
 from regime_extract.model import chat
-from regime_extract.stopping import case_b_shift_candidates, perturbed
+from regime_extract.stopping import (_continuation, case_b_shift_candidates,
+                                     perturbed)
 
 from conftest import NEAR_EQUAL_KW, draw_from_boxes
 
@@ -159,42 +160,66 @@ def test_x_star_strictly_decreasing(sol_a):
         assert np.all(vals > chat(sol_a.params, ys))
 
 
+def _prefactors_at_x1(sol, i, y):
+    """(c3, c4) of w_i = c3 e^{a3 (x - x*_1)} + c4 e^{a4 (x - x*_1)} below
+    x*_1: the exponentials are 1 at x*_1, so w and w_x there give them."""
+    a3, a4 = sol.roots.alpha3, sol.roots.alpha4
+    x1 = rx.x_star(sol, 1, y)
+    w, wx = rx.w(sol, x1, i, y), rx.w_x(sol, x1, i, y)
+    return (a4*w - wx)/(a4 - a3), (wx - a3*w)/(a4 - a3)
+
+
 def test_w_coefficient_identities(params_a, sol_a):
-    co = rx.w_coefficients(sol_a, 0.3)
+    c31, c41 = _prefactors_at_x1(sol_a, 1, 0.3)
+    c32, c42 = _prefactors_at_x1(sol_a, 2, 0.3)
     phi3 = rx.phi(params_a, 1, sol_a.roots.alpha3)
     phi4 = rx.phi(params_a, 1, sol_a.roots.alpha4)
-    assert co.B3 == pytest.approx(phi3/params_a.lambda1*co.A3, rel=1e-12)
-    assert co.B4 == pytest.approx(phi4/params_a.lambda1*co.A4, rel=1e-12)
+    assert c32 == pytest.approx(phi3/params_a.lambda1*c31, rel=1e-12)
+    assert c42 == pytest.approx(phi4/params_a.lambda1*c41, rel=1e-12)
 
 
 def test_case_b_coefficient_identities(params_b, sol_b):
-    co = rx.w_coefficients(sol_b, 0.6)
-    assert co.Bt3 == co.At3
-    assert co.Bt4 == pytest.approx(
-        -(params_b.lambda2/params_b.lambda1)*co.At4, rel=1e-12)
+    c31, c41 = _prefactors_at_x1(sol_b, 1, 0.6)
+    c32, c42 = _prefactors_at_x1(sol_b, 2, 0.6)
+    assert c32 == c31
+    assert c42 == pytest.approx(
+        -(params_b.lambda2/params_b.lambda1)*c41, rel=1e-12)
 
 
 def test_smooth_fit_system_residuals(params_a, sol_a):
     """All six value-match/smooth-fit equations hold at the boundaries."""
     y = 0.45
-    co = rx.w_coefficients(sol_a, y)
-    rt = sol_a.roots
     ch = chat(params_a, y)
-    x1, x2 = co.x1star, co.x2star
-    a3, a4, a5 = rt.alpha3, rt.alpha4, rt.alpha5
-    lin = params_a.lambda2/(params_a.rho + params_a.lambda2)
-    e3, e4 = math.exp(a3*x1), math.exp(a4*x1)
-    e5, em5 = math.exp(a5*x1), math.exp(-a5*x1)
-    E5, Em5 = math.exp(a5*x2), math.exp(-a5*x2)
-    eqs = [
-        co.A3*e3 + co.A4*e4 - (x1 - ch),
-        a3*co.A3*e3 + a4*co.A4*e4 - 1.0,
-        co.B3*e3 + co.B4*e4 - (co.B5*e5 + co.B6*em5 + lin*(x1 - ch)),
-        a3*co.B3*e3 + a4*co.B4*e4 - (a5*co.B5*e5 - a5*co.B6*em5 + lin),
-        co.B5*E5 + co.B6*Em5 + lin*(x2 - ch) - (x2 - ch),
-        a5*co.B5*E5 - a5*co.B6*Em5 + lin - 1.0,
-    ]
+    x1, x2 = rx.x_star(sol_a, 1, y), rx.x_star(sol_a, 2, y)
+    w1, w1x, w2, w2x = _continuation(sol_a, x1, y,
+                                     [(1, 0), (1, 1), (2, 0), (2, 1)])
+    b2, b2x = _continuation(sol_a, x1, y, [(2, 0), (2, 1)], band=True)
+    B2, B2x = _continuation(sol_a, x2, y, [(2, 0), (2, 1)], band=True)
+    eqs = [w1 - (x1 - ch), w1x - 1.0, w2 - b2, w2x - b2x,
+           B2 - (x2 - ch), B2x - 1.0]
     assert max(abs(r) for r in eqs) <= 1e-9
+
+
+def test_w_finite_where_x_zero_anchor_overflowed():
+    """With alpha4 ~ 24.6 and x*_1(0.9) ~ -29 the old exponential
+    coefficients e^{-alpha4 x*_1} overflowed; anchored at the boundaries
+    w, the free-boundary check and the value report stay finite."""
+    p = rx.validate(0.026, 0.039, 0.645, 0.435, 0.043, 0.5,
+                    rx.CostFunction.exponential(1/3))
+    sol = rx.solve_z(p)
+    cs = rx.from_stopping(sol)
+    for y in (0.9, 1.0):
+        rep = rx.verify_fbp(sol, y)
+        assert all(math.isfinite(v) for v in rep.to_dict().values())
+        x1 = rx.x_star(sol, 1, y)
+        xs = np.linspace(x1 - 5.0, rx.x_star(sol, 2, y) + 1.0, 101)
+        for i in (1, 2):
+            assert np.isfinite(rx.w(sol, xs, i, y)).all()
+            assert rx.w(sol, x1, i, y) == pytest.approx(
+                rx.w(sol, x1 + 1e-9, i, y), abs=1e-8)
+            out = rx.U_report(cs, x1 - 1.0, y, i).to_dict()
+            assert all(math.isfinite(v) for v in out.values())
+            assert abs(out["hjb_residual"]) <= 1e-5
 
 
 def test_w_equals_payoff_in_stop_region(sol_a):
