@@ -63,17 +63,21 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, allow_nan=False))
 
 
-def _write_manifest(primary_out, subcommand, cfg_hash, options, outputs, t0):
+def _write_manifest(args, cfg_hash, outputs, t0):
+    """Re-run record next to args.out; the options are the parsed
+    arguments, the config being named by its hash."""
+    options = {k: v for k, v in vars(args).items()
+               if k not in ("command", "config", "func")}
     manifest = {
         "tool": "regime-extract",
         "version": __version__,
-        "subcommand": subcommand,
+        "subcommand": args.command,
         "config_sha256": cfg_hash,
         "options": options,
         "outputs": outputs,
         "wall_clock_s": round(time.time() - t0, 6),
     }
-    path = str(primary_out) + ".manifest.json"
+    path = str(args.out) + ".manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
@@ -81,13 +85,7 @@ def _write_manifest(primary_out, subcommand, cfg_hash, options, outputs, t0):
 
 # ---------------------------------------------------------------------------
 
-def cmd_check(args) -> int:
-    cfg, _ = _load_config(args.config)
-    if cfg is None:
-        return EXIT_USER
-    params = _params_or_none(cfg)
-    if params is None:
-        return EXIT_USER
+def cmd_check(args, params, cfg_hash) -> int:
     report = check_assumptions(params, eps=args.eps)
     out = report.to_dict()
     out["case"] = "B" if report.case_b else (
@@ -96,13 +94,7 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.all_ok else EXIT_MATH
 
 
-def cmd_solve(args) -> int:
-    cfg, _ = _load_config(args.config)
-    if cfg is None:
-        return EXIT_USER
-    params = _params_or_none(cfg)
-    if params is None:
-        return EXIT_USER
+def cmd_solve(args, params, cfg_hash) -> int:
     try:
         sol = solve_z(params)
     except AssumptionViolated as exc:
@@ -123,22 +115,12 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def cmd_boundary(args) -> int:
+def cmd_boundary(args, params, cfg_hash) -> int:
     t0 = time.time()
-    cfg, cfg_hash = _load_config(args.config)
-    if cfg is None:
-        return EXIT_USER
-    params = _params_or_none(cfg)
-    if params is None:
-        return EXIT_USER
     if args.grid < 2:
         print("error: --grid must be at least 2", file=sys.stderr)
         return EXIT_USER
-    try:
-        cs = from_stopping(solve_z(params))
-    except AssumptionViolated as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
+    cs = from_stopping(solve_z(params))
     sol = cs.stopping
     x_lo = x_star(sol, 2, 1.0) - 1.0
     x_hi = x_star(sol, 1, 0.0) + 1.0
@@ -163,49 +145,27 @@ def cmd_boundary(args) -> int:
             _svg_curves(svg, xs, rows[:, 1:5],
                         ["b1_star", "b2_star", "bhash_sigma1", "bhash_sigma2"])
             outputs.append(svg)
-        _write_manifest(args.out, "boundary", cfg_hash,
-                        {"grid": args.grid, "out": args.out, "svg": args.svg},
-                        outputs, t0)
+        _write_manifest(args, cfg_hash, outputs, t0)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 
 
-def cmd_value(args) -> int:
-    cfg, _ = _load_config(args.config)
-    if cfg is None:
-        return EXIT_USER
-    params = _params_or_none(cfg)
-    if params is None:
-        return EXIT_USER
+def cmd_value(args, params, cfg_hash) -> int:
     if (not math.isfinite(args.x) or not 0.0 <= args.y <= 1.0
             or args.regime not in (1, 2)):
         print("error: need finite x, 0 <= y <= 1 and regime in {1,2}",
               file=sys.stderr)
         return EXIT_USER
-    try:
-        cs = from_stopping(solve_z(params))
-    except AssumptionViolated as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
+    cs = from_stopping(solve_z(params))
     rep = U_report(cs, args.x, args.y, args.regime)
     _emit(rep.to_dict())
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    cfg, _ = _load_config(args.config)
-    if cfg is None:
-        return EXIT_USER
-    params = _params_or_none(cfg)
-    if params is None:
-        return EXIT_USER
-    try:
-        sol = solve_z(params)
-    except AssumptionViolated as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
+def cmd_verify(args, params, cfg_hash) -> int:
+    sol = solve_z(params)
     if args.inject_z2_error:
         sol = perturbed(sol, 1e-3)
     worst = {"fbp": [], "hjb": None}
@@ -227,13 +187,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    cfg, _ = _load_config(args.config)
-    if cfg is None:
-        return EXIT_USER
-    params = _params_or_none(cfg)
-    if params is None:
-        return EXIT_USER
+def cmd_simulate(args, params, cfg_hash) -> int:
     kinds = {"reflect_optimal": Policy.reflect_optimal,
              "never_extract": Policy.never_extract,
              "extract_all_at_start": Policy.extract_all_at_start}
@@ -243,15 +197,12 @@ def cmd_simulate(args) -> int:
     if not math.isfinite(args.x):
         print("error: need a finite x", file=sys.stderr)
         return EXIT_USER
+    cs = from_stopping(solve_z(params))
     try:
         sim = SimConfig(dt=args.dt, horizon=args.horizon, n_paths=args.paths,
                         base_seed=args.seed, antithetic=not args.no_antithetic)
-        cs = from_stopping(solve_z(params))
-        policy = kinds[args.policy]()
-        outcome = estimate_value(cs, args.x, args.y, args.regime, policy, sim)
-    except AssumptionViolated as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
+        outcome = estimate_value(cs, args.x, args.y, args.regime,
+                                 kinds[args.policy](), sim)
     except (OutOfRange, SolverError) as exc:
         print(f"error: invalid simulation parameters: {exc}", file=sys.stderr)
         return EXIT_USER
@@ -308,12 +259,7 @@ def cmd_scan_region(args) -> int:
                 svg = args.out + ".svg"
                 _svg_raster(svg, s1, s2, feas)
                 outputs.append(svg)
-            options = {"rho": args.rho, "lambda1": args.lambda1,
-                       "lambda2": args.lambda2,
-                       "sigma1_range": args.sigma1_range,
-                       "sigma2_range": args.sigma2_range,
-                       "steps": args.steps, "out": args.out, "svg": args.svg}
-            _write_manifest(args.out, "scan-region", None, options, outputs, t0)
+            _write_manifest(args, None, outputs, t0)
         except OSError as exc:
             print(f"error: cannot write output: {exc}", file=sys.stderr)
             return EXIT_IO
@@ -458,9 +404,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Parse argv, load the config once, run the subcommand and map every
+    typed error that escapes it to an exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "scan-region":
+            return args.func(args)
+        cfg, cfg_hash = _load_config(args.config)
+        if cfg is None:
+            return EXIT_USER
+        params = _params_or_none(cfg)
+        if params is None:
+            return EXIT_USER
+        return args.func(args, params, cfg_hash)
     except OutOfRange as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER

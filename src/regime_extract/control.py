@@ -27,13 +27,9 @@ from .stopping import (StoppingSolution, _continuation, solve_z,
 
 @dataclass(frozen=True)
 class ControlSolution:
-    """Stopping solution plus cached boundary endpoints (caller's labels)."""
+    """Extraction-problem solution, built on the stopping solution."""
 
     stopping: StoppingSolution
-    x1_at_0: float
-    x1_at_1: float
-    x2_at_0: float
-    x2_at_1: float
 
     @property
     def params(self) -> ModelParams:
@@ -45,10 +41,7 @@ def solve_control(params: ModelParams) -> ControlSolution:
 
 
 def from_stopping(sol: StoppingSolution) -> ControlSolution:
-    return ControlSolution(
-        stopping=sol,
-        x1_at_0=x_star(sol, 1, 0.0), x1_at_1=x_star(sol, 1, 1.0),
-        x2_at_0=x_star(sol, 2, 0.0), x2_at_1=x_star(sol, 2, 1.0))
+    return ControlSolution(stopping=sol)
 
 
 def external_shift(cs: ControlSolution, i: int) -> float:

@@ -98,10 +98,7 @@ class SimOutcome:
     horizon: float
 
     def to_dict(self) -> dict:
-        return {"mean": self.mean, "std_error": self.std_error,
-                "n_paths": self.n_paths, "tail_bound": self.tail_bound,
-                "policy_id": self.policy_id, "dt": self.dt,
-                "horizon": self.horizon}
+        return dict(vars(self))
 
 
 @dataclass

@@ -17,8 +17,6 @@ import numpy as np
 from ._numerics import bisect
 from .errors import CostNotConvex, NonPositiveParameter, OutOfRange
 
-COST_KINDS = ("exponential", "quadratic", "custom")
-
 
 def _vectorized(fn: Callable) -> Callable:
     """fn as-is when it accepts arrays, else a numpy-vectorized wrapper."""
@@ -37,6 +35,10 @@ def _vectorized(fn: Callable) -> Callable:
     return call
 
 
+def _positive(*vals) -> bool:
+    return all(v is not None and 0.0 < v < math.inf for v in vals)
+
+
 @dataclass(frozen=True)
 class CostFunction:
     """Reserve maintenance cost f with closed-form derivative.
@@ -44,6 +46,8 @@ class CostFunction:
     Built-in families: exponential f(y) = gamma*(e^y - 1) and quadratic
     f(y) = alpha*y^2 + beta*y. Any other (f, f') pair can be supplied
     through `custom`; its derivative inverse then falls back to bisection.
+    Every construction path is checked (CostNotConvex): finite positive
+    family parameters; f(0) = 0, f' > 0 and convexity on a grid if custom.
     """
 
     kind: str
@@ -53,25 +57,38 @@ class CostFunction:
     f: Optional[Callable] = None
     fprime: Optional[Callable] = None
 
+    def __post_init__(self):
+        for name in ("gamma", "alpha", "beta"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
+        if self.kind == "exponential":
+            if not _positive(self.gamma):
+                raise CostNotConvex(
+                    f"exponential cost needs gamma > 0, got {self.gamma}")
+        elif self.kind == "quadratic":
+            if not _positive(self.alpha, self.beta):
+                raise CostNotConvex("quadratic cost needs alpha, beta > 0, "
+                                    f"got {self.alpha}, {self.beta}")
+        elif self.kind == "custom":
+            if not (callable(self.f) and callable(self.fprime)):
+                raise CostNotConvex("custom cost needs callable f and fprime")
+            object.__setattr__(self, "f", _vectorized(self.f))
+            object.__setattr__(self, "fprime", _vectorized(self.fprime))
+            self._check_custom()
+        else:
+            raise CostNotConvex(f"unknown cost kind {self.kind!r}")
+
     @staticmethod
     def exponential(gamma: float) -> "CostFunction":
-        if not gamma > 0:
-            raise CostNotConvex(f"exponential cost needs gamma > 0, got {gamma}")
-        return CostFunction(kind="exponential", gamma=float(gamma))
+        return CostFunction(kind="exponential", gamma=gamma)
 
     @staticmethod
     def quadratic(alpha: float, beta: float) -> "CostFunction":
-        if not alpha > 0 or not beta > 0:
-            raise CostNotConvex(
-                f"quadratic cost needs alpha, beta > 0, got {alpha}, {beta}")
-        return CostFunction(kind="quadratic", alpha=float(alpha), beta=float(beta))
+        return CostFunction(kind="quadratic", alpha=alpha, beta=beta)
 
     @staticmethod
     def custom(f: Callable, fprime: Callable) -> "CostFunction":
-        cost = CostFunction(kind="custom", f=_vectorized(f),
-                            fprime=_vectorized(fprime))
-        cost._check_custom()
-        return cost
+        return CostFunction(kind="custom", f=f, fprime=fprime)
 
     def value(self, y):
         if self.kind == "exponential":
@@ -161,13 +178,6 @@ def validate(rho, sigma1, sigma2, lambda1, lambda2, c, cost) -> ModelParams:
             raise NonPositiveParameter(name, val)
     if not isinstance(cost, CostFunction):
         raise CostNotConvex(f"cost must be a CostFunction, got {type(cost)}")
-    if cost.kind not in COST_KINDS:
-        raise CostNotConvex(f"unknown cost kind {cost.kind!r}")
-    if cost.kind == "exponential" and not (cost.gamma and cost.gamma > 0):
-        raise CostNotConvex("exponential cost needs gamma > 0")
-    if cost.kind == "quadratic" and not (
-            cost.alpha and cost.alpha > 0 and cost.beta and cost.beta > 0):
-        raise CostNotConvex("quadratic cost needs alpha, beta > 0")
     return ModelParams(float(rho), float(sigma1), float(sigma2),
                        float(lambda1), float(lambda2), float(c), cost)
 
@@ -184,14 +194,9 @@ def params_from_config(cfg: dict) -> ModelParams:
     except (KeyError, TypeError) as exc:
         raise KeyError(f"config missing cost section: {exc}") from exc
     if ctype in ("exp", "exponential"):
-        if cost_cfg.get("gamma") is None or float(cost_cfg["gamma"]) <= 0:
-            raise CostNotConvex("exponential cost needs gamma > 0")
-        cost = CostFunction.exponential(float(cost_cfg["gamma"]))
+        cost = CostFunction.exponential(cost_cfg.get("gamma"))
     elif ctype in ("quad", "quadratic"):
-        a, b = cost_cfg.get("alpha"), cost_cfg.get("beta")
-        if a is None or b is None or float(a) <= 0 or float(b) <= 0:
-            raise CostNotConvex("quadratic cost needs alpha, beta > 0")
-        cost = CostFunction.quadratic(float(a), float(b))
+        cost = CostFunction.quadratic(cost_cfg.get("alpha"), cost_cfg.get("beta"))
     else:
         raise CostNotConvex(f"unknown cost type {ctype!r}")
     return validate(cfg["rho"], cfg["sigma1"], cfg["sigma2"],

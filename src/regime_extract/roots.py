@@ -51,9 +51,11 @@ def solve_characteristic(params: ModelParams, residual_tol: float = 1e-10,
             f"b_o^2 - 4 a_o c_o = {k.disc} <= 0 for valid parameters")
     alpha3, alpha4 = float(k.alpha3), float(k.alpha4)
     p1, p2 = rho + l1, rho + l2
-    scale = residual_tol*p1*p2
     for a in (alpha3, alpha4, -alpha3, -alpha4):
         res = phi(params, 1, a)*phi(params, 2, a) - l1*l2
+        # relative to the size of the terms that cancel in Phi_1 Phi_2
+        scale = residual_tol*(0.5*params.sigma1**2*a*a + p1)*(
+            0.5*params.sigma2**2*a*a + p2)
         if abs(res) > scale:
             raise DegenerateDiscriminant(
                 f"quartic residual {res} at root {a} exceeds {scale}")

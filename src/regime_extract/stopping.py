@@ -345,11 +345,7 @@ class FbpReport:
     worst_c1_x: float
 
     def to_dict(self) -> dict:
-        return {k: float(getattr(self, k)) if k != "n_points"
-                else int(getattr(self, k)) for k in (
-            "y", "grid_lo", "grid_hi", "n_points", "worst_ode", "worst_ode_x",
-            "worst_ineq", "worst_ineq_x", "worst_dom", "worst_dom_x",
-            "worst_c1", "worst_c1_x")}
+        return dict(vars(self))
 
 
 def verify_fbp(sol: StoppingSolution, y, n_points: int = 10000,

@@ -1,11 +1,21 @@
+import contextlib
+import dataclasses
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import regime_extract
 from regime_extract.cli import main
+
+from conftest import draw_from_boxes, draw_valid
 
 EXAMPLE = {
     "rho": 1/3, "sigma1": 0.38, "sigma2": 1.9, "lambda1": 1.7,
@@ -297,10 +307,99 @@ def test_scan_region_file_and_svg(capsys, tmp_path):
     assert (tmp_path/"scan.csv.manifest.json").exists()
 
 
+# config defect -> exit code of every --config subcommand
+CONFIG_DEFECTS = {
+    "infeasible": (dict(EXAMPLE, sigma1=0.5, sigma2=0.51, rho=1.0,
+                        lambda1=1.0, lambda2=1.0), 1),
+    "rho_negative": (dict(EXAMPLE, rho=-1.0), 2),
+    "gamma_missing": (dict(EXAMPLE, cost={"type": "exp"}), 2),
+    "gamma_negative": (dict(EXAMPLE, cost={"type": "exp", "gamma": -1.0}), 2),
+    "gamma_infinite": ('{"rho": 0.3, "sigma1": 0.38, "sigma2": 1.9, '
+                       '"lambda1": 1.7, "lambda2": 0.44, "c": 0.5, "cost": '
+                       '{"type": "exp", "gamma": Infinity}}', 2),
+    "beta_missing": (dict(EXAMPLE, cost={"type": "quad", "alpha": 1.0}), 2),
+    "cost_cubic": (dict(EXAMPLE, cost={"type": "cubic"}), 2),
+    "gamma_abc": (dict(EXAMPLE, cost={"type": "exp", "gamma": "abc"}), 2),
+    "malformed_json": ('{"rho": 0.3, "sigma1": }', 2),
+    "missing_file": (None, 2),
+}
+SUBCOMMAND_ARGS = {
+    "check": [], "solve": [],
+    "boundary": ["--grid", "5", "--out", "b.csv"],
+    "value": ["--x", "0.6", "--y", "0.5", "--regime", "2"],
+    "verify": ["--fbp-points", "200", "--hjb-nx", "10", "--hjb-ny", "4"],
+    "simulate": ["--x", "0.6", "--y", "0.5", "--regime", "2", "--paths",
+                 "100", "--dt", "0.05", "--horizon", "1.0"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(SUBCOMMAND_ARGS))
+@pytest.mark.parametrize("defect", sorted(CONFIG_DEFECTS))
+def test_config_error_exit_codes(capsys, tmp_path, monkeypatch, defect, cmd):
+    monkeypatch.chdir(tmp_path)
+    cfg, code = CONFIG_DEFECTS[defect]
+    if cfg is not None:
+        Path("cfg.json").write_text(cfg if isinstance(cfg, str)
+                                    else json.dumps(cfg))
+    assert main([cmd, "--config", "cfg.json"] + SUBCOMMAND_ARGS[cmd]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+        assert not Path("b.csv").exists()
+
+
+def _strict_json(text):
+    def refuse(const):
+        raise ValueError(f"non-finite number {const}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _config_of(p, cost):
+    return {"rho": p.rho, "sigma1": p.sigma1, "sigma2": p.sigma2,
+            "lambda1": p.lambda1, "lambda2": p.lambda2, "c": p.c,
+            "cost": cost}
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       family=st.sampled_from(["box", "swapped", "equal_vol", "valid"]),
+       quadratic=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_cli_json_on_random_configs(tmp_path_factory, seed, family, quadratic):
+    rng = np.random.default_rng(seed)
+    if family == "valid":
+        p = draw_valid(rng)
+    else:
+        p = draw_from_boxes(rng, 1)[0]
+        if family == "swapped":
+            p = p.swapped()
+        elif family == "equal_vol":
+            p = dataclasses.replace(p, sigma2=p.sigma1)
+    cost = ({"type": "quad", "alpha": rng.uniform(0.05, 1.0),
+             "beta": rng.uniform(0.05, 1.0)} if quadratic
+            else {"type": "exp", "gamma": rng.uniform(0.05, 1.0)})
+    path = tmp_path_factory.mktemp("cfg")/"cfg.json"
+    path.write_text(json.dumps(_config_of(p, cost)))
+    state = ["--x", repr(rng.normal(0.0, 2.0)), "--y",
+             repr(rng.uniform(0.0, 1.0)), "--regime", str(rng.integers(1, 3))]
+    for cmd, extra in (("check", []), ("solve", []), ("value", state),
+                       ("verify", SUBCOMMAND_ARGS["verify"])):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([cmd, "--config", str(path)] + extra)
+        assert code in (0, 1, 2), (cmd, code)
+        if out.getvalue():
+            _strict_json(out.getvalue())
+
+
 def test_console_entry_point_runs():
+    # the child imports the package the tests import, installed or not
+    src = str(Path(regime_extract.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "regime_extract.cli", "--version"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
 
 

@@ -296,7 +296,7 @@ def test_boundary_ordering_collapses_in_equal_case(cs_b):
 
 def test_boundary_ordering_clamp_region(cs_a, params_a):
     x_hi = max(rx.single_regime_boundary(params_a, params_a.sigma2, 0.0),
-               cs_a.x2_at_0)
+               rx.x_star(cs_a.stopping, 2, 0.0))
     rep = rx.compare_boundaries(cs_a, n=50, x_range=(x_hi + 0.1, x_hi + 2.0))
     for curve in (rep.b_sharp_1, rep.b_star_1, rep.b_star_2, rep.b_sharp_2):
         assert np.all(curve == 0.0)

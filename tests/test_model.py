@@ -47,6 +47,22 @@ def test_custom_cost_checked_on_grid():
         rx.CostFunction.custom(f=lambda y: y + 1.0, fprime=lambda y: 1.0)
 
 
+@pytest.mark.parametrize("kw", [
+    dict(kind="custom", f=lambda y: y + 1.0, fprime=lambda y: 1.0 + 0.0*y),
+    dict(kind="custom", f=lambda y: -y*y, fprime=lambda y: -2.0*y),
+    dict(kind="custom", f=lambda y: y),
+    dict(kind="exponential", gamma=-1.0),
+    dict(kind="exponential", gamma=math.inf),
+    dict(kind="quadratic", alpha=1.0),
+    dict(kind="cubic", gamma=1.0),
+], ids=["f0_nonzero", "fprime_negative", "no_fprime", "gamma_negative",
+        "gamma_inf", "beta_missing", "unknown_kind"])
+def test_directly_built_cost_checked(kw):
+    # every construction path is checked, not only the factories
+    with pytest.raises(CostNotConvex):
+        rx.validate(**A_KW, cost=rx.CostFunction(**kw))
+
+
 def test_custom_cost_derivative_inverse_round_trip():
     cost = rx.CostFunction.custom(f=lambda y: y**4 + y, fprime=lambda y: 4*y**3 + 1)
     y = cost.derivative_inverse(cost.derivative(0.37))
