@@ -168,22 +168,19 @@ def cmd_verify(args, params, cfg_hash) -> int:
     sol = solve_z(params)
     if args.inject_z2_error:
         sol = perturbed(sol, 1e-3)
-    worst = {"fbp": [], "hjb": None}
     try:
-        for y in [k/10.0 for k in range(1, 10)]:
-            rep = verify_fbp(sol, y, n_points=args.fbp_points)
-            worst["fbp"].append(rep.to_dict())
-        hrep = verify_hjb(from_stopping(sol), nx=args.hjb_nx, ny=args.hjb_ny)
-        worst["hjb"] = hrep.to_dict()
+        fbp = [rep.to_dict() for rep in verify_fbp(
+            sol, [k/10.0 for k in range(1, 10)], n_points=args.fbp_points)]
+        hjb = verify_hjb(from_stopping(sol), nx=args.hjb_nx,
+                         ny=args.hjb_ny).to_dict()
     except VerificationFailed as exc:
         _emit({"status": "fail", "detail": str(exc),
                "report": exc.report.to_dict() if exc.report else None})
         return EXIT_MATH
     _emit({"status": "pass",
-           "worst_fbp_ode": max(r["worst_ode"] for r in worst["fbp"]),
-           "worst_fbp_c1": max(r["worst_c1"] for r in worst["fbp"]),
-           "worst_hjb": worst["hjb"]["worst_max_abs"],
-           "fbp": worst["fbp"], "hjb": worst["hjb"]})
+           "worst_fbp_ode": max(r["worst_ode"] for r in fbp),
+           "worst_fbp_c1": max(r["worst_c1"] for r in fbp),
+           "worst_hjb": hjb["worst_max_abs"], "fbp": fbp, "hjb": hjb})
     return EXIT_OK
 
 
@@ -235,10 +232,10 @@ def cmd_scan_region(args) -> int:
     except ValueError:
         print("error: ranges must look like LO:HI", file=sys.stderr)
         return EXIT_USER
-    if (args.steps < 1 or s1_hi < s1_lo or s2_hi < s2_lo
-            or min(s1_lo, s2_lo) <= 0 or args.rho <= 0
-            or args.lambda1 <= 0 or args.lambda2 <= 0):
-        print("error: need positive rates and nonempty positive ranges",
+    bounds = (s1_lo, s1_hi, s2_lo, s2_hi, args.rho, args.lambda1, args.lambda2)
+    if (not all(map(math.isfinite, bounds)) or args.steps < 1 or s1_hi < s1_lo
+            or s2_hi < s2_lo or min(s1_lo, s2_lo, *bounds[4:]) <= 0):
+        print("error: need finite positive rates and nonempty positive ranges",
               file=sys.stderr)
         return EXIT_USER
     s1 = np.linspace(s1_lo, s1_hi, args.steps)

@@ -84,14 +84,16 @@ def _u_surface(cs: ControlSolution, x, y, series, tol: float = 1e-9):
     p = sol.iparams
     b1, b2 = (np.minimum(_boundary_inverse(p, sol.shift(k), x), y)
               for k in (1, 2))
-    out = adaptive_simpson(lambda z, xr: _continuation(sol, xr, z, series),
-                           0.0, b1, x, tol=tol)
+
+    def branches(rows, band=False):   # chat(z) unchecked: z lies in [0, y]
+        return lambda z, xr: np.stack(_continuation(
+            sol, xr, p.c - p.cost.derivative(z)/p.rho, rows, band))
+
+    out = adaptive_simpson(branches(series), 0.0, b1, x, tol=tol)
     in_band = [j for j, (k, _) in enumerate(series) if k == 2]
     if in_band:
-        band = [series[j] for j in in_band]
         out[in_band] += adaptive_simpson(
-            lambda z, xr: _continuation(sol, xr, z, band, band=True),
-            b1, b2, x, tol=tol)
+            branches([series[j] for j in in_band], True), b1, b2, x, tol=tol)
     for j, (k, o) in enumerate(series):
         lo = b1 if k == 1 else b2
         # stopped on [lo, y]: u = x - c + f'(z)/rho; order 0 also carries
@@ -204,7 +206,7 @@ def verify_hjb(cs: ControlSolution, nx: int = 400, ny: int = 50,
     pert = perturbation or (lambda *_: 0.0)
     branches, worst_regional = [], 0.0
     for i in (1, 2):
-        uy = np.column_stack([v_stop(sol, xs, i, float(y)) for y in ys])
+        uy = v_stop(sol, xs[:, None], i, ys)
         r1, r2 = _branches(cs, X, Y, i, u, uxx, uy, pert)
         branches.append((r1, r2))
         # y >= b_i(x) marks the stopped region only off the b = 1

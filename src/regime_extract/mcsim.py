@@ -34,6 +34,7 @@ from .errors import OutOfRange, PreconditionViolated, SRPViolated
 from .model import ModelParams
 
 DEFAULT_BATCH_PAIRS = 25_000
+MAX_STEPS = 10_000_000   # grid steps per path; arrays of K + 1 are made
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,9 @@ class SimConfig:
 
     def resolved_horizon(self, params: ModelParams) -> float:
         T = self.horizon if self.horizon is not None else 10.0/params.rho
-        if self.dt <= 0 or T <= 0 or self.dt > T:
-            raise OutOfRange(f"need 0 < dt <= horizon, got dt={self.dt}, T={T}")
+        if not (0 < self.dt <= T < math.inf and T/self.dt <= MAX_STEPS):
+            raise OutOfRange(f"need 0 < dt <= horizon < inf and at most "
+                             f"{MAX_STEPS} steps, got dt={self.dt}, T={T}")
         if self.n_paths < 1:
             raise OutOfRange(f"n_paths must be >= 1, got {self.n_paths}")
         return T

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regime_extract
+from regime_extract import mcsim
 from regime_extract.cli import main
 
 from conftest import draw_from_boxes, draw_valid
@@ -232,8 +234,10 @@ def test_verify_and_value_with_steep_roots(capsys, tmp_path):
     assert abs(out["hjb_residual"]) <= 1e-5
 
 
-def test_verify_injected_error_fails(capsys, cfg_path):
-    code, out = run_json(capsys, ["verify", "--config", cfg_path,
+@pytest.mark.parametrize("name", ["example.json", "equal_vol.json"])
+def test_verify_injected_error_fails(capsys, name):
+    # with equal volatilities the shifted z2 opens regime 2's band too
+    code, out = run_json(capsys, ["verify", "--config", str(CONFIGS/name),
                                   "--fbp-points", "2000",
                                   "--hjb-nx", "20", "--hjb-ny", "6",
                                   "--inject-z2-error"])
@@ -268,6 +272,29 @@ def test_simulate_rejects_bad_dt(capsys, cfg_path):
                  "--paths", "10"]) == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--horizon", "inf"),
+                                        ("--horizon", "nan"), ("--dt", "nan"),
+                                        ("--horizon", "1e300")])
+def test_simulate_rejects_non_finite_or_huge_horizon(capsys, cfg_path, flag,
+                                                     value):
+    argv = {"--dt": "0.01", "--horizon": "1.0"}
+    argv[flag] = value
+    assert main(["simulate", "--config", cfg_path, "--x", "0", "--y", "0.5",
+                 "--regime", "1", "--paths", "10"]
+                + [t for kv in argv.items() for t in kv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid simulation" in captured.err
+
+
+def test_simulate_step_cap(capsys, cfg_path, monkeypatch):
+    monkeypatch.setattr(mcsim, "MAX_STEPS", 50)
+    argv = ["simulate", "--config", cfg_path, "--x", "0", "--y", "0.5",
+            "--regime", "1", "--paths", "10", "--dt", "0.02"]
+    assert main(argv + ["--horizon", "1.0"]) == 0
+    assert main(argv + ["--horizon", "1.1"]) == 2
+    assert "at most 50 steps" in capsys.readouterr().err
+
+
 def test_simulate_trace_out(capsys, cfg_path, tmp_path):
     out = tmp_path/"tr.csv"
     code, _ = run_json(capsys, [
@@ -294,6 +321,19 @@ def test_scan_region_bad_range(capsys):
     assert main(["scan-region", "--rho", "0.03", "--lambda1", "0.017",
                  "--lambda2", "0.016", "--sigma1-range", "0.06:0.01",
                  "--sigma2-range", "0.5:1.2", "--steps", "5"]) == 2
+
+
+@pytest.mark.parametrize("flag,value", [("--sigma1-range", "nan:nan"),
+                                        ("--sigma2-range", "0.5:inf"),
+                                        ("--rho", "inf"), ("--lambda1", "nan")])
+def test_scan_region_rejects_non_finite(capsys, flag, value):
+    argv = {"--rho": "0.03", "--lambda1": "0.017", "--lambda2": "0.016",
+            "--sigma1-range": "0.01:0.06", "--sigma2-range": "0.5:1.2"}
+    argv[flag] = value
+    assert main(["scan-region", "--steps", "3"]
+                + [t for kv in argv.items() for t in kv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_scan_region_file_and_svg(capsys, tmp_path):
@@ -467,6 +507,29 @@ PINNED_BOUNDARY = (
     "0.7100152390313443\n"
     "1.0,-0.9104601054784833,-0.0034238204684173823,-1.7528787773302412,"
     "0.10873342718497403\n")
+
+
+# sha256 of verify's stdout (--fbp-points 2000 --hjb-nx 40 --hjb-ny 10)
+# before w was evaluated over (level x price) arrays
+PINNED_VERIFY = {
+    ("example.json", False):
+        "39602adcc004c35ee49d48e47f41caae26d590c8f3ee2f1a7b8594f161241348",
+    ("equal_vol.json", False):
+        "263d6b567973977bc5593a5a10722e676389056875440b066f0f856e4610798d",
+    ("example.json", True):
+        "0632b836e03a688072d280a14c786fe72b2e6c4b08eea694f2e33f0f18fd080b",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_VERIFY),
+                         ids=lambda k: k[0].split(".")[0] + "-inject"*k[1])
+def test_verify_stdout_pinned(capsys, key):
+    name, inject = key
+    argv = ["verify", "--config", str(CONFIGS/name), "--fbp-points", "2000",
+            "--hjb-nx", "40", "--hjb-ny", "10"]
+    assert main(argv + ["--inject-z2-error"]*inject) == int(inject)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY[key], out
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_SOLVE))

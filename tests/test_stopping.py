@@ -5,10 +5,11 @@ import pytest
 
 import regime_extract as rx
 from regime_extract.errors import (AssumptionViolated, DomainError,
+                                   NoBracket, OutOfRange,
                                    PreconditionViolated, VerificationFailed)
 from regime_extract.model import chat
-from regime_extract.stopping import (_continuation, case_b_shift_candidates,
-                                     perturbed)
+from regime_extract.stopping import (FbpReport, _continuation,
+                                     case_b_shift_candidates, perturbed)
 
 from conftest import NEAR_EQUAL_KW, draw_from_boxes
 
@@ -36,6 +37,13 @@ def test_zhat2_bracketing_endpoint(params_a, roots_a):
     zc = rx.zhat2_closed_form(params_a, roots_a)
     assert d0 + r*(math.cosh(roots_a.alpha5*zc) - 1.0) == pytest.approx(
         0.0, abs=1e-12)
+
+
+def test_zhat2_bracket_doubling_capped(params_a, roots_a):
+    # the M1 denominator stays negative until cosh overflows
+    import dataclasses
+    with pytest.raises(NoBracket):
+        rx.zhat2(params_a, dataclasses.replace(roots_a, a1=-1e300))
 
 
 def test_zhat2_requires_negative_denominator(params_a, roots_a):
@@ -191,10 +199,10 @@ def test_smooth_fit_system_residuals(params_a, sol_a):
     y = 0.45
     ch = chat(params_a, y)
     x1, x2 = rx.x_star(sol_a, 1, y), rx.x_star(sol_a, 2, y)
-    w1, w1x, w2, w2x = _continuation(sol_a, x1, y,
+    w1, w1x, w2, w2x = _continuation(sol_a, x1, ch,
                                      [(1, 0), (1, 1), (2, 0), (2, 1)])
-    b2, b2x = _continuation(sol_a, x1, y, [(2, 0), (2, 1)], band=True)
-    B2, B2x = _continuation(sol_a, x2, y, [(2, 0), (2, 1)], band=True)
+    b2, b2x = _continuation(sol_a, x1, ch, [(2, 0), (2, 1)], band=True)
+    B2, B2x = _continuation(sol_a, x2, ch, [(2, 0), (2, 1)], band=True)
     eqs = [w1 - (x1 - ch), w1x - 1.0, w2 - b2, w2x - b2x,
            B2 - (x2 - ch), B2x - 1.0]
     assert max(abs(r) for r in eqs) <= 1e-9
@@ -328,3 +336,53 @@ def test_unique_root_on_feasible_draws(rng):
         dd = m1v - m2v
         assert np.count_nonzero(np.diff(np.sign(dd))) == 1
         assert sol.m1_at_0 < sol.z1 < sol.m2_at_0
+
+
+@pytest.fixture(scope="module", params=["a", "b", "relabeled"])
+def any_sol(request, params_a, sol_a, sol_b):
+    return {"a": sol_a, "b": sol_b,
+            "relabeled": rx.solve_z(params_a.swapped())}[request.param]
+
+
+def test_w_over_level_price_grid_equals_per_level_calls(any_sol):
+    """w, w_x, w_xx (both sides) and v over an (x, y) grid equal the
+    per-level calls bit for bit, boundary points included."""
+    sol = any_sol
+    ys = np.linspace(0.0, 1.0, 7)
+    xs = np.concatenate([np.linspace(-12.0, 4.0, 301),
+                         rx.x_star(sol, 1, ys), rx.x_star(sol, 2, ys)])
+    evals = [lambda x, i, y: rx.w(sol, x, i, y),
+             lambda x, i, y: rx.w_x(sol, x, i, y),
+             lambda x, i, y: rx.w_xx(sol, x, i, y, side=-1),
+             lambda x, i, y: rx.w_xx(sol, x, i, y, side=1),
+             lambda x, i, y: rx.v(sol, x, i, y)]
+    for f in evals:
+        for i in (1, 2):
+            grid = f(xs[:, None], i, ys)
+            assert grid.shape == (xs.size, ys.size)
+            cols = np.column_stack([f(xs, i, float(y)) for y in ys])
+            assert np.array_equal(grid, cols)
+            assert f(float(xs[5]), i, float(ys[3])) == grid[5, 3]
+
+
+def test_verify_fbp_levels_equal_per_level_calls(any_sol):
+    levels = [0.1, 0.35, 0.5, 0.9]
+    reps = rx.verify_fbp(any_sol, np.array(levels), n_points=3000)
+    assert reps == [rx.verify_fbp(any_sol, y, n_points=3000) for y in levels]
+    assert rx.verify_fbp(any_sol, levels[:1], n_points=3000) == reps[:1]
+    assert isinstance(rx.verify_fbp(any_sol, 0.5), FbpReport)
+
+
+def test_verify_fbp_levels_raise_first_failing_level(sol_a):
+    bad = perturbed(sol_a, 1e-3)
+    with pytest.raises(VerificationFailed) as first:
+        rx.verify_fbp(bad, 0.2)
+    with pytest.raises(VerificationFailed) as batch:
+        rx.verify_fbp(bad, [0.2, 0.6])
+    assert str(batch.value) == str(first.value)
+    assert batch.value.report == first.value.report
+
+
+def test_verify_fbp_needs_two_points(sol_a):
+    with pytest.raises(OutOfRange):
+        rx.verify_fbp(sol_a, 0.5, n_points=1)
