@@ -3,25 +3,30 @@
 U(x, y, i) integrates the selling value v(x, i; z) over reserve z in
 [0, y]. The integrand switches branch where z crosses the boundary
 inverses b_1(x) <= b_2(x) (internal labels), so the integral is split
-into panels: the fully stopped one is exact, the others integrate one
-continuation branch of w each by Simpson doubling batched over states,
-regimes and x-derivative orders. The branches come from the stopping
-module's evaluator, anchored at the boundaries x*_i(z), so on its panel
-no exponential exceeds e^{alpha5 z2}.
+into panels: the fully stopped one is exact for any cost. On the others
+w continues as a sum of exponential terms in x - x*_i(z) (the stopping
+module's _branch_form, anchored at the boundaries, so on its panel no
+exponential exceeds e^{alpha5 z2}) plus a linear term. For the built-in
+costs each term integrates over z in closed form (exponentials for the
+quadratic cost, the exponential integral Ei for the exponential one);
+a custom cost integrates the same terms by Simpson doubling batched over
+states. Every regime and x-derivative order weighs the same integrals.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._numerics import adaptive_simpson
+from ._numerics import adaptive_simpson, expi_scaled
 from .errors import OrderingViolated, OutOfRange, PreconditionViolated, \
     VerificationFailed
 from .model import ModelParams, chat
-from .stopping import (StoppingSolution, _continuation, solve_z,
+from .stopping import (StoppingSolution, _branch_form, solve_z,
                        v as v_stop, x_star)
 
 
@@ -34,6 +39,35 @@ class ControlSolution:
     @property
     def params(self) -> ModelParams:
         return self.stopping.params
+
+    @cached_property
+    def _terms(self) -> "_Terms":
+        """The level-free data of U, once per solution (_Terms)."""
+        sol = self.stopping
+        p = sol.iparams
+        forms = (_branch_form(sol), _branch_form(sol, True))
+        columns = np.array([(a, s + p.c, max(0.0, a*(sol.z1 - s)), a/p.rho)
+                            for rates, _, s, _, _ in forms for a in rates])
+        lin, none, weights = forms[1][3], (0.0, 0.0), {}
+        for k in (1, 2):
+            stop = (1.0, 0.0) if k == 1 else (lin, 1.0 - lin)
+            for o, stops in enumerate((stop + none, none + stop, none*2)):
+                weights[k, o] = [a**o*fk*pk for rates, pref, _, _, f in forms
+                                 for a, fk, pk in zip(rates, f.get(k, none),
+                                                      pref)] + list(stops)
+        return _Terms(*columns.T[:, :, None], weights,
+                      np.array([[sol.z1], [sol.z1 + sol.z2]]))
+
+
+# Per branch term of w (stopping._branch_form: a3, a4 below x*_1, a5, -a5
+# on the band) as (4, 1) columns: its rate a, s + c for its anchor shift s,
+# cap, the most its exponent reaches on its panel, and a/rho. Per
+# (internal regime k, order o) the weights of the four term integrals
+# (a^o times the regime's factor and the prefactor) and of the stopped
+# parts, rows (order 0 | 1, b_k): regime 2 continues on [b1, b2], where
+# the band's linear part lin (x - chat) integrates to lin times the
+# stopped part at b1 minus that at b2. The boundary shifts (z1, z1 + z2).
+_Terms = namedtuple("_Terms", "rate anchor cap a_rho weights shifts")
 
 
 def solve_control(params: ModelParams) -> ControlSolution:
@@ -69,38 +103,82 @@ def _u_surface(cs: ControlSolution, x, y, series, tol: float = 1e-9):
     one entry per (regime, order 0..2 of the x-derivative) in series.
 
     Below b_1(x) both regimes continue, up to b_2(x) only regime 2 does
-    (internal labels): one batched Simpson per panel over w's anchored
-    continuation branches, exponentials shared by every series. The
-    stopped panel is exact for any cost. Raises OutOfRange on non-finite
-    states or y outside [0, 1].
+    (internal labels). There w's branches are sums of four exponential
+    terms (cs._terms), whose integrals over the level _exact_panels gives
+    in closed form for the built-in costs, _simpson_panels to tol for a
+    custom cost; every series weighs the same four. The stopped panel is
+    exact for any cost. Raises OutOfRange on non-finite states or y
+    outside [0, 1].
     """
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
-                               np.asarray(y, dtype=float))
-    if not (np.isfinite(x).all() and ((y >= 0.0) & (y <= 1.0)).all()):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        x, y = np.broadcast_arrays(x, y)
+    if not (np.isfinite(x) & (y >= 0.0) & (y <= 1.0)).all():
         raise OutOfRange(f"need finite x and y in [0, 1], got x={x}, y={y}")
-    shape, x, y = x.shape, x.ravel(), y.ravel()
+    shape, x, y = x.shape, x.reshape(-1), y.reshape(-1)
     sol = cs.stopping
     series = [(sol.internal_regime(i), o) for i, o in series]
     p = sol.iparams
-    b1, b2 = (np.minimum(_boundary_inverse(p, sol.shift(k), x), y)
-              for k in (1, 2))
-
-    def branches(rows, band=False):   # chat(z) unchecked: z lies in [0, y]
-        return lambda z, xr: np.stack(_continuation(
-            sol, xr, p.c - p.cost.derivative(z)/p.rho, rows, band))
-
-    out = adaptive_simpson(branches(series), 0.0, b1, x, tol=tol)
-    in_band = [j for j, (k, _) in enumerate(series) if k == 2]
-    if in_band:
-        out[in_band] += adaptive_simpson(
-            branches([series[j] for j in in_band], True), b1, b2, x, tol=tol)
-    for j, (k, o) in enumerate(series):
-        lo = b1 if k == 1 else b2
-        # stopped on [lo, y]: u = x - c + f'(z)/rho; order 0 also carries
-        # the -f(y)/rho of U, which leaves -f(lo)/rho
-        out[j] += ((x - p.c)*(y - lo) - p.cost.value(lo)/p.rho if o == 0
-                   else y - lo if o == 1 else 0.0)
+    bs = np.minimum(_boundary_inverse(p, cs._terms.shifts, x), y)
+    # a perturbed z2 < 0 inverts the band: empty, regime 2 stops at b1
+    np.maximum(bs[0], bs[1], out=bs[1])
+    # stopped on [b_k, y]: u = x - c + f'(z)/rho; order 0 also carries
+    # the -f(y)/rho of U, which leaves -f(b_k)/rho. Rows: (order, b_k).
+    yb = y - bs
+    stopped = np.concatenate([(x - p.c)*yb - p.cost.value(bs)/p.rho, yb])
+    ints = (_simpson_panels(cs, x, bs, tol) if p.cost.kind == "custom"
+            else _exact_panels(cs, x, bs))
+    weights = np.array([cs._terms.weights[s] for s in series])
+    # the parts' axis is summed last and contiguous: each state's sum is
+    # the same whatever the array
+    out = np.multiply(weights[:, None, :], np.concatenate([ints, stopped]).T,
+                      order="C").sum(axis=-1)
     return out.reshape((len(series),) + shape)
+
+
+def _simpson_panels(cs: ControlSolution, x, bs, tol: float):
+    """_exact_panels' four integrals by batched Simpson doubling, each to
+    tol (absolute): a custom cost has no closed form."""
+    t, fprime = cs._terms, cs.stopping.iparams.cost.derivative
+
+    def terms(j):   # the terms of panel j at nodes z, prices xr
+        rate, anchor, a_rho = (c[j, :, None] for c in (t.rate, t.anchor,
+                                                        t.a_rho))
+        return lambda z, xr: np.exp(rate*(xr - anchor) + a_rho*fprime(z))
+
+    return np.concatenate([
+        adaptive_simpson(terms(slice(0, 2)), 0.0, bs[0], x, tol=tol),
+        adaptive_simpson(terms(slice(2, 4)), bs[0], bs[1], x, tol=tol)])
+
+
+def _exact_panels(cs: ControlSolution, x, bs):
+    """The integrals over the level z of the four branch terms
+    e^{a (x - s - chat(z))} (cs._terms, prefactors apart): rates a3, a4
+    on [0, b1] and a5, -a5 on [b1, b2] (bs), in closed form for the
+    built-in costs.
+
+    With chat = c - f'(z)/rho the exponent is E(z) = a (x - s - c) + u(z),
+    u = a f'(z)/rho:
+    - quadratic cost: E is linear in z with slope 2 alpha a/rho, so the
+      integral is e^{E(end)} (1 - e^{-k (hi - lo)})/k, k = 2 alpha |a|/rho,
+      anchored at the end where E is largest;
+    - exponential cost: u = a gamma e^z/rho turns it into the integral of
+      e^{a (x - s - c)} e^u/u du, [e^{E(z)} e^{-u} Ei(u)] from lo to hi.
+    On its panel E is at most cap; the clip only keeps empty panels
+    (lo = hi) finite.
+    """
+    cost, t = cs.stopping.iparams.cost, cs._terms
+    ends = np.zeros((2, 4) + x.shape)   # (lo/hi, term, state)
+    ends[0, 2:] = ends[1, :2] = bs[0]
+    ends[1, 2:] = bs[1]
+    u = t.a_rho*cost.derivative(ends)
+    expo = np.minimum(t.rate*(x - t.anchor) + u, t.cap)
+    if cost.kind == "quadratic":
+        k = 2.0*cost.alpha*np.abs(t.a_rho)
+        return (np.exp(np.where(t.rate > 0.0, expo[1], expo[0]))
+                * np.expm1(-k*(ends[1] - ends[0]))/-k)
+    ends = np.exp(expo)*expi_scaled(u)
+    return ends[1] - ends[0]
 
 
 def _value(cs: ControlSolution, x, y, i: int, order: int, tol: float):
@@ -109,18 +187,21 @@ def _value(cs: ControlSolution, x, y, i: int, order: int, tol: float):
 
 
 def U(cs: ControlSolution, x, y, i: int, tol: float = 1e-9):
-    """Control value U(x,y,i) = integral_0^y v(x,i;z) dz, to tol (absolute)
-    per Simpson panel. x and y broadcast as arrays; scalars give a float."""
+    """Control value U(x,y,i) = integral_0^y v(x,i;z) dz: in closed form
+    for the built-in costs; for a custom cost by Simpson doubling, each
+    branch term's integral to tol (absolute; tol applies to custom costs
+    only). x and y broadcast as arrays; scalars give a float."""
     return _value(cs, x, y, i, 0, tol)
 
 
 def U_x(cs: ControlSolution, x, y, i: int, tol: float = 1e-9):
-    """First x-derivative of U; arrays as in U."""
+    """First x-derivative of U; closed form, tol and arrays as in U."""
     return _value(cs, x, y, i, 1, tol)
 
 
 def U_xx(cs: ControlSolution, x, y, i: int, tol: float = 1e-9):
-    """Second x-derivative; the fully stopped panel contributes nothing."""
+    """Second x-derivative of U, as in U; the fully stopped panel
+    contributes nothing."""
     return _value(cs, x, y, i, 2, tol)
 
 
@@ -189,6 +270,7 @@ def verify_hjb(cs: ControlSolution, nx: int = 400, ny: int = 50,
     U and U_xx come from one batched evaluation over the whole grid.
     perturbation(x, y, i), if given, is added to U (test hook); it is
     called with (nx, ny) arrays of x and y and an integer regime i.
+    Raises VerificationFailed on the first failing state; a NaN fails.
     """
     sol = cs.stopping
     zsum = sol.z1 + sol.z2
@@ -220,7 +302,7 @@ def verify_hjb(cs: ControlSolution, nx: int = 400, ny: int = 50,
     mx = np.abs(np.maximum(b1r, b2r))
     jx, jy, ji = np.unravel_index(np.argmax(mx), mx.shape)
     worst_state = (float(xs[jx]), float(ys[jy]), int(ji) + 1)
-    bad = (mx > tau) | (b1r > tau) | (b2r > tau)
+    bad = ~((mx <= tau) & (b1r <= tau) & (b2r <= tau))   # NaN fails
     fail = None
     if bad.any():
         jx, jy, ji = np.unravel_index(np.argmax(bad), bad.shape)

@@ -77,6 +77,8 @@ class CostFunction:
             self._check_custom()
         else:
             raise CostNotConvex(f"unknown cost kind {self.kind!r}")
+        object.__setattr__(self, "_fp_range",
+                           (self.derivative(0.0), self.derivative(1.0)))
 
     @staticmethod
     def exponential(gamma: float) -> "CostFunction":
@@ -109,17 +111,16 @@ class CostFunction:
 
         Input is clipped to [f'(0), f'(1)] so the result lands in [0, 1].
         """
-        lo, hi = self.derivative(0.0), self.derivative(1.0)
-        fp = np.clip(fp, lo, hi)
+        lo, hi = self._fp_range   # f'(0), f'(1)
+        fp = np.minimum(np.maximum(fp, lo), hi)
         if self.kind == "exponential":
             return np.log(fp/self.gamma)
         if self.kind == "quadratic":
             return (fp - self.beta)/(2.0*self.alpha)
-        scalar = np.ndim(fp) == 0
-        vals = np.atleast_1d(np.asarray(fp, dtype=float))
+        vals = np.asarray(fp, dtype=float)
         out = np.array([bisect(lambda y, t=t: self.fprime(y) - t, 0.0, 1.0,
-                               xtol=1e-14) for t in vals])
-        return out[0] if scalar else out
+                               xtol=1e-14) for t in vals.ravel()])
+        return out.reshape(vals.shape)[()]
 
     def from_derivative(self, fp):
         """(y, f(y)) at the y with f'(y) = fp, from one inversion of f'
@@ -213,7 +214,7 @@ def phi(params: ModelParams, i: int, alpha) -> float:
 def chat(params: ModelParams, y) -> float:
     """Effective selling cost c - f'(y)/rho, strictly decreasing in y."""
     y = np.asarray(y, dtype=float)
-    if np.any(y < 0.0) or np.any(y > 1.0):
+    if not ((y >= 0.0) & (y <= 1.0)).all():   # NaN fails too
         raise OutOfRange(f"reserve level must lie in [0, 1], got {y}")
     out = params.c - params.cost.derivative(y)/params.rho
     return float(out) if out.ndim == 0 else out

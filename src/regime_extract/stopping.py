@@ -20,9 +20,9 @@ root. At v = 0, M1(0) and M2(0) reproduce the two equal-volatility
 boundary formulas, whose agreement is exactly the sigma1 = sigma2 case.
 
 Where it continues, w is a sum of exponentials (plus a linear term in
-regime 2's band between the boundaries). They are written once,
-in _continuation, anchored at x*_1(y) and x*_2(y) with prefactors that
-do not depend on y, so no exponential overflows where its branch
+regime 2's band between the boundaries). Their weights are written
+once, in _branch_form, anchored at x*_1(y) and x*_2(y) with prefactors
+that do not depend on y, so no exponential overflows where its branch
 applies; the control module integrates the same branches over y.
 _reduced writes G1, G2 once; _w_table evaluates w piecewise over (level
 x price) arrays, and equal volatilities (case B) are its z2 = 0 case.
@@ -241,39 +241,51 @@ def x_star(sol: StoppingSolution, i: int, y):
     return sol.shift(sol.internal_regime(i)) + chat(sol.params, y)
 
 
-def _continuation(sol: StoppingSolution, x, ch, series, band: bool = False):
-    """w's continuation branches at prices x whose reserve levels have
-    chat = ch (broadcast), one row per (internal regime k, x-derivative
-    order 0..2) in series.
+def _branch_form(sol: StoppingSolution, band: bool = False):
+    """w's continuation branches below x*_1 (band: regime 2's on
+    [x*_1, x*_2)) as data: the rates (a, b) and level-free prefactors
+    (Pa, Pb) of two terms Pa e^{a (x - s - chat)}, Pb e^{b (x - s - chat)}
+    anchored at s = z1 (x*_1; band z1 + z2, x*_2), the slope lin of the
+    band's linear part lin (x - chat) (0 below x*_1), and each internal
+    regime's factors of the two terms.
 
-    Anchored at the boundaries x*_1 = z1 + chat <= x*_2 = z1 + z2 + chat,
-    so on its branch's region no exponential exceeds e^{a5 z2}. Below
-    x*_1 both regimes continue: w_k = f_k3 P3 e^{a3 (x - x*_1)}
-    + f_k4 P4 e^{a4 (x - x*_1)}, with regime factors f_1 = (1, 1) and
-    f_2 = (phi13/l1, phi14/l1) (in case B (1, -l2/l1), and P4 = 0). With
-    band, regime 2 continues on [x*_1, x*_2): w_2 = P5 e^{a5 (x - x*_2)}
-    + P6 e^{-a5 (x - x*_2)} + l2/(rho+l2) (x - chat). The prefactors
-    P3..P6 do not depend on the level.
+    Below x*_1 both regimes continue: w_k = f_k3 P3 e^{a3 (x - x*_1)}
+    + f_k4 P4 e^{a4 (x - x*_1)}, with f_1 = (1, 1) and f_2 = (phi13/l1,
+    phi14/l1) (in case B (1, -l2/l1), and P4 = 0). On the band
+    w_2 = P5 e^{a5 (x - x*_2)} + P6 e^{-a5 (x - x*_2)} + the linear part.
+    The x-derivative of order o scales a term by its rate^o. w
+    (_continuation) and U (control, its integral over the level) both
+    take their weights from here.
     """
     p, rt = sol.iparams, sol.roots
     a3, a4, a5 = rt.alpha3, rt.alpha4, rt.alpha5
     if band:
-        r, lin = p.rho/(p.rho + p.lambda2), p.lambda2/(p.rho + p.lambda2)
-        zsum = sol.z1 + sol.z2
-        x2 = zsum + ch
-        t5 = r*(1.0 + a5*zsum)/(2.0*a5)*np.exp(a5*(x - x2))
-        t6 = r*(a5*zsum - 1.0)/(2.0*a5)*np.exp(-a5*(x - x2))
-        terms = {0: lambda: t5 + t6 + lin*(x - ch),
-                 1: lambda: a5*(t5 - t6) + lin, 2: lambda: a5*a5*(t5 + t6)}
-        return [terms[o]() for _, o in series]
+        r, zsum = p.rho/(p.rho + p.lambda2), sol.z1 + sol.z2
+        return ((a5, -a5), (r*(1.0 + a5*zsum)/(2.0*a5),
+                            r*(a5*zsum - 1.0)/(2.0*a5)),
+                zsum, p.lambda2/(p.rho + p.lambda2), {2: (1.0, 1.0)})
     phi13 = -0.5*p.sigma1**2*a3**2 + p.rho + p.lambda1
     phi14 = -0.5*p.sigma1**2*a4**2 + p.rho + p.lambda1
-    f34 = {1: (1.0, 1.0), 2: (phi13/p.lambda1, phi14/p.lambda1)}
-    x1 = sol.z1 + ch
-    t3 = (a4*sol.z1 - 1.0)/(a4 - a3)*np.exp(a3*(x - x1))
-    t4 = (1.0 - a3*sol.z1)/(a4 - a3)*np.exp(a4*(x - x1))
-    return [(1.0, a3, a3*a3)[o]*f34[k][0]*t3
-            + (1.0, a4, a4*a4)[o]*f34[k][1]*t4 for k, o in series]
+    return ((a3, a4), ((a4*sol.z1 - 1.0)/(a4 - a3),
+                       (1.0 - a3*sol.z1)/(a4 - a3)), sol.z1, 0.0,
+            {1: (1.0, 1.0), 2: (phi13/p.lambda1, phi14/p.lambda1)})
+
+
+def _continuation(sol: StoppingSolution, x, ch, series, band: bool = False):
+    """w's continuation branches (_branch_form) at prices x whose reserve
+    levels have chat = ch (broadcast), one row per (internal regime k,
+    x-derivative order 0..2) in series. Anchored at the boundaries
+    x*_1 = z1 + chat <= x*_2 = z1 + z2 + chat, so on its branch's region
+    no exponential exceeds e^{a5 z2}."""
+    (a, b), (pa, pb), shift, lin, f = _branch_form(sol, band)
+    xa = shift + ch
+    ta, tb = pa*np.exp(a*(x - xa)), pb*np.exp(b*(x - xa))
+    if band:   # b = -a: sums and differences of the pair
+        terms = {0: lambda: ta + tb + lin*(x - ch),
+                 1: lambda: a*(ta - tb) + lin, 2: lambda: a*a*(ta + tb)}
+        return [terms[o]() for _, o in series]
+    return [(1.0, a, a*a)[o]*f[k][0]*ta + (1.0, b, b*b)[o]*f[k][1]*tb
+            for k, o in series]
 
 
 def _w_table(sol: StoppingSolution, x, y, series, side: int = -1):
@@ -287,16 +299,20 @@ def _w_table(sol: StoppingSolution, x, y, series, side: int = -1):
     x1 = sol.z1 + ch
     x2 = x1 + sol.z2
     lower, upper = (x <= x1, x > x2) if side < 0 else (x < x1, x >= x2)
-    xg, cg = np.broadcast_to(x, lower.shape), np.broadcast_to(ch, lower.shape)
+    shape = lower.shape
+    xg, cg = (a if a.shape == shape else np.broadcast_to(a, shape)
+              for a in (x, np.asarray(ch)))
     out = np.empty((len(series),) + lower.shape)
     flat = out.reshape(len(series), -1)   # 1-D rows take boolean masks fast
     for j, (_, o) in enumerate(series):
         out[j] = xg - cg if o == 0 else float(o == 1)
     band = [j for j, (k, _) in enumerate(series) if k == 2]
-    for in_band, mask, rows in ((False, lower, range(len(series))),
-                                (True, ~lower & ~upper, band)):
+    for in_band, rows in ((False, range(len(series))), (True, band)):
+        if not rows:
+            continue
+        mask = ~lower & ~upper if in_band else lower
         vals = _continuation(sol, xg[mask], cg[mask],
-                             [series[j] for j in rows], in_band) if rows else []
+                             [series[j] for j in rows], in_band)
         for j, val in zip(rows, vals):
             flat[j][mask.reshape(-1)] = val
     return out
@@ -345,15 +361,18 @@ class FbpReport:
     worst_c1_x: float
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        # a copy of the instance dict keeps its shared keys: about 2/3 of
+        # the memory of dict(vars(self))
+        return vars(self).copy()
 
 
 def _worse(worst, vals, at):
     """Per level (row), the first maximum of vals and its x where it is
-    strictly above the worst (values, x) so far, else that worst."""
+    strictly above the worst (values, x) so far, else that worst. NaN
+    counts as the worst of all: argmax finds the first one, and it stays."""
     j = np.argmax(vals, axis=-1)
     rows = np.arange(j.size)
-    up = vals[rows, j] > worst[0]
+    up = (vals[rows, j] > worst[0]) | np.isnan(vals[rows, j])
     return (np.where(up, vals[rows, j], worst[0]),
             np.where(up, at[rows, j], worst[1]))
 
@@ -411,7 +430,7 @@ def verify_fbp(sol: StoppingSolution, y, n_points: int = 10000,
     at the boundaries), (iii) w dominates the payoff to dom_tol, and
     (iv) w is C^1 at the boundaries, comparing second-order one-sided
     difference slopes with step c1_step. Raises VerificationFailed with
-    the worst offender of the first failing level.
+    the worst offender of the first failing level; a NaN anywhere fails.
     """
     if n_points < 2:
         raise OutOfRange(f"n_points must be at least 2, got {n_points}")
@@ -428,7 +447,7 @@ def verify_fbp(sol: StoppingSolution, y, n_points: int = 10000,
     for row in table.tolist():
         report = FbpReport(*row[:3], n_points, *row[3:])
         for tol, msg, val, x in zip(tols, messages, row[3::2], row[4::2]):
-            if val > tol:
+            if not val <= tol:   # NaN fails
                 raise VerificationFailed(msg.format(val, x), report)
         reports.append(report)
     return reports[0] if np.ndim(y) == 0 else reports

@@ -422,7 +422,8 @@ def test_cli_json_on_random_configs(tmp_path_factory, seed, family, quadratic):
     state = ["--x", repr(rng.normal(0.0, 2.0)), "--y",
              repr(rng.uniform(0.0, 1.0)), "--regime", str(rng.integers(1, 3))]
     for cmd, extra in (("check", []), ("solve", []), ("value", state),
-                       ("verify", SUBCOMMAND_ARGS["verify"])):
+                       ("verify", SUBCOMMAND_ARGS["verify"]),
+                       ("simulate", state + ["--paths", "40", "--dt", "0.1"])):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
@@ -446,22 +447,23 @@ def test_console_entry_point_runs():
 CONFIGS = Path(__file__).resolve().parent.parent/"configs"
 
 # stdout of the simulator before its engines were merged; seeded means
-# must stay bit-identical (paths 4000 at dt 0.04, seed 7)
+# must stay bit-identical (paths 4000 at dt 0.04, seed 7). u_value (and
+# abs_diff_vs_u) is the closed-form U's, within 4e-16 of scipy's quad.
 PINNED_SIMULATE = {
     ("example.json", "0.6", "0.5", "2", None): (
         '{\n  "mean": 0.10887279483184736,\n'
         '  "std_error": 0.0037150285908267486,\n  "n_paths": 4000,\n'
         '  "tail_bound": 0.0005467301267282992,\n'
         '  "policy_id": "reflect_optimal",\n  "dt": 0.04,\n'
-        '  "horizon": 30.0,\n  "u_value": 0.11416649859204553,\n'
-        '  "abs_diff_vs_u": 0.005293703760198165\n}\n'),
+        '  "horizon": 30.0,\n  "u_value": 0.11416649859204625,\n'
+        '  "abs_diff_vs_u": 0.005293703760198887\n}\n'),
     ("equal_vol.json", "-2.0", "0.3", "1", "40"): (
         '{\n  "mean": -0.7019914761023677,\n'
         '  "std_error": 0.0007337289645481317,\n  "n_paths": 4000,\n'
         '  "tail_bound": 3.091730433657837e-08,\n'
         '  "policy_id": "reflect_optimal",\n  "dt": 0.04,\n'
-        '  "horizon": 40.0,\n  "u_value": -0.7015015797798406,\n'
-        '  "abs_diff_vs_u": 0.0004898963225270503\n}\n'),
+        '  "horizon": 40.0,\n  "u_value": -0.7015015797798478,\n'
+        '  "abs_diff_vs_u": 0.0004898963225198338\n}\n'),
 }
 
 
@@ -509,11 +511,12 @@ PINNED_BOUNDARY = (
     "0.10873342718497403\n")
 
 
-# sha256 of verify's stdout (--fbp-points 2000 --hjb-nx 40 --hjb-ny 10)
-# before w was evaluated over (level x price) arrays
+# sha256 of verify's stdout (--fbp-points 2000 --hjb-nx 40 --hjb-ny 10);
+# example.json's hjb block moved from Simpson's 2.35e-10 worst residual
+# to the closed form's round-off, the rest is unchanged
 PINNED_VERIFY = {
     ("example.json", False):
-        "39602adcc004c35ee49d48e47f41caae26d590c8f3ee2f1a7b8594f161241348",
+        "8a60dd813c52a54e75eded08c3bb8f3fc74683fbd0291cead2537258d021bdeb",
     ("equal_vol.json", False):
         "263d6b567973977bc5593a5a10722e676389056875440b066f0f856e4610798d",
     ("example.json", True):

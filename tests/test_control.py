@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ import regime_extract as rx
 from regime_extract.errors import (OrderingViolated, OutOfRange,
                                    PreconditionViolated, VerificationFailed)
 from regime_extract.model import chat
+
+from conftest import FEASIBLE_BOXES, box_midpoint, draw_from_boxes
 
 
 def test_b_star_clamps(cs_a, sol_a):
@@ -189,10 +193,11 @@ def test_verify_hjb_case_b(cs_b):
     assert rep.worst_max_abs <= 1e-5
 
 
-# 40x10 worst residuals recorded from the scalar-quadrature implementation
+# 40x10 worst residuals of the closed-form U (round-off level; the
+# Simpson U read 2.353347794414873e-10 at (-0.4944970292746991, 0.5, 2))
 HJB_40x10 = {
-    "A": ((-0.4944970292746991, 0.5, 2), 2.353347794414873e-10,
-          2.353347794414873e-10),
+    "A": ((-8.976091190763318, 1.0, 1), 4.440892098500626e-16,
+          4.440892098500626e-16),
     "B": ((3.8461538461538467, 0.8, 1), 8.881784197001252e-16,
           8.881784197001252e-16),
 }
@@ -321,3 +326,92 @@ def test_chat_consistency_with_boundaries(cs_a, sol_a):
     p = cs_a.params
     assert rx.x_star(sol_a, 1, y) - chat(p, y) == pytest.approx(
         sol_a.z1, abs=1e-12)
+
+
+def test_verify_hjb_fails_on_nan(cs_a):
+    def nan(x, y, i):
+        return np.full(np.shape(x), np.nan)
+
+    with pytest.raises(VerificationFailed) as exc:
+        rx.verify_hjb(cs_a, nx=10, ny=4, perturbation=nan)
+    assert "nan" in str(exc.value)
+    assert math.isnan(exc.value.report.worst_max_abs)
+
+
+def _quad_oracle(cs, x, y, i):
+    """U, U_x, U_xx at one state from scipy.integrate.quad over v, w_x and
+    w_xx, split at the boundary inverses."""
+    sol = cs.stopping
+    pts = [b for b in sorted({rx.b_star(cs, 1, x), rx.b_star(cs, 2, x)})
+           if 0.0 < b < y]
+    out = []
+    for integrand in (rx.v, rx.w_x, rx.w_xx):
+        with warnings.catch_warnings():   # 1e-14 is at round-off level
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            val, err = integrate.quad(lambda z: integrand(sol, x, i, z), 0.0,
+                                      y, epsabs=1e-14, epsrel=1e-14,
+                                      limit=400, points=pts or None)
+        assert err < 1e-12
+        out.append(val)
+    return out
+
+
+# a state where Simpson doubling stopped early: U_x read 0.28318991686790274
+# against quad's 0.2831902649959742 (3.5e-7 off at tol 1e-9)
+SIMPSON_TRAP = (dict(rho=0.025452966758740505, sigma1=0.6352166578103934,
+                     sigma2=0.03952558792280243, lambda1=0.04356209663170234,
+                     lambda2=0.40999595358918073, c=0.5),
+                rx.CostFunction.quadratic(0.14669272460939614, 1/3),
+                (-14.631446097130073, 0.5, 1))
+
+
+def test_closed_form_where_simpson_stopped_early():
+    kw, cost, (x, y, i) = SIMPSON_TRAP
+    cs = rx.solve_control(rx.validate(**kw, cost=cost))
+    assert cs.stopping.case == "C_relabeled"
+    oracle = _quad_oracle(cs, x, y, i)
+    for value, ref in zip((rx.U, rx.U_x, rx.U_xx), oracle):
+        assert value(cs, x, y, i) == pytest.approx(ref, abs=1e-12)
+
+
+def test_closed_form_past_expi_overflow():
+    """Exponential cost whose Ei arguments u = a gamma e^z/rho pass 700,
+    where e^u alone overflows past 709."""
+    p = rx.validate(*box_midpoint(FEASIBLE_BOXES[1]), c=0.5,
+                    cost=rx.CostFunction.exponential(1/3))
+    cs = rx.solve_control(p)
+    sol = cs.stopping
+    assert sol.roots.alpha4*p.cost.gamma*math.e/p.rho > 700.0
+    for x, y, i in [(rx.x_star(sol, 1, 1.0) - 0.01, 1.0, 2),
+                    (rx.x_star(sol, 1, 1.0) - 0.01, 1.0, 1),
+                    (rx.x_star(sol, 1, 0.5) - 0.3, 0.5, 1),
+                    (0.5*(rx.x_star(sol, 1, 0.5) + rx.x_star(sol, 2, 0.5)),
+                     0.5, 2)]:
+        oracle = _quad_oracle(cs, x, y, i)
+        for value, ref in zip((rx.U, rx.U_x, rx.U_xx), oracle):
+            assert value(cs, x, y, i) == pytest.approx(ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["exponential", "quadratic"])
+def test_closed_form_matches_simpson(kind):
+    """The built-in costs' closed form against the Simpson path, which a
+    custom cost with the same f and f' takes, at sweep-like states."""
+    rng = np.random.default_rng(17)
+    for p in draw_from_boxes(rng, 6):
+        cost = (p.cost if kind == "exponential"
+                else rx.CostFunction.quadratic(rng.uniform(0.1, 0.3), 1/3))
+        twin = rx.CostFunction.custom(cost.value, cost.derivative)
+        exact = rx.solve_control(rx.validate(
+            p.rho, p.sigma1, p.sigma2, p.lambda1, p.lambda2, p.c, cost))
+        simpson = rx.from_stopping(dataclasses.replace(
+            exact.stopping, iparams=dataclasses.replace(
+                exact.stopping.iparams, cost=twin)))
+        sol = exact.stopping
+        lo, hi = sorted((rx.x_star(sol, 1, 0.5), rx.x_star(sol, 2, 0.5)))
+        xs = np.array([lo - 1.0, 0.5*(lo + hi), hi + 1.0, lo - 5.0])
+        for y in (0.3, 1.0):
+            for value in (rx.U, rx.U_x, rx.U_xx):
+                for i in (1, 2):
+                    a, b = value(exact, xs, y, i), value(simpson, xs, y, i)
+                    assert np.all(np.abs(a - b)
+                                  <= 2e-9*np.maximum(1.0, np.abs(b)))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regime_extract as rx
-from regime_extract._numerics import adaptive_simpson, bisect
+from regime_extract._numerics import adaptive_simpson, bisect, expi_scaled
 from regime_extract.errors import NoBracket, QuadratureNotConverged
 
 
@@ -78,3 +78,50 @@ def test_boundary_round_trip_property(y):
     for i in (1, 2):
         x = rx.x_star(cs.stopping, i, y)
         assert rx.b_star(cs, i, x) == pytest.approx(y, abs=1e-10)
+
+
+def _expi_mp(u):
+    """e^{-u} Ei(u) to 30 digits (mpmath)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return float(mpmath.exp(-mpmath.mpf(u))*mpmath.ei(mpmath.mpf(u)))
+
+
+def test_expi_scaled_matches_scipy_on_log_grid():
+    """1e-14 relative to scipy.special.expi for 1e-10 <= |u| <= 700, both
+    signs. Where scipy itself is off by more than 2e-15 (near Ei's root
+    0.3725, and around u = 40, where it is off by up to 2.4e-14) mpmath
+    decides."""
+    special = pytest.importorskip("scipy.special")
+    g = np.geomspace(1e-10, 700.0, 1500)
+    for u in (g, -g):
+        ref = special.expi(u)*np.exp(-u)
+        for j in np.flatnonzero((np.abs(u/0.3725 - 1.0) < 0.1)
+                                | ((u > 35.0) & (u < 45.0))):
+            mp = _expi_mp(u[j])
+            if abs(ref[j] - mp) > 2e-15*abs(mp):
+                ref[j] = mp
+        got = expi_scaled(u)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - ref) <= 1e-14*np.abs(ref))
+
+
+def test_expi_scaled_past_exp_overflow():
+    """700 < |u| <= 1e4, where e^u overflows: 1e-14 relative to mpmath."""
+    for u in np.concatenate([np.geomspace(700.0, 1e4, 60),
+                             -np.geomspace(700.0, 1e4, 60)]):
+        assert expi_scaled(u) == pytest.approx(_expi_mp(u), rel=1e-14)
+
+
+def test_expi_scaled_extremes_and_shapes():
+    u = np.array([5e-324, -5e-324, 1e-300, -1e-300, 1.7e308, -1.7e308])
+    out = expi_scaled(u)
+    assert np.all(np.isfinite(out))
+    assert out[4] == pytest.approx(1.0/1.7e308) and out[5] < 0.0
+    grid = np.linspace(-50.0, 50.0, 40).reshape(8, 5) + 0.25
+    assert expi_scaled(grid).shape == (8, 5)
+    assert np.array_equal(expi_scaled(grid)[3], expi_scaled(grid[3]))
+    assert expi_scaled(np.zeros((0, 3))).shape == (0, 3)
+    big = np.linspace(-80.0, 80.0, 40000)   # several slices, no zero
+    assert np.array_equal(expi_scaled(big)[::997], expi_scaled(big[::997]))
+    assert isinstance(float(expi_scaled(2.0)), float)

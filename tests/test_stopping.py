@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -386,3 +387,19 @@ def test_verify_fbp_levels_raise_first_failing_level(sol_a):
 def test_verify_fbp_needs_two_points(sol_a):
     with pytest.raises(OutOfRange):
         rx.verify_fbp(sol_a, 0.5, n_points=1)
+
+
+def test_nan_level_is_out_of_range(sol_a):
+    for call in (lambda y: rx.w(sol_a, 0.0, 1, y),
+                 lambda y: rx.x_star(sol_a, 2, y),
+                 lambda y: rx.v(sol_a, 0.0, 2, y),
+                 lambda y: rx.verify_fbp(sol_a, y, n_points=50)):
+        for y in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(OutOfRange):
+                call(y)
+
+
+def test_verify_fbp_fails_on_nan_w(sol_a):
+    with pytest.raises(VerificationFailed) as exc:
+        rx.verify_fbp(replace(sol_a, z2=math.nan), 0.5, n_points=200)
+    assert "nan" in str(exc.value)
