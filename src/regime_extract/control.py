@@ -214,7 +214,7 @@ class ValueReport:
     hjb_residual: float
 
     def to_dict(self) -> dict:
-        return {k: float(v) for k, v in vars(self).items()}
+        return vars(self).copy()   # shares the instance's keys
 
 
 def _branches(cs: ControlSolution, x, y, i: int, u: dict, uxx: dict, uy,
@@ -270,8 +270,11 @@ def verify_hjb(cs: ControlSolution, nx: int = 400, ny: int = 50,
     U and U_xx come from one batched evaluation over the whole grid.
     perturbation(x, y, i), if given, is added to U (test hook); it is
     called with (nx, ny) arrays of x and y and an integer regime i.
-    Raises VerificationFailed on the first failing state; a NaN fails.
+    Raises VerificationFailed on the first failing state; a NaN fails,
+    and OutOfRange on an empty grid.
     """
+    if nx < 1 or ny < 1:
+        raise OutOfRange(f"need nx, ny >= 1, got nx={nx}, ny={ny}")
     sol = cs.stopping
     zsum = sol.z1 + sol.z2
     x2_at_0 = zsum + chat(sol.params, 0.0)

@@ -390,8 +390,25 @@ def _fbp_table(sol: StoppingSolution, ys, n_points, grid, c1_step):
         lo, hi = (np.full(ys.shape, g, dtype=float) for g in grid)
     xs = np.ascontiguousarray(np.linspace(lo, hi, n_points, axis=-1))
     h_cell = (hi - lo)/(n_points - 1)
-    w_lo = _w_table(sol, xs, ys[:, None], [(1, 0), (2, 0), (1, 2), (2, 2)], -1)
-    wxx_hi = _w_table(sol, xs, ys[:, None], [(1, 2), (2, 2)], 1)
+    # C1 stencils about the junctions (1, x*_1), (2, x*_1), (2, x*_2), one
+    # table with the grid: each level's 15 stencil points follow its grid
+    h = c1_step
+    bs = np.stack([x1, x1, x2], axis=-1)
+    st = bs[..., None] + h*np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    table = _w_table(sol, np.concatenate([xs, st.reshape(ys.size, 15)], -1),
+                     ys[:, None], [(1, 0), (2, 0), (1, 2), (2, 2)], -1)
+    w_lo = table[..., :n_points]
+    sw = table[:2, :, n_points:].reshape(2, ys.size, 3, 5)
+    # the right limit of w_xx differs from the left one only at grid
+    # points on a boundary; without such points its scans repeat the left
+    # side's values, which _worse's strict > and first NaN keep as they are
+    on = np.nonzero((xs == x1[:, None]) | (xs == x2[:, None]))
+    wxx_sides = [w_lo[2:]]
+    if on[0].size:
+        wxx_hi = w_lo[2:].copy()
+        wxx_hi[:, on[0], on[1]] = _w_table(sol, xs[on], ys[on[0]],
+                                           [(1, 2), (2, 2)], 1)
+        wxx_sides.append(wxx_hi)
 
     # scanned by internal regime, then side
     ode, ineq, dom = (0.0, lo), (-np.inf, lo), (-np.inf, lo)
@@ -399,17 +416,12 @@ def _fbp_table(sol: StoppingSolution, ys, n_points, grid, c1_step):
         wk, wo = w_lo[k - 1], w_lo[2 - k]
         sig, lam = p.sigma(k), p.lam(k)
         eq = xs < ((x1 if k == 1 else x2) - 0.5*h_cell)[:, None]
-        for wxx in (w_lo[k + 1], wxx_hi[k - 1]):
-            op = 0.5*sig*sig*wxx - p.rho*wk + lam*(wo - wk)
+        for wxx in wxx_sides:
+            op = 0.5*sig*sig*wxx[k - 1] - p.rho*wk + lam*(wo - wk)
             ineq = _worse(ineq, op, xs)
             ode = _worse(ode, np.where(eq, np.abs(op), -np.inf), xs)
         dom = _worse(dom, (xs - ch[:, None]) - wk, xs)
 
-    # slopes either side of the junctions (1, x*_1), (2, x*_1), (2, x*_2)
-    h = c1_step
-    bs = np.stack([x1, x1, x2], axis=-1)
-    sw = _w_table(sol, bs[..., None] + h*np.array([-2.0, -1.0, 0.0, 1.0, 2.0]),
-                  ys[:, None, None], [(1, 0), (2, 0)], -1)
     d_lo = (3.0*sw[..., 2] - 4.0*sw[..., 1] + sw[..., 0])/(2.0*h)
     d_hi = (-3.0*sw[..., 2] + 4.0*sw[..., 3] - sw[..., 4])/(2.0*h)
     gap, c1 = np.abs(d_hi - d_lo), (0.0, x1)   # gap[regime - 1, level, j]

@@ -176,6 +176,7 @@ STATES = [(-1.5, 0.5, 1),   # joint continuation (hold everywhere)
           (0.16, 0.9, 2)]   # high reserve near the lower boundary
 
 
+@pytest.mark.slow
 def test_ac09_monte_carlo_value_crosscheck(cs_a):
     t0 = time.time()
     dt, n_paths = 1e-3, 100_000

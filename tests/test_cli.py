@@ -234,6 +234,15 @@ def test_verify_and_value_with_steep_roots(capsys, tmp_path):
     assert abs(out["hjb_residual"]) <= 1e-5
 
 
+@pytest.mark.parametrize("flag", ["--hjb-nx", "--hjb-ny"])
+def test_verify_empty_hjb_grid_is_user_error(capsys, cfg_path, flag):
+    # used to print a traceback and exit 1, the math-failure code
+    assert main(["verify", "--config", cfg_path, "--fbp-points", "200",
+                 flag, "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "nx, ny >= 1" in captured.err
+
+
 @pytest.mark.parametrize("name", ["example.json", "equal_vol.json"])
 def test_verify_injected_error_fails(capsys, name):
     # with equal volatilities the shifted z2 opens regime 2's band too

@@ -193,6 +193,13 @@ def test_verify_hjb_case_b(cs_b):
     assert rep.worst_max_abs <= 1e-5
 
 
+@pytest.mark.parametrize("nx,ny", [(0, 10), (40, 0), (-1, 10)])
+def test_verify_hjb_empty_grid_is_out_of_range(cs_a, nx, ny):
+    # nx = 0 raised an untyped ValueError from argmax, ny = 0 divided by 0
+    with pytest.raises(OutOfRange):
+        rx.verify_hjb(cs_a, nx=nx, ny=ny)
+
+
 # 40x10 worst residuals of the closed-form U (round-off level; the
 # Simpson U read 2.353347794414873e-10 at (-0.4944970292746991, 0.5, 2))
 HJB_40x10 = {

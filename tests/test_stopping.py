@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import regime_extract as rx
+from regime_extract import stopping
 from regime_extract.errors import (AssumptionViolated, DomainError,
                                    NoBracket, OutOfRange,
                                    PreconditionViolated, VerificationFailed)
@@ -13,6 +14,7 @@ from regime_extract.stopping import (FbpReport, _continuation,
                                      case_b_shift_candidates, perturbed)
 
 from conftest import NEAR_EQUAL_KW, draw_from_boxes
+from fbp_oracle import fbp_table
 
 # frozen solver outputs for the example set (grid-search oracle agrees
 # within one 1e-3 cell, see the acceptance suite)
@@ -403,3 +405,39 @@ def test_verify_fbp_fails_on_nan_w(sol_a):
     with pytest.raises(VerificationFailed) as exc:
         rx.verify_fbp(replace(sol_a, z2=math.nan), 0.5, n_points=200)
     assert "nan" in str(exc.value)
+
+
+def _fbp_outcome(sol, y, **kw):
+    """verify_fbp's reports, or the message and report it failed with,
+    as a repr: equal reprs mean equal floats bit for bit, NaN included."""
+    try:
+        return repr(rx.verify_fbp(sol, y, **kw))
+    except VerificationFailed as exc:
+        return repr((str(exc), exc.report))
+
+
+def _assert_fbp_equals_oracle(monkeypatch, sol, y, **kw):
+    out = _fbp_outcome(sol, y, **kw)
+    with monkeypatch.context() as m:
+        m.setattr(stopping, "_fbp_table", fbp_table)
+        assert out == _fbp_outcome(sol, y, **kw)
+
+
+def test_verify_fbp_equals_two_table_oracle(any_sol, monkeypatch):
+    """One w table per pass gives the two-table verifier's reports and
+    failures bit for bit: passing, failing (z2 +- 1e-3) and NaN w."""
+    for sol in (any_sol, perturbed(any_sol, 1e-3), perturbed(any_sol, -1e-3),
+                replace(any_sol, z2=math.nan)):
+        _assert_fbp_equals_oracle(monkeypatch, sol, np.linspace(0.0, 1.0, 11))
+
+
+def test_verify_fbp_right_limits_at_boundary_grid_points(any_sol, monkeypatch):
+    """Grids with a point exactly on x*_1 or x*_2, where w_xx's right
+    limit differs from its left one, match the two-table verifier."""
+    for sol in (any_sol, perturbed(any_sol, 1e-3), perturbed(any_sol, -1e-3)):
+        x1 = sol.z1 + chat(sol.iparams, 0.5)
+        for xb in (x1, x1 + sol.z2):
+            grid = (xb - 1.0, xb + 1.0)
+            assert xb in np.linspace(*grid, 2001)
+            _assert_fbp_equals_oracle(monkeypatch, sol, 0.5, n_points=2001,
+                                      grid=grid)
