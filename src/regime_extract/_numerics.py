@@ -7,9 +7,14 @@ import numpy as np
 
 from .errors import NoBracket, QuadratureNotConverged
 
+BISECT_MAX_ITER = 200   # halvings before bisect returns the midpoint
+# Most nodes one interval may take: past it Simpson raises instead of
+# allocating. Rows reach the integrand in cache-sized slices of nodes.
+NODE_BUDGET, SLICE_NODES = 1 << 20, 1 << 14
 
-def bisect(fun, lo, hi, xtol=1e-12, max_iter=200):
-    """Root of a scalar function on [lo, hi] by plain bisection.
+
+def bisect(fun, lo, hi, xtol=1e-12):
+    """Root of a scalar function on [lo, hi] by plain bisection, to xtol.
 
     Requires a sign change on the bracket; raises NoBracket otherwise.
     """
@@ -21,7 +26,7 @@ def bisect(fun, lo, hi, xtol=1e-12, max_iter=200):
         return hi
     if flo*fhi > 0:
         raise NoBracket(f"no sign change on [{lo}, {hi}] ({flo}, {fhi})")
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5*(lo + hi)
         if hi - lo < xtol:
             return mid
@@ -33,11 +38,6 @@ def bisect(fun, lo, hi, xtol=1e-12, max_iter=200):
         else:
             lo, flo = mid, fm
     return 0.5*(lo + hi)
-
-
-# Most nodes one interval may take: past it Simpson raises instead of
-# allocating. Rows reach the integrand in cache-sized slices of nodes.
-NODE_BUDGET, SLICE_NODES = 1 << 20, 1 << 14
 
 
 def adaptive_simpson(g, a, b, *row_data, tol=1e-9, max_depth=40):

@@ -27,6 +27,7 @@ from .model import check_assumptions, feasibility_scan, params_from_config
 from .stopping import perturbed, solve_z, verify_fbp, x_star
 
 EXIT_OK, EXIT_MATH, EXIT_USER, EXIT_IO = 0, 1, 2, 3
+MAX_SCAN_STEPS = 1000   # scan-region builds its steps^2 CSV lines in memory
 
 
 def _load_config(path):
@@ -236,6 +237,10 @@ def cmd_scan_region(args) -> int:
     if (not all(map(math.isfinite, bounds)) or args.steps < 1 or s1_hi < s1_lo
             or s2_hi < s2_lo or min(s1_lo, s2_lo, *bounds[4:]) <= 0):
         print("error: need finite positive rates and nonempty positive ranges",
+              file=sys.stderr)
+        return EXIT_USER
+    if args.steps > MAX_SCAN_STEPS:
+        print(f"error: --steps must be at most {MAX_SCAN_STEPS}",
               file=sys.stderr)
         return EXIT_USER
     s1 = np.linspace(s1_lo, s1_hi, args.steps)

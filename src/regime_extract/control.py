@@ -29,6 +29,9 @@ from .model import ModelParams, chat
 from .stopping import (StoppingSolution, _branch_form, solve_z,
                        v as v_stop, x_star)
 
+SIMPSON_TOL = 1e-9   # absolute, per branch term integral of a custom cost
+HJB_TAU = 1e-5   # verify_hjb's acceptance tolerance
+
 
 @dataclass(frozen=True)
 class ControlSolution:
@@ -98,17 +101,17 @@ def b_star(cs: ControlSolution, i: int, x):
     return _boundary_inverse(cs.params, external_shift(cs, i), x)
 
 
-def _u_surface(cs: ControlSolution, x, y, series, tol: float = 1e-9):
+def _u_surface(cs: ControlSolution, x, y, series):
     """U or its x-derivatives at the states (x, y), broadcast as arrays:
     one entry per (regime, order 0..2 of the x-derivative) in series.
 
     Below b_1(x) both regimes continue, up to b_2(x) only regime 2 does
     (internal labels). There w's branches are sums of four exponential
     terms (cs._terms), whose integrals over the level _exact_panels gives
-    in closed form for the built-in costs, _simpson_panels to tol for a
-    custom cost; every series weighs the same four. The stopped panel is
-    exact for any cost. Raises OutOfRange on non-finite states or y
-    outside [0, 1].
+    in closed form for the built-in costs, _simpson_panels to SIMPSON_TOL
+    for a custom cost; every series weighs the same four. The stopped
+    panel is exact for any cost. Raises OutOfRange on non-finite states
+    or y outside [0, 1].
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape:
@@ -126,7 +129,7 @@ def _u_surface(cs: ControlSolution, x, y, series, tol: float = 1e-9):
     # the -f(y)/rho of U, which leaves -f(b_k)/rho. Rows: (order, b_k).
     yb = y - bs
     stopped = np.concatenate([(x - p.c)*yb - p.cost.value(bs)/p.rho, yb])
-    ints = (_simpson_panels(cs, x, bs, tol) if p.cost.kind == "custom"
+    ints = (_simpson_panels(cs, x, bs) if p.cost.kind == "custom"
             else _exact_panels(cs, x, bs))
     weights = np.array([cs._terms.weights[s] for s in series])
     # the parts' axis is summed last and contiguous: each state's sum is
@@ -136,9 +139,9 @@ def _u_surface(cs: ControlSolution, x, y, series, tol: float = 1e-9):
     return out.reshape((len(series),) + shape)
 
 
-def _simpson_panels(cs: ControlSolution, x, bs, tol: float):
+def _simpson_panels(cs: ControlSolution, x, bs):
     """_exact_panels' four integrals by batched Simpson doubling, each to
-    tol (absolute): a custom cost has no closed form."""
+    SIMPSON_TOL: a custom cost has no closed form."""
     t, fprime = cs._terms, cs.stopping.iparams.cost.derivative
 
     def terms(j):   # the terms of panel j at nodes z, prices xr
@@ -147,8 +150,9 @@ def _simpson_panels(cs: ControlSolution, x, bs, tol: float):
         return lambda z, xr: np.exp(rate*(xr - anchor) + a_rho*fprime(z))
 
     return np.concatenate([
-        adaptive_simpson(terms(slice(0, 2)), 0.0, bs[0], x, tol=tol),
-        adaptive_simpson(terms(slice(2, 4)), bs[0], bs[1], x, tol=tol)])
+        adaptive_simpson(terms(slice(0, 2)), 0.0, bs[0], x, tol=SIMPSON_TOL),
+        adaptive_simpson(terms(slice(2, 4)), bs[0], bs[1], x,
+                         tol=SIMPSON_TOL)])
 
 
 def _exact_panels(cs: ControlSolution, x, bs):
@@ -181,28 +185,28 @@ def _exact_panels(cs: ControlSolution, x, bs):
     return ends[1] - ends[0]
 
 
-def _value(cs: ControlSolution, x, y, i: int, order: int, tol: float):
-    out = _u_surface(cs, x, y, [(i, order)], tol)[0]
+def _value(cs: ControlSolution, x, y, i: int, order: int):
+    out = _u_surface(cs, x, y, [(i, order)])[0]
     return float(out) if out.ndim == 0 else out
 
 
-def U(cs: ControlSolution, x, y, i: int, tol: float = 1e-9):
+def U(cs: ControlSolution, x, y, i: int):
     """Control value U(x,y,i) = integral_0^y v(x,i;z) dz: in closed form
     for the built-in costs; for a custom cost by Simpson doubling, each
-    branch term's integral to tol (absolute; tol applies to custom costs
-    only). x and y broadcast as arrays; scalars give a float."""
-    return _value(cs, x, y, i, 0, tol)
+    branch term's integral to SIMPSON_TOL (absolute). x and y broadcast
+    as arrays; scalars give a float."""
+    return _value(cs, x, y, i, 0)
 
 
-def U_x(cs: ControlSolution, x, y, i: int, tol: float = 1e-9):
-    """First x-derivative of U; closed form, tol and arrays as in U."""
-    return _value(cs, x, y, i, 1, tol)
+def U_x(cs: ControlSolution, x, y, i: int):
+    """First x-derivative of U; closed form and arrays as in U."""
+    return _value(cs, x, y, i, 1)
 
 
-def U_xx(cs: ControlSolution, x, y, i: int, tol: float = 1e-9):
+def U_xx(cs: ControlSolution, x, y, i: int):
     """Second x-derivative of U, as in U; the fully stopped panel
     contributes nothing."""
-    return _value(cs, x, y, i, 2, tol)
+    return _value(cs, x, y, i, 2)
 
 
 @dataclass(frozen=True)
@@ -257,16 +261,25 @@ class HjbReport:
         return {**vars(self), "worst_state": list(self.worst_state)}
 
 
+def hjb_window(cs: ControlSolution):
+    """verify_hjb's price range [x*_2(0) - 5 z1 - 5, x*_2(0) + 5], with
+    x*_2 the internal regime 2's boundary."""
+    sol = cs.stopping
+    x2_at_0 = sol.z1 + sol.z2 + chat(sol.params, 0.0)
+    return x2_at_0 - 5.0*sol.z1 - 5.0, x2_at_0 + 5.0
+
+
 def verify_hjb(cs: ControlSolution, nx: int = 400, ny: int = 50,
-               tau: float = 1e-5, x_range=None,
                perturbation: Optional[Callable] = None) -> HjbReport:
-    """Check the dynamic-programming equation on a state grid.
+    """Check the dynamic-programming equation on an nx x ny state grid
+    over hjb_window's prices and levels 1/ny, ..., 1.
 
     At every (x, y, i): both branches of
-    max{(G - rho) U - f(y), (x - c) - U_y} are at most tau, the max lies
-    in [-tau, tau], the first branch vanishes (to tau) where y <= b*_i(x)
-    and the second where y >= b*_i(x). The generator uses the closed-form
-    piecewise u_xx integrated per panel, so no differencing noise enters.
+    max{(G - rho) U - f(y), (x - c) - U_y} are at most tau = HJB_TAU, the
+    max lies in [-tau, tau], the first branch vanishes (to tau) where
+    y <= b*_i(x) and the second where y >= b*_i(x). The generator uses
+    the closed-form piecewise u_xx integrated per panel, so no
+    differencing noise enters.
     U and U_xx come from one batched evaluation over the whole grid.
     perturbation(x, y, i), if given, is added to U (test hook); it is
     called with (nx, ny) arrays of x and y and an integer regime i.
@@ -275,14 +288,8 @@ def verify_hjb(cs: ControlSolution, nx: int = 400, ny: int = 50,
     """
     if nx < 1 or ny < 1:
         raise OutOfRange(f"need nx, ny >= 1, got nx={nx}, ny={ny}")
-    sol = cs.stopping
-    zsum = sol.z1 + sol.z2
-    x2_at_0 = zsum + chat(sol.params, 0.0)
-    if x_range is None:
-        x_lo = x2_at_0 - 5.0*sol.z1 - 5.0
-        x_hi = x2_at_0 + 5.0
-    else:
-        x_lo, x_hi = x_range
+    sol, tau = cs.stopping, HJB_TAU
+    x_lo, x_hi = hjb_window(cs)
     xs = np.linspace(x_lo, x_hi, nx)
     ys = np.linspace(1.0/ny, 1.0, ny)
     X, Y = np.meshgrid(xs, ys, indexing="ij")

@@ -29,12 +29,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .control import ControlSolution, b_star, external_shift
+from .control import ControlSolution, b_star, external_shift, hjb_window
 from .errors import OutOfRange, PreconditionViolated, SRPViolated
 from .model import ModelParams
 
 DEFAULT_BATCH_PAIRS = 25_000
 MAX_STEPS = 10_000_000   # grid steps per path; arrays of K + 1 are made
+# skorokhod_check's slack between reserve and boundary, and the least
+# step extraction it counts as one
+BARRIER_TOL, DNU_TOL = 1e-9, 1e-12
 
 
 @dataclass(frozen=True)
@@ -130,13 +133,9 @@ class Trace:
 
 
 def tail_bound(cs: ControlSolution, T: float) -> float:
-    """e^{-rho T} (f(1)/rho + sup |x - c|) over the default verifier grid."""
+    """e^{-rho T} (f(1)/rho + sup |x - c|) over verify_hjb's price range."""
     p = cs.params
-    sol = cs.stopping
-    from .model import chat
-    x2_at_0 = sol.z1 + sol.z2 + chat(p, 0.0)
-    lo = x2_at_0 - 5.0*sol.z1 - 5.0
-    hi = x2_at_0 + 5.0
+    lo, hi = hjb_window(cs)
     sup = max(abs(lo - p.c), abs(hi - p.c))
     return math.exp(-p.rho*T)*(p.cost.value(1.0)/p.rho + sup)
 
@@ -400,8 +399,7 @@ def estimate_value(cs: ControlSolution, x0, y0, i0, policy: Policy,
                       dt=cfg.dt, horizon=T)
 
 
-def skorokhod_check(cs: ControlSolution, trace: Trace,
-                    barrier_tol: float = 1e-9, dnu_tol: float = 1e-12) -> bool:
+def skorokhod_check(cs: ControlSolution, trace: Trace) -> bool:
     """Discrete Skorokhod conditions on a recorded trace (one-step slack).
 
     (1) after every step the reserve sits at or below the boundary of the
@@ -417,20 +415,20 @@ def skorokhod_check(cs: ControlSolution, trace: Trace,
         b_rows[rows] = np.where(trace.regime[rows] == 1,
                                 b_star(cs, 1, trace.X[rows]),
                                 b_star(cs, 2, trace.X[rows]))
-    over = trace.Y > b_rows + barrier_tol
+    over = trace.Y > b_rows + BARRIER_TOL
     if over.any():
         k, j = np.unravel_index(int(np.argmax(over)), over.shape)
         raise SRPViolated(
             f"Y={trace.Y[k, j]} above boundary {b_rows[k, j]} "
             f"at step {k}, path {j}", step=int(k), path=int(j))
-    moved = trace.dnu[1:] > dnu_tol
-    slack = np.abs(b_rows[1:] - b_rows[:-1]) + barrier_tol
+    moved = trace.dnu[1:] > DNU_TOL
+    slack = np.abs(b_rows[1:] - b_rows[:-1]) + BARRIER_TOL
     low = trace.Y[:-1] <= b_rows[1:] - slack
     bad = moved & low
     if trace.switches:
         s_k, s_j, s_i, s_x = trace.switches
         b_sw = np.where(s_i == 1, b_star(cs, 1, s_x), b_star(cs, 2, s_x))
-        fine = trace.Y[s_k - 1, s_j] > b_sw - barrier_tol
+        fine = trace.Y[s_k - 1, s_j] > b_sw - BARRIER_TOL
         bad[s_k[fine] - 1, s_j[fine]] = False
     if bad.any():
         k, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
@@ -438,8 +436,8 @@ def skorokhod_check(cs: ControlSolution, trace: Trace,
             f"extraction {trace.dnu[k + 1, j]} at step {k + 1}, path {j} "
             f"with reserve {trace.Y[k, j]} below boundary {b_rows[k + 1, j]}",
             step=int(k + 1), path=int(j))
-    init_bad = (trace.dnu[0] > dnu_tol) & (
-        trace.Y[0] + trace.dnu[0] <= b_rows[0] - barrier_tol)
+    init_bad = (trace.dnu[0] > DNU_TOL) & (
+        trace.Y[0] + trace.dnu[0] <= b_rows[0] - BARRIER_TOL)
     if init_bad.any():
         j = int(np.argmax(init_bad))
         raise SRPViolated(

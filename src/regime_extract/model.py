@@ -39,6 +39,10 @@ def _positive(*vals) -> bool:
     return all(v is not None and 0.0 < v < math.inf for v in vals)
 
 
+# grid over [0, 1] and slack of f'' on which a custom cost is checked
+CUSTOM_GRID, CUSTOM_CONVEX_TOL = 1001, 1e-9
+
+
 @dataclass(frozen=True)
 class CostFunction:
     """Reserve maintenance cost f with closed-form derivative.
@@ -133,16 +137,16 @@ class CostFunction:
             return y, (np.square(fp) - self.beta**2)/(4.0*self.alpha)
         return y, self.value(y)
 
-    def _check_custom(self, n: int = 1001, tol: float = 1e-9) -> None:
+    def _check_custom(self) -> None:
         if self.value(0.0) != 0.0:
             raise CostNotConvex(f"f(0) must be exactly 0, got {self.value(0.0)}")
-        ys = np.linspace(0.0, 1.0, n)
+        ys = np.linspace(0.0, 1.0, CUSTOM_GRID)
         if not np.all(self.derivative(ys) > 0):
             raise CostNotConvex("f' must be strictly positive on [0, 1]")
         # convexity from second differences of f' (f'' not required)
         h = ys[1] - ys[0]
         d2 = np.diff(self.derivative(ys))/h
-        if not np.all(d2 > -tol):
+        if not np.all(d2 > -CUSTOM_CONVEX_TOL):
             raise CostNotConvex("sampled f'' is negative on [0, 1]")
 
 
@@ -250,13 +254,8 @@ class AssumptionReport:
         return self.a5_le_1 and self.cond2 and self.cond3 and self.cond4
 
     def to_dict(self) -> dict:
-        return {
-            "a5_le_1": self.a5_le_1, "cond2": self.cond2, "cond3": self.cond3,
-            "cond4": self.cond4, "assm2": self.assm2,
-            "lemma_signs": self.lemma_signs, "all_ok": self.all_ok,
-            "case_b": self.case_b,
-            "values": {k: float(v) for k, v in self.values.items()},
-        }
+        return {**vars(self),
+                "values": {k: float(v) for k, v in self.values.items()}}
 
 
 Characteristic = namedtuple(
@@ -298,15 +297,20 @@ def characteristic(rho, sigma1, sigma2, lambda1, lambda2) -> Characteristic:
                           a1, a2, a3, a4)
 
 
-def condition_values(rho, sigma1, sigma2, lambda1, lambda2):
-    """Left-hand sides of the feasibility conditions, vectorized.
+Conditions = namedtuple("Conditions", "k lhs2 lhs3 lhs4 a5_cap case_a case_b")
 
-    Returns (k, lhs2, lhs3, lhs4, a5_cap), k the characteristic
-    constants, where
+
+def condition_values(rho, sigma1, sigma2, lambda1, lambda2, eps=0.0
+                     ) -> Conditions:
+    """The feasibility conditions, vectorized: the one place the
+    solvability rule is decided. k holds the characteristic constants,
     lhs2 = a1 + rho/(alpha5 (rho+lambda2)),
     lhs3 = a1 + cosh(1) rho/(alpha5 (rho+lambda2)),
     lhs4 = (rho/(rho+lambda2) + a4)/a3 - a2/lhs2,
-    a5_cap = min(lambda2, rho)/lambda2.
+    a5_cap = min(lambda2, rho)/lambda2, case_a the four flags the
+    smooth-fit solver needs (alpha5 <= 1, lhs2 < -eps, lhs3 >= 0,
+    lhs4 < -eps) and case_b marks equal volatilities (1e-14 relative),
+    where the conditions are not required.
     """
     k = characteristic(rho, sigma1, sigma2, lambda1, lambda2)
     p2 = rho + lambda2
@@ -315,7 +319,9 @@ def condition_values(rho, sigma1, sigma2, lambda1, lambda2):
     lhs3 = k.a1 + np.cosh(1.0)*r5
     lhs4 = (rho/p2 + k.a4)/k.a3 - k.a2/lhs2
     a5_cap = np.minimum(lambda2, rho)/lambda2
-    return k, lhs2, lhs3, lhs4, a5_cap
+    case_a = (k.alpha5 <= 1.0, lhs2 < -eps, lhs3 >= 0.0, lhs4 < -eps)
+    case_b = np.abs(sigma1 - sigma2) <= 1e-14*np.maximum(sigma1, sigma2)
+    return Conditions(k, lhs2, lhs3, lhs4, a5_cap, case_a, case_b)
 
 
 def check_assumptions(params: ModelParams, eps: float = 0.0
@@ -325,26 +331,17 @@ def check_assumptions(params: ModelParams, eps: float = 0.0
     eps > 0 tightens the strict inequalities so borderline inputs are
     rejected deterministically. A report is always produced.
     """
-    case_b = _sigmas_equal(params)
-    k, lhs2, lhs3, lhs4, a5_cap = condition_values(
-        params.rho, params.sigma1, params.sigma2,
-        params.lambda1, params.lambda2)
-    alpha5 = k.alpha5
+    cv = condition_values(params.rho, params.sigma1, params.sigma2,
+                          params.lambda1, params.lambda2, eps)
+    k = cv.k
     lemma = bool(k.a1 < -eps and k.a2 > eps and k.a3 < -eps and k.a4 > eps)
-    values = {"alpha5": alpha5, "lhs2": lhs2, "lhs3": lhs3, "lhs4": lhs4,
-              "a5_cap": a5_cap, "a1": k.a1, "a2": k.a2, "a3": k.a3,
-              "a4": k.a4}
-    if case_b:
-        return AssumptionReport(True, True, True, True, True, lemma,
-                                all_ok=True, case_b=True, values=values)
-    f1 = bool(alpha5 <= 1.0)
-    f2 = bool(lhs2 < -eps)
-    f3 = bool(lhs3 >= 0.0)
-    f4 = bool(lhs4 < -eps)
-    f5 = bool(alpha5 <= a5_cap)
-    return AssumptionReport(f1, f2, f3, f4, f5, lemma,
-                            all_ok=f1 and f2 and f3 and f4 and f5,
-                            values=values)
+    values = {"alpha5": k.alpha5, "lhs2": cv.lhs2, "lhs3": cv.lhs3,
+              "lhs4": cv.lhs4, "a5_cap": cv.a5_cap, "a1": k.a1, "a2": k.a2,
+              "a3": k.a3, "a4": k.a4}
+    flags = [bool(f | cv.case_b)   # equal volatilities need no condition
+             for f in (*cv.case_a, k.alpha5 <= cv.a5_cap)]
+    return AssumptionReport(*flags, lemma, all_ok=all(flags),
+                            case_b=bool(cv.case_b), values=values)
 
 
 def feasibility_scan(rho, lambda1, lambda2, sigma1_grid, sigma2_grid):
@@ -356,14 +353,6 @@ def feasibility_scan(rho, lambda1, lambda2, sigma1_grid, sigma2_grid):
     """
     s1 = np.asarray(sigma1_grid, dtype=float)[None, :]
     s2 = np.asarray(sigma2_grid, dtype=float)[:, None]
-    k, lhs2, lhs3, lhs4, a5_cap = condition_values(
-        rho, s1, s2, lambda1, lambda2)
-    feasible = (k.alpha5 <= 1.0) & (lhs2 < 0.0) & (lhs3 >= 0.0) & (lhs4 < 0.0)
-    case_b = np.abs(s1 - s2) <= 1e-14*np.maximum(s1, s2)
-    feasible &= ~case_b
-    return feasible, case_b
-
-
-def _sigmas_equal(params: ModelParams) -> bool:
-    return abs(params.sigma1 - params.sigma2) <= 1e-14*max(
-        params.sigma1, params.sigma2)
+    cv = condition_values(rho, s1, s2, lambda1, lambda2)
+    f1, f2, f3, f4 = cv.case_a
+    return f1 & f2 & f3 & f4 & ~cv.case_b, cv.case_b

@@ -34,15 +34,19 @@ class RootSet:
     a4: float
 
 
-def solve_characteristic(params: ModelParams, residual_tol: float = 1e-10,
-                         cross_tol: float = 1e-9) -> RootSet:
+RESIDUAL_TOL, CROSS_TOL = 1e-10, 1e-9   # solve_characteristic's gates
+
+
+def solve_characteristic(params: ModelParams) -> RootSet:
     """Roots and constants for params, with structural invariants enforced.
 
-    a1 is cross-checked against the simplified form -(sigma1^2 alpha3
-    alpha4 / 2 + rho + lambda1)/lambda1 + rho/(rho+lambda2), taking
-    alpha3 alpha4 as the Vieta product sqrt(c_o/a_o) straight from the
-    parameters, so the two routes share no root extraction; disagreement
-    raises CrossCheckFailed.
+    Quartic residuals (relative to the terms that cancel) and the Vieta
+    sum must hold to RESIDUAL_TOL, else DegenerateDiscriminant. a1 is
+    cross-checked against the simplified form -(sigma1^2 alpha3 alpha4 / 2
+    + rho + lambda1)/lambda1 + rho/(rho+lambda2), taking alpha3 alpha4 as
+    the Vieta product sqrt(c_o/a_o) straight from the parameters, so the
+    two routes share no root extraction; beyond CROSS_TOL they raise
+    CrossCheckFailed.
     """
     rho, l1, l2 = params.rho, params.lambda1, params.lambda2
     k = characteristic(rho, params.sigma1, params.sigma2, l1, l2)
@@ -54,19 +58,19 @@ def solve_characteristic(params: ModelParams, residual_tol: float = 1e-10,
     for a in (alpha3, alpha4, -alpha3, -alpha4):
         res = phi(params, 1, a)*phi(params, 2, a) - l1*l2
         # relative to the size of the terms that cancel in Phi_1 Phi_2
-        scale = residual_tol*(0.5*params.sigma1**2*a*a + p1)*(
+        scale = RESIDUAL_TOL*(0.5*params.sigma1**2*a*a + p1)*(
             0.5*params.sigma2**2*a*a + p2)
         if abs(res) > scale:
             raise DegenerateDiscriminant(
                 f"quartic residual {res} at root {a} exceeds {scale}")
     vieta = 2.0*(params.sigma1**2*p2 + params.sigma2**2*p1)/(
         params.sigma1**2*params.sigma2**2)
-    if abs(k.beta1 + k.beta2 - vieta) > residual_tol*vieta:
+    if abs(k.beta1 + k.beta2 - vieta) > RESIDUAL_TOL*vieta:
         raise DegenerateDiscriminant("Vieta sum check failed")
     prod_vieta = 2.0*math.sqrt(
         (p1*p2 - l1*l2)/(params.sigma1**2*params.sigma2**2))
     a1_alt = -(0.5*params.sigma1**2*prod_vieta + p1)/l1 + rho/p2
-    if abs(k.a1 - a1_alt) > cross_tol*max(abs(k.a1), abs(a1_alt)):
+    if abs(k.a1 - a1_alt) > CROSS_TOL*max(abs(k.a1), abs(a1_alt)):
         raise CrossCheckFailed(
             f"a1 mismatch: ratio form {k.a1} vs simplified form {a1_alt}")
     return RootSet(-alpha4, -alpha3, alpha3, alpha4, float(k.alpha5),

@@ -38,8 +38,15 @@ import numpy as np
 from ._numerics import bisect
 from .errors import (AssumptionViolated, DomainError, NoBracket, OutOfRange,
                      PreconditionViolated, VerificationFailed)
-from .model import ModelParams, chat, check_assumptions, _sigmas_equal
+from .model import ModelParams, chat, check_assumptions
 from .roots import RootSet, solve_characteristic
+
+# solve_z brackets z2 in [eps, zhat2 (1 - ENDPOINT_EPS)], eps from
+# ENDPOINT_EPS down by factors of 100 until M1 - M2 changes sign there
+ENDPOINT_EPS = 1e-10
+# verify_fbp's acceptance tolerances (ODE residual, operator inequality,
+# payoff domination, C1 gap) and the step of its one-sided C1 slopes
+ODE_TOL, INEQ_TOL, DOM_TOL, C1_TOL, C1_STEP = 1e-7, 1e-7, 1e-9, 1e-6, 1e-6
 
 
 @dataclass(frozen=True)
@@ -107,8 +114,8 @@ def zhat2_closed_form(params: ModelParams, roots: RootSet) -> float:
     return math.acosh(target)/roots.alpha5
 
 
-def zhat2(params: ModelParams, roots: RootSet, xtol: float = 1e-12) -> float:
-    """Unique positive zero of the M1 denominator, by bisection.
+def zhat2(params: ModelParams, roots: RootSet) -> float:
+    """Unique positive zero of the M1 denominator, by bisection to 1e-12.
 
     The documented precondition (a1 + rho/(a5 (rho+l2)) < 0) is enforced;
     it holds whenever the feasibility conditions do.
@@ -125,7 +132,7 @@ def zhat2(params: ModelParams, roots: RootSet, xtol: float = 1e-12) -> float:
     hi = 1.0/roots.alpha5
     for _ in range(10):   # alpha5*hi up to 512, short of cosh's overflow
         if h(hi) > 0.0:
-            return bisect(h, 0.0, hi, xtol=xtol)
+            return bisect(h, 0.0, hi)
         hi *= 2.0
     raise NoBracket("M1 denominator stays negative up to alpha5 v = 512")
 
@@ -161,20 +168,18 @@ def case_b_shift_candidates(params: ModelParams, roots: RootSet):
     return m1(params, roots, 0.0), m2(params, roots, 0.0)
 
 
-def solve_z(params: ModelParams, bisect_tol: float = 1e-12,
-            endpoint_eps: float = 1e-10) -> StoppingSolution:
+def solve_z(params: ModelParams) -> StoppingSolution:
     """Solve the smooth-fit system, detecting the case.
 
-    Order: equal volatilities (1e-14 relative) -> Case B closed form;
-    otherwise the feasibility conditions as labeled -> Case A; if they
-    fail, swap the regime labels and retry -> Case C solved by symmetry;
-    if both labelings fail, AssumptionViolated (no heuristic fallback).
+    Order: equal volatilities (1e-14 relative) -> Case B closed form
+    z1 = sigma/sqrt(2 rho), z2 = 0; otherwise the feasibility conditions
+    as labeled -> Case A; if they fail, swap the regime labels and retry
+    -> Case C solved by symmetry; if both labelings fail,
+    AssumptionViolated (no heuristic fallback).
     """
-    if _sigmas_equal(params):
-        return _solve_case_b(params)
     report = check_assumptions(params)
-    if report.solvable_case_a:
-        iparams, case, relabeled = params, "A", False
+    if report.case_b or report.solvable_case_a:
+        iparams, case, relabeled = params, "B" if report.case_b else "A", False
     else:
         swapped = params.swapped()
         report_sw = check_assumptions(swapped)
@@ -185,55 +190,46 @@ def solve_z(params: ModelParams, bisect_tol: float = 1e-12,
         iparams, case, relabeled = swapped, "C_relabeled", True
 
     roots = solve_characteristic(iparams)
-    zh = zhat2(iparams, roots)
-
-    def diff(v):   # M1 - M2 on (0, zhat2)
-        A1, T1, A2, T2 = _reduced(iparams, roots, v)
-        return (T1 - roots.a2)/A1 - (T2 - roots.a4)/A2
-
-    eps = endpoint_eps
-    lo, hi = eps, zh*(1.0 - endpoint_eps)
-    for _ in range(6):
-        if diff(lo) < 0.0 < diff(hi):
-            break
-        eps *= 1e-2
-        lo = eps
+    zh = (zhat2_closed_form if case == "B" else zhat2)(iparams, roots)
+    m1_0 = m1(iparams, roots, 0.0, zhat=zh)
+    m2_0 = m2(iparams, roots, 0.0, zhat=zh)
+    if case == "B":   # both candidate shifts must agree with the closed form
+        z1, z2 = iparams.sigma1/math.sqrt(2.0*iparams.rho), 0.0
+        if abs(m1_0 - m2_0) > 1e-10*max(1.0, abs(m1_0)):
+            raise NoBracket("equal-volatility shift candidates disagree: "
+                            f"{m1_0} vs {m2_0}")
+        if abs(m1_0 - z1) > 1e-10*max(1.0, z1):
+            raise NoBracket(f"equal-volatility shift {m1_0} differs from "
+                            f"sigma/sqrt(2 rho)={z1}")
     else:
-        raise NoBracket("M1 - M2 shows no sign change inside (0, zhat2); "
-                        "feasibility checks and solver disagree")
-    # cheap insurance on the proven shape: single sign change, M2 decreasing
-    scan = np.linspace(lo, hi, 65)
-    if np.count_nonzero(np.diff(np.sign(diff(scan)))) != 1:
-        raise NoBracket("M1 - M2 changes sign more than once on (0, zhat2)")
+        def diff(v):   # M1 - M2 on (0, zhat2)
+            A1, T1, A2, T2 = _reduced(iparams, roots, v)
+            return (T1 - roots.a2)/A1 - (T2 - roots.a4)/A2
 
-    z2 = bisect(diff, lo, hi, xtol=bisect_tol)
-    z1 = m1(iparams, roots, z2, zhat=zh)
+        eps = ENDPOINT_EPS
+        lo, hi = eps, zh*(1.0 - ENDPOINT_EPS)
+        for _ in range(6):
+            if diff(lo) < 0.0 < diff(hi):
+                break
+            eps *= 1e-2
+            lo = eps
+        else:
+            raise NoBracket("M1 - M2 shows no sign change inside "
+                            "(0, zhat2); feasibility checks and solver "
+                            "disagree")
+        # cheap insurance on the proven shape: one sign change, M2 decreasing
+        scan = np.linspace(lo, hi, 65)
+        if np.count_nonzero(np.diff(np.sign(diff(scan)))) != 1:
+            raise NoBracket("M1 - M2 changes sign more than once on "
+                            "(0, zhat2)")
+        z2 = bisect(diff, lo, hi)
+        z1 = m1(iparams, roots, z2, zhat=zh)
     return StoppingSolution(
         case=case, z1=float(z1), z2=float(z2), zhat2=float(zh),
         relabeled=relabeled, params=params, iparams=iparams, roots=roots,
         g1_residual=float(g1(iparams, roots, z1, z2)),
         g2_residual=float(g2(iparams, roots, z1, z2)),
-        m1_at_0=m1(iparams, roots, 0.0, zhat=zh),
-        m2_at_0=m2(iparams, roots, 0.0, zhat=zh))
-
-
-def _solve_case_b(params: ModelParams) -> StoppingSolution:
-    roots = solve_characteristic(params)
-    z1 = params.sigma1/math.sqrt(2.0*params.rho)
-    s_a, s_b = case_b_shift_candidates(params, roots)
-    if abs(s_a - s_b) > 1e-10*max(1.0, abs(s_a)):
-        raise NoBracket(
-            f"equal-volatility shift candidates disagree: {s_a} vs {s_b}")
-    if abs(s_a - z1) > 1e-10*max(1.0, z1):
-        raise NoBracket(
-            f"equal-volatility shift {s_a} differs from sigma/sqrt(2 rho)={z1}")
-    zh = zhat2_closed_form(params, roots)
-    return StoppingSolution(
-        case="B", z1=z1, z2=0.0, zhat2=zh, relabeled=False,
-        params=params, iparams=params, roots=roots,
-        g1_residual=float(g1(params, roots, z1, 0.0)),
-        g2_residual=float(g2(params, roots, z1, 0.0)),
-        m1_at_0=s_a, m2_at_0=s_b)
+        m1_at_0=m1_0, m2_at_0=m2_0)
 
 
 def x_star(sol: StoppingSolution, i: int, y):
@@ -377,7 +373,7 @@ def _worse(worst, vals, at):
             np.where(up, at[rows, j], worst[1]))
 
 
-def _fbp_table(sol: StoppingSolution, ys, n_points, grid, c1_step):
+def _fbp_table(sol: StoppingSolution, ys, n_points, grid):
     """One row per level in ys: y, the grid ends, then the worst offender
     and its x of the ODE, inequality, domination and C1 checks."""
     p = sol.iparams
@@ -392,7 +388,7 @@ def _fbp_table(sol: StoppingSolution, ys, n_points, grid, c1_step):
     h_cell = (hi - lo)/(n_points - 1)
     # C1 stencils about the junctions (1, x*_1), (2, x*_1), (2, x*_2), one
     # table with the grid: each level's 15 stencil points follow its grid
-    h = c1_step
+    h = C1_STEP
     bs = np.stack([x1, x1, x2], axis=-1)
     st = bs[..., None] + h*np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     table = _w_table(sol, np.concatenate([xs, st.reshape(ys.size, 15)], -1),
@@ -430,28 +426,25 @@ def _fbp_table(sol: StoppingSolution, ys, n_points, grid, c1_step):
     return np.stack([ys, lo, hi, *ode, *ineq, *dom, *c1], axis=1)
 
 
-def verify_fbp(sol: StoppingSolution, y, n_points: int = 10000,
-               grid=None, ode_tol: float = 1e-7, ineq_tol: float = 1e-7,
-               dom_tol: float = 1e-9, c1_tol: float = 1e-6,
-               c1_step: float = 1e-6):
+def verify_fbp(sol: StoppingSolution, y, n_points: int = 10000, grid=None):
     """Grid check that w solves the free boundary problem at level y, or
     at each level of a 1-D array y (then a list of reports).
 
-    (i) the coupled ODEs hold to ode_tol where equality is required,
-    (ii) the operator inequality holds everywhere to ineq_tol (one-sided
-    at the boundaries), (iii) w dominates the payoff to dom_tol, and
-    (iv) w is C^1 at the boundaries, comparing second-order one-sided
-    difference slopes with step c1_step. Raises VerificationFailed with
-    the worst offender of the first failing level; a NaN anywhere fails.
+    (i) the coupled ODEs hold to ODE_TOL where equality is required,
+    (ii) the operator inequality holds everywhere to INEQ_TOL (one-sided
+    at the boundaries), (iii) w dominates the payoff to DOM_TOL, and
+    (iv) w is C^1 at the boundaries to C1_TOL, comparing second-order
+    one-sided difference slopes with step C1_STEP. Raises
+    VerificationFailed with the worst offender of the first failing
+    level; a NaN anywhere fails.
     """
     if n_points < 2:
         raise OutOfRange(f"n_points must be at least 2, got {n_points}")
     ys = np.asarray(y, dtype=float).reshape(-1)
     step = max(1, (1 << 15)//n_points)   # levels per pass: arrays of a few MB
-    table = np.concatenate([_fbp_table(sol, ys[s:s + step], n_points,
-                                       grid, c1_step)
+    table = np.concatenate([_fbp_table(sol, ys[s:s + step], n_points, grid)
                             for s in range(0, max(ys.size, 1), step)])
-    tols = (ode_tol, ineq_tol, dom_tol, c1_tol)
+    tols = (ODE_TOL, INEQ_TOL, DOM_TOL, C1_TOL)
     messages = ("ODE residual {} at x={}", "operator inequality {} at x={}",
                 "payoff domination violated by {} at x={}",
                 "C1 fit gap {} at boundary x={}")

@@ -4,10 +4,10 @@ stencils. regime_extract.stopping._fbp_table must equal it bit for bit."""
 import numpy as np
 
 from regime_extract.model import chat
-from regime_extract.stopping import _w_table, _worse
+from regime_extract.stopping import C1_STEP, _w_table, _worse
 
 
-def fbp_table(sol, ys, n_points, grid, c1_step):
+def fbp_table(sol, ys, n_points, grid):
     p = sol.iparams
     ch = chat(p, ys)
     x1 = sol.z1 + ch
@@ -34,7 +34,7 @@ def fbp_table(sol, ys, n_points, grid, c1_step):
         dom = _worse(dom, (xs - ch[:, None]) - wk, xs)
 
     # slopes either side of the junctions (1, x*_1), (2, x*_1), (2, x*_2)
-    h = c1_step
+    h = C1_STEP
     bs = np.stack([x1, x1, x2], axis=-1)
     sw = _w_table(sol, bs[..., None] + h*np.array([-2.0, -1.0, 0.0, 1.0, 2.0]),
                   ys[:, None, None], [(1, 0), (2, 0)], -1)

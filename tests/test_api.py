@@ -1,0 +1,88 @@
+import inspect
+
+import regime_extract as rx
+
+# Parameter names of every public callable that has a signature. Each
+# tolerance is a module constant at its one place of use, not a keyword:
+# a new parameter has to be added here on purpose.
+PINNED_SIGNATURES = {
+    "AssumptionReport": ("a5_le_1", "cond2", "cond3", "cond4", "assm2",
+                         "lemma_signs", "all_ok", "case_b", "values"),
+    "AssumptionViolated": ("message", "report", "swapped_report"),
+    "ControlSolution": ("stopping",),
+    "CostFunction": ("kind", "gamma", "alpha", "beta", "f", "fprime"),
+    "ModelParams": ("rho", "sigma1", "sigma2", "lambda1", "lambda2", "c",
+                    "cost"),
+    "NonPositiveParameter": ("field", "value"),
+    "OrderingViolated": ("message", "x"),
+    "Policy": ("kind", "bfun"),
+    "RootSet": ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "beta1",
+                "beta2", "a1", "a2", "a3", "a4"),
+    "SRPViolated": ("message", "step", "path"),
+    "SimConfig": ("dt", "horizon", "n_paths", "base_seed", "antithetic",
+                  "batch_pairs"),
+    "SimOutcome": ("mean", "std_error", "n_paths", "tail_bound", "policy_id",
+                   "dt", "horizon"),
+    "StoppingSolution": ("case", "z1", "z2", "zhat2", "relabeled", "params",
+                         "iparams", "roots", "g1_residual", "g2_residual",
+                         "m1_at_0", "m2_at_0"),
+    "Trace": ("t", "regime", "X", "Y", "dnu", "disc_inc", "dt", "policy_id",
+              "switches"),
+    "U": ("cs", "x", "y", "i"),
+    "U_report": ("cs", "x", "y", "i"),
+    "U_x": ("cs", "x", "y", "i"),
+    "U_xx": ("cs", "x", "y", "i"),
+    "ValueReport": ("U", "Uy", "Ux", "Uxx", "hjb_residual"),
+    "VerificationFailed": ("message", "report"),
+    "b_sharp": ("params", "sigma", "x"),
+    "b_star": ("cs", "i", "x"),
+    "chat": ("params", "y"),
+    "check_assumptions": ("params", "eps"),
+    "check_sign_lemma": ("roots",),
+    "compare_boundaries": ("cs", "n", "x_range"),
+    "estimate_value": ("cs", "x0", "y0", "i0", "policy", "cfg"),
+    "feasibility_scan": ("rho", "lambda1", "lambda2", "sigma1_grid",
+                         "sigma2_grid"),
+    "from_stopping": ("sol",),
+    "g1": ("params", "roots", "u", "v"),
+    "g2": ("params", "roots", "u", "v"),
+    "m1": ("params", "roots", "v", "zhat"),
+    "m2": ("params", "roots", "v", "zhat"),
+    "params_from_config": ("cfg",),
+    "phi": ("params", "i", "alpha"),
+    "simulate_traces": ("cs", "x0", "y0", "i0", "policy", "cfg", "n_paths"),
+    "single_regime_boundary": ("params", "sigma", "y"),
+    "skorokhod_check": ("cs", "trace"),
+    "solve_characteristic": ("params",),
+    "solve_control": ("params",),
+    "solve_z": ("params",),
+    "trace_to_csv": ("trace", "path", "path_index"),
+    "v": ("sol", "x", "i", "y"),
+    "validate": ("rho", "sigma1", "sigma2", "lambda1", "lambda2", "c",
+                 "cost"),
+    "verify_fbp": ("sol", "y", "n_points", "grid"),
+    "verify_hjb": ("cs", "nx", "ny", "perturbation"),
+    "w": ("sol", "x", "i", "y"),
+    "w_x": ("sol", "x", "i", "y"),
+    "w_xx": ("sol", "x", "i", "y", "side"),
+    "x_star": ("sol", "i", "y"),
+    "zhat2": ("params", "roots"),
+    "zhat2_closed_form": ("params", "roots"),
+}
+
+
+def _signatures():
+    out = {}
+    for name in rx.__all__:
+        obj = getattr(rx, name)
+        if not callable(obj):
+            continue
+        try:
+            out[name] = tuple(inspect.signature(obj).parameters)
+        except ValueError:   # exceptions that keep Exception's own init
+            continue
+    return out
+
+
+def test_public_signatures_pinned():
+    assert _signatures() == PINNED_SIGNATURES

@@ -345,6 +345,16 @@ def test_scan_region_rejects_non_finite(capsys, flag, value):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("steps", ["1001", "10000000"])
+def test_scan_region_steps_capped(capsys, steps):
+    # steps^2 CSV lines are kept in memory: refused before any is built
+    assert main(["scan-region", "--rho", "0.03", "--lambda1", "0.017",
+                 "--lambda2", "0.016", "--sigma1-range", "0.01:0.06",
+                 "--sigma2-range", "0.5:1.2", "--steps", steps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_scan_region_file_and_svg(capsys, tmp_path):
     out = tmp_path/"scan.csv"
     code = main(["scan-region", "--rho", "0.03", "--lambda1", "0.017",
@@ -569,3 +579,73 @@ def test_simulate_stdout_pinned(capsys, key):
         argv += ["--horizon", horizon]
     assert main(argv) == 0
     assert capsys.readouterr().out == PINNED_SIMULATE[key]
+
+
+# sha256 of check's stdout, recorded before the solvability rule was
+# written once: both configs, and the example with its regimes swapped
+# (conditions_failed, exit 1)
+SWAPPED = dict(EXAMPLE, sigma1=1.9, sigma2=0.38, lambda1=0.44, lambda2=1.7)
+PINNED_CHECK = {
+    "example": (0, "72c96df213cf4084587a1a34b1b84da3"
+                   "f36ccd3a3101d7b0d902f59efb523bd8"),
+    "equal_vol": (0, "c966e39bc1f289a387af0b1e8493a1f2"
+                     "da03303acc1e3e85ec9193c0f89364f8"),
+    "swapped": (1, "e5d67a07b295e5e9042514c7c492084e"
+                   "bd962d62ff2b7005cf8796cc3dc5b046"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CHECK))
+def test_check_stdout_pinned(capsys, tmp_path, name):
+    path = CONFIGS/f"{name}.json"
+    if name == "swapped":
+        path = tmp_path/"swapped.json"
+        path.write_text(json.dumps(SWAPPED))
+    code = main(["check", "--config", str(path)])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        PINNED_CHECK[name], out
+
+
+# stdout of value at two states per config, recorded before the
+# tolerances became module constants
+PINNED_VALUE = {
+    ("example.json", "0.6", "0.5", "2"): (
+        '{\n  "U": 0.11416649859204625,\n  "Uy": 0.14165081014872172,\n'
+        '  "Ux": 0.3569186107040433,\n  "Uxx": 0.15583335275598942,\n'
+        '  "hjb_residual": -2.7755575615628914e-17\n}\n'),
+    ("example.json", "-1.0", "0.3", "1"): (
+        '{\n  "U": -0.17983417592153075,\n  "Uy": -0.7324448732683969,\n'
+        '  "Ux": 0.08031294925844634,\n  "Uxx": 0.03803913893972523,\n'
+        '  "hjb_residual": -4.163336342344337e-17\n}\n'),
+    ("equal_vol.json", "-2.0", "0.3", "1"): (
+        '{\n  "U": -0.7015015797798478,\n  "Uy": -2.7506710358827786,\n'
+        '  "Ux": 0.07849842022015224,\n  "Uxx": 0.07849842022015224,\n'
+        '  "hjb_residual": 0.0\n}\n'),
+    ("equal_vol.json", "0.5", "0.8", "2"): (
+        '{\n  "U": -0.4,\n  "Uy": -0.5,\n  "Ux": 0.8,\n  "Uxx": 0.0,\n'
+        '  "hjb_residual": 0.0\n}\n'),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_VALUE),
+                         ids=lambda k: "-".join(k).replace(".json", ""))
+def test_value_stdout_pinned(capsys, key):
+    name, x, y, regime = key
+    assert main(["value", "--config", str(CONFIGS/name), f"--x={x}",
+                 "--y", y, "--regime", regime]) == 0
+    assert capsys.readouterr().out == PINNED_VALUE[key]
+
+
+# sha256 of scan-region's stdout on the README's box at 7 steps
+PINNED_SCAN = ("097934f9b47e3f44d8370cda5064bb95"
+               "d49893539a4b624b9377e392c3fa2112")
+
+
+def test_scan_region_stdout_pinned(capsys):
+    assert main(["scan-region", "--rho", "0.03", "--lambda1", "0.017",
+                 "--lambda2", "0.016", "--sigma1-range", "0.01:0.06",
+                 "--sigma2-range", "0.5:1.2", "--steps", "7"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SCAN, out
+    assert out.count("\n") == 1 + 7*7

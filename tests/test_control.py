@@ -402,23 +402,32 @@ def test_closed_form_past_expi_overflow():
 @pytest.mark.parametrize("kind", ["exponential", "quadratic"])
 def test_closed_form_matches_simpson(kind):
     """The built-in costs' closed form against the Simpson path, which a
-    custom cost with the same f and f' takes, at sweep-like states."""
+    custom cost with the same f and f' takes, at sweep-like states and
+    (quadratic) at SIMPSON_TRAP's state."""
     rng = np.random.default_rng(17)
+    cases = []   # (solution, prices, levels, regimes)
     for p in draw_from_boxes(rng, 6):
         cost = (p.cost if kind == "exponential"
                 else rx.CostFunction.quadratic(rng.uniform(0.1, 0.3), 1/3))
-        twin = rx.CostFunction.custom(cost.value, cost.derivative)
         exact = rx.solve_control(rx.validate(
             p.rho, p.sigma1, p.sigma2, p.lambda1, p.lambda2, p.c, cost))
+        sol = exact.stopping
+        lo, hi = sorted((rx.x_star(sol, 1, 0.5), rx.x_star(sol, 2, 0.5)))
+        cases.append((exact, np.array([lo - 1.0, 0.5*(lo + hi), hi + 1.0,
+                                       lo - 5.0]), (0.3, 1.0), (1, 2)))
+    if kind == "quadratic":
+        kw, cost, (x, y, i) = SIMPSON_TRAP
+        cases.append((rx.solve_control(rx.validate(**kw, cost=cost)),
+                      np.array([x]), (y,), (i,)))
+    for exact, xs, levels, regimes in cases:
+        cost = exact.stopping.iparams.cost
+        twin = rx.CostFunction.custom(cost.value, cost.derivative)
         simpson = rx.from_stopping(dataclasses.replace(
             exact.stopping, iparams=dataclasses.replace(
                 exact.stopping.iparams, cost=twin)))
-        sol = exact.stopping
-        lo, hi = sorted((rx.x_star(sol, 1, 0.5), rx.x_star(sol, 2, 0.5)))
-        xs = np.array([lo - 1.0, 0.5*(lo + hi), hi + 1.0, lo - 5.0])
-        for y in (0.3, 1.0):
+        for y in levels:
             for value in (rx.U, rx.U_x, rx.U_xx):
-                for i in (1, 2):
+                for i in regimes:
                     a, b = value(exact, xs, y, i), value(simpson, xs, y, i)
                     assert np.all(np.abs(a - b)
                                   <= 2e-9*np.maximum(1.0, np.abs(b)))
