@@ -154,11 +154,6 @@ def cmd_boundary(args, params, cfg_hash) -> int:
 
 
 def cmd_value(args, params, cfg_hash) -> int:
-    if (not math.isfinite(args.x) or not 0.0 <= args.y <= 1.0
-            or args.regime not in (1, 2)):
-        print("error: need finite x, 0 <= y <= 1 and regime in {1,2}",
-              file=sys.stderr)
-        return EXIT_USER
     cs = from_stopping(solve_z(params))
     rep = U_report(cs, args.x, args.y, args.regime)
     _emit(rep.to_dict())
@@ -191,9 +186,6 @@ def cmd_simulate(args, params, cfg_hash) -> int:
              "extract_all_at_start": Policy.extract_all_at_start}
     if args.policy not in kinds:
         print(f"error: unknown policy {args.policy!r}", file=sys.stderr)
-        return EXIT_USER
-    if not math.isfinite(args.x):
-        print("error: need a finite x", file=sys.stderr)
         return EXIT_USER
     cs = from_stopping(solve_z(params))
     try:

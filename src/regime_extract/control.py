@@ -261,18 +261,11 @@ class HjbReport:
         return {**vars(self), "worst_state": list(self.worst_state)}
 
 
-def hjb_window(cs: ControlSolution):
-    """verify_hjb's price range [x*_2(0) - 5 z1 - 5, x*_2(0) + 5], with
-    x*_2 the internal regime 2's boundary."""
-    sol = cs.stopping
-    x2_at_0 = sol.z1 + sol.z2 + chat(sol.params, 0.0)
-    return x2_at_0 - 5.0*sol.z1 - 5.0, x2_at_0 + 5.0
-
-
 def verify_hjb(cs: ControlSolution, nx: int = 400, ny: int = 50,
                perturbation: Optional[Callable] = None) -> HjbReport:
     """Check the dynamic-programming equation on an nx x ny state grid
-    over hjb_window's prices and levels 1/ny, ..., 1.
+    over the prices [x*_2(0) - 5 z1 - 5, x*_2(0) + 5], with x*_2 the
+    internal regime 2's boundary, and levels 1/ny, ..., 1.
 
     At every (x, y, i): both branches of
     max{(G - rho) U - f(y), (x - c) - U_y} are at most tau = HJB_TAU, the
@@ -289,7 +282,8 @@ def verify_hjb(cs: ControlSolution, nx: int = 400, ny: int = 50,
     if nx < 1 or ny < 1:
         raise OutOfRange(f"need nx, ny >= 1, got nx={nx}, ny={ny}")
     sol, tau = cs.stopping, HJB_TAU
-    x_lo, x_hi = hjb_window(cs)
+    x2_at_0 = sol.z1 + sol.z2 + chat(sol.params, 0.0)
+    x_lo, x_hi = x2_at_0 - 5.0*sol.z1 - 5.0, x2_at_0 + 5.0
     xs = np.linspace(x_lo, x_hi, nx)
     ys = np.linspace(1.0/ny, 1.0, ny)
     X, Y = np.meshgrid(xs, ys, indexing="ij")

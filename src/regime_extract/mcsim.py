@@ -9,13 +9,14 @@ reserve onto the boundary, Delta nu = (Y - b(regime, X))^+, which places
 a lump at t = 0 and, because the regime-1 boundary lies below the
 regime-2 one, automatic lumps at 2 -> 1 switches.
 
-One batch engine runs every policy. The running cost f(Y) is accrued
-lazily, at each extraction and at the horizon, since Y is constant in
-between; reflect_optimal triggers on the price threshold x*_i(Y) and
-projects in f'-space. Pairs whose reserve is exhausted are compacted
-away, which changes the draws the survivors see but not their law.
-Recording a trace turns compaction off and settles the running cost at
-every grid time.
+One batch engine runs every policy; the antithetic members lie on one
+axis, moving by +1 and -1 times the shared increments, and one reflect
+step serves both. The running cost f(Y) is accrued lazily, at each
+extraction and at the horizon, since Y is constant in between;
+reflect_optimal triggers on the price threshold x*_i(Y) and projects in
+f'-space. Pairs whose reserve is exhausted are compacted away, which
+changes the draws the survivors see but not their law; a recorded trace
+is never compacted and settles the running cost at every grid time.
 
 estimate_value runs path pairs in fixed-size batches whose generators are
 seeded from (base_seed, batch_index) and aggregates them in batch order,
@@ -29,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .control import ControlSolution, b_star, external_shift, hjb_window
+from .control import ControlSolution, _boundary_inverse, external_shift
 from .errors import OutOfRange, PreconditionViolated, SRPViolated
 from .model import ModelParams
 
@@ -38,6 +39,9 @@ MAX_STEPS = 10_000_000   # grid steps per path; arrays of K + 1 are made
 # skorokhod_check's slack between reserve and boundary, and the least
 # step extraction it counts as one
 BARRIER_TOL, DNU_TOL = 1e-9, 1e-12
+# policies whose payoff estimate_value writes in closed form
+_CLOSED_FORM = ("never_extract", "extract_all_at_start")
+_KINDS = ("reflect_optimal", "reflect_at_custom_boundary") + _CLOSED_FORM
 
 
 @dataclass(frozen=True)
@@ -87,10 +91,6 @@ class Policy:
     def reflect_at_custom_boundary(bfun: Callable) -> "Policy":
         return Policy("reflect_at_custom_boundary", bfun=bfun)
 
-    @property
-    def policy_id(self) -> str:
-        return self.kind
-
 
 @dataclass(frozen=True)
 class SimOutcome:
@@ -124,30 +124,42 @@ class Trace:
     # step that closes the switch, its column, the new regime and the price
     switches: tuple = ()
 
-    @property
-    def n_paths(self) -> int:
-        return self.X.shape[1]
-
     def payoffs(self) -> np.ndarray:
         return self.disc_inc.sum(axis=0)
 
 
-def tail_bound(cs: ControlSolution, T: float) -> float:
-    """e^{-rho T} (f(1)/rho + sup |x - c|) over verify_hjb's price range."""
+def tail_bound(cs: ControlSolution, x0, y0, T: float) -> float:
+    """Bound on the payoff a run from (x0, y0) truncated at T leaves out:
+    e^{-rho T} (f(y0)/rho + y0 (|x0 - c| + sigma_max (sqrt T + 4/sqrt rho))).
+
+    Any admissible policy has |V(x, y, i)| <= f(y)/rho + y E sup_t
+    e^{-rho t} |X_t - c|. At T the reserve is at most y0, and
+    |X_{T+t} - c| <= |x0 - c| + |X_T - x0| + |X_{T+t} - X_T| with
+    E|X_T - x0| <= sigma_max sqrt T. Doob's L2 inequality on the windows
+    [k/rho, (k+1)/rho), where e^{-rho t} <= e^{-k}, bounds
+    E sup_t e^{-rho t} |X_{T+t} - X_T| by (2 sigma_max/sqrt rho)
+    sum_k e^{-k} sqrt(k+1) < 4 sigma_max/sqrt rho. It is 0 at y0 = 0.
+    """
     p = cs.params
-    lo, hi = hjb_window(cs)
-    sup = max(abs(lo - p.c), abs(hi - p.c))
-    return math.exp(-p.rho*T)*(p.cost.value(1.0)/p.rho + sup)
+    spread = max(p.sigma1, p.sigma2)*(math.sqrt(T) + 4.0/math.sqrt(p.rho))
+    return math.exp(-p.rho*T)*(float(p.cost.value(y0))/p.rho
+                               + y0*(abs(x0 - p.c) + spread))
 
 
-def _check_state(x0, y0, i0) -> None:
-    """Start state: finite price, reserve in [0, 1], regime 1 or 2."""
-    if not math.isfinite(x0):
-        raise OutOfRange(f"initial price must be finite, got {x0}")
-    if not 0.0 <= y0 <= 1.0:
-        raise OutOfRange(f"reserve level must lie in [0, 1], got {y0}")
-    if i0 not in (1, 2):
-        raise OutOfRange(f"regime must be 1 or 2, got {i0}")
+def _checked_run(cs: ControlSolution, x0, y0, i0, cfg: SimConfig, n_paths,
+                 paired=True):
+    """(T, K, m) of a run of n_paths paths, after checking the start state,
+    the horizon, n_paths >= 1 and, if paired, its parity under antithetics."""
+    if not (math.isfinite(x0) and 0.0 <= y0 <= 1.0 and i0 in (1, 2)):
+        raise OutOfRange("need a finite price, a reserve in [0, 1] and "
+                         f"regime 1 or 2, got x={x0}, y={y0}, regime={i0}")
+    T = cfg.resolved_horizon(cs.params)
+    if n_paths < 1:
+        raise OutOfRange(f"n_paths must be >= 1, got {n_paths}")
+    m = 2 if cfg.antithetic else 1
+    if paired and n_paths % m:
+        raise PreconditionViolated("antithetic runs need an even n_paths")
+    return T, int(round(T/cfg.dt)), m
 
 
 def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
@@ -155,11 +167,15 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
                     compact_every=256):
     """n_pairs path pairs (single paths without antithetics) seeded from
     (seed, batch_idx): the (m, n_pairs) discounted payoffs, or with
-    record=True the Trace of all m*n_pairs paths."""
-    p = cs.params
-    cost = p.cost
-    rho, c = p.rho, p.c
+    record=True the Trace of all m*n_pairs paths. Row r of every (m, n)
+    state array is antithetic member r, which moves by sgn[r] times the
+    shared price increments."""
     kind = policy.kind
+    if kind not in _KINDS:
+        raise PreconditionViolated(f"unknown policy {kind!r}")
+    reflecting = kind not in _CLOSED_FORM
+    p = cs.params
+    cost, rho, c = p.cost, p.rho, p.c
     shift_tbl = np.array([np.nan, external_shift(cs, 1), external_shift(cs, 2)])
     sig_tbl = np.array([np.nan, p.sigma1, p.sigma2])
     lam_tbl = np.array([np.nan, p.lambda1, p.lambda2])
@@ -167,65 +183,65 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
     ss = np.random.SeedSequence([seed, batch_idx])
     gc, gn = (np.random.Generator(np.random.PCG64(s)) for s in ss.spawn(2))
     m = 2 if antithetic else 1
+    sgn = np.array([[1.0], [-1.0]])[:m]
     n = n_pairs
     disc = np.exp(-rho*dt*np.arange(K + 1))
     sqdt = math.sqrt(dt)
+    every = slice(None)
 
     i = np.full(n, i0, dtype=np.int64)
     R = gc.exponential(1.0/lam_tbl[i0], size=n)
     s_cur = np.full(n, sig_tbl[i0]*sqdt)
-    X = np.full((m, n), float(x0))
-    Y = np.full((m, n), float(y0))
+    X, Y = np.full((m, n), float(x0)), np.full((m, n), float(y0))
     fpY = np.full((m, n), float(cost.derivative(y0)))
     fY = np.full((m, n), float(cost.value(y0)))
     pay = np.zeros((m, n))
     dlast = np.ones((m, n))  # discount factor up to which f(Y) is paid
     shift_p = np.full(n, shift_tbl[i0])
-    xthr = shift_p + c - fpY/rho  # reflect_optimal's price threshold
+    xthr = np.empty((m, n))  # reflect_optimal's price trigger
     fp_lo, fp_hi = float(cost.derivative(0.0)), float(cost.derivative(1.0))
 
-    if kind == "reflect_optimal":
-        def over(mm, idx):
-            return X[mm, idx] > xthr[mm, idx], None
-    elif kind == "reflect_at_custom_boundary":
-        def over(mm, idx):
-            b = np.clip(policy.bfun(i[idx], X[mm, idx]), 0.0, 1.0)
-            return b < Y[mm, idx], b
-    elif kind in ("never_extract", "extract_all_at_start"):
-        over = None
-    else:
-        raise PreconditionViolated(f"unknown policy {kind!r}")
+    def threshold(r, col):
+        """x*_i(Y) = shift_i + c - f'(Y)/rho on the entries (r, col), or
+        infinity once the reserve is exhausted."""
+        xthr[r, col] = np.where(Y[r, col] > 0.0,
+                                shift_p[col] + c - fpY[r, col]/rho, np.inf)
 
-    def extract(mm, sel, d, y_new=None):
-        """Lower the reserve of member mm on paths sel to y_new (default:
-        the optimal boundary) at discount factor d."""
-        Xs = X[mm, sel]
-        if y_new is None:
-            fp_new = np.clip(rho*(c + shift_p[sel] - Xs), fp_lo, fp_hi)
-            y_new, f_new = cost.from_derivative(fp_new)
-            fpY[mm, sel] = fp_new
-            xthr[mm, sel] = np.where(y_new > 0.0,
-                                     shift_p[sel] + c - fp_new/rho, np.inf)
-        else:
-            f_new = cost.value(y_new)
-        dnu = Y[mm, sel] - y_new
-        pay[mm, sel] += d*((Xs - c)*dnu) - fY[mm, sel]*(dlast[mm, sel] - d)/rho
-        Y[mm, sel] = y_new
-        fY[mm, sel] = f_new
-        dlast[mm, sel] = d
+    def lower(r, col, d, y_new, f_new):
+        """Extract the entries (r, col) down to y_new (running cost f_new)
+        at discount factor d, settling their running cost up to d."""
+        dnu = Y[r, col] - y_new
+        pay[r, col] += (d*((X[r, col] - c)*dnu)
+                        - fY[r, col]*(dlast[r, col] - d)/rho)
+        Y[r, col] = y_new
+        fY[r, col] = f_new
+        dlast[r, col] = d
         if record:
-            dnu_row[mm, sel] += dnu
+            dnu_row[r, col] += dnu
 
-    def project(d, idx=None):
-        """Reflect the paths idx (default all) at discount factors d (one
-        per path of idx, or a scalar for all)."""
-        for mm in range(m):
-            trig, b = over(mm, slice(None) if idx is None else idx)
-            if trig.any():
-                sel = np.flatnonzero(trig)
-                extract(mm, sel if idx is None else idx[sel],
-                        d if idx is None else d[sel],
-                        None if b is None else b[sel])
+    def reflect(d, cols=None):
+        """Reflect both members on the paths cols (default all) at the
+        discount factors d (one per path of cols, or a scalar for all)."""
+        at = every if cols is None else cols
+        if kind == "reflect_optimal":
+            trig = X[:, at] > xthr[:, at]
+        else:
+            b = np.clip(policy.bfun(np.tile(i[at], m), X[:, at].reshape(-1)),
+                        0.0, 1.0).reshape(m, -1)
+            trig = b < Y[:, at]
+        hits = np.flatnonzero(trig)  # np.nonzero of a 2-D mask is 10x slower
+        if not hits.size:
+            return
+        r, j = np.divmod(hits, trig.shape[1])
+        col = j if cols is None else cols[j]
+        d = d if np.ndim(d) == 0 else d[j]
+        if kind == "reflect_optimal":
+            fp = np.clip(rho*(c + shift_p[col] - X[r, col]), fp_lo, fp_hi)
+            fpY[r, col] = fp
+            lower(r, col, d, *cost.from_derivative(fp))
+            threshold(r, col)
+        else:
+            lower(r, col, d, b[r, j], cost.value(b[r, j]))
 
     if record:
         compact_every = 0
@@ -234,7 +250,7 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
                       regime=np.empty((K + 1, N), dtype=np.int8),
                       X=np.empty((K + 1, N)), Y=np.empty((K + 1, N)),
                       dnu=np.zeros((K + 1, N)), disc_inc=np.zeros((K + 1, N)),
-                      dt=dt, policy_id=policy.policy_id)
+                      dt=dt, policy_id=kind)
         # pay and dnu_row are step k's rows of the trace, seen as (m, n)
         inc_rows = trace.disc_inc.reshape(K + 1, m, n)
         dnu_rows = trace.dnu.reshape(K + 1, m, n)
@@ -246,11 +262,11 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
             trace.X[k] = X.reshape(-1)
             trace.Y[k] = Y.reshape(-1)
 
+    threshold(every, every)
     if kind == "extract_all_at_start":
-        for mm in range(m):
-            extract(mm, np.arange(n), 1.0, np.zeros(n))
-    elif over is not None:
-        project(1.0)
+        lower(every, every, 1.0, 0.0, cost.value(0.0))
+    elif reflecting:
+        reflect(1.0)
     if record:
         snapshot(0)
 
@@ -258,18 +274,13 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
     for k in range(K):
         if record:
             pay, dnu_row = inc_rows[k + 1], dnu_rows[k + 1]
-        Z = gn.standard_normal(n)
-        inc = Z*s_cur
-        X[0] += inc
-        if m == 2:
-            X[1] -= inc
+        inc = gn.standard_normal(n)*s_cur
+        X += sgn*inc
         jumped = R < dt
         R -= dt
         if jumped.any():
             jj = np.flatnonzero(jumped)
-            X[0, jj] -= inc[jj]
-            if m == 2:
-                X[1, jj] += inc[jj]
+            X[:, jj] -= sgn*inc[jj]
             rem = np.full(jj.size, dt)
             Rj = R[jj] + dt
             tloc = np.zeros(jj.size)
@@ -277,11 +288,8 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
             while act.size:
                 pp = jj[act]
                 tau = np.minimum(Rj[act], rem[act])
-                Zs = gn.standard_normal(act.size)
-                incs = sig_tbl[i[pp]]*np.sqrt(tau)*Zs
-                X[0, pp] += incs
-                if m == 2:
-                    X[1, pp] -= incs
+                X[:, pp] += sgn*(sig_tbl[i[pp]]*np.sqrt(tau)
+                                 *gn.standard_normal(act.size))
                 tloc[act] += tau
                 hit = Rj[act] < rem[act]
                 rem[act] -= tau
@@ -290,24 +298,20 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
                 if hp.size:
                     ha = act[hit]
                     i[hp] = 3 - i[hp]
-                    newR = gc.exponential(1.0/lam_tbl[i[hp]])
-                    Rj[ha] = newR
+                    Rj[ha] = gc.exponential(1.0/lam_tbl[i[hp]])
                     s_cur[hp] = sig_tbl[i[hp]]*sqdt
                     shift_p[hp] = shift_tbl[i[hp]]
-                    xthr[:, hp] = np.where(Y[:, hp] > 0.0,
-                                           shift_p[hp] + c - fpY[:, hp]/rho,
-                                           np.inf)
+                    threshold(every, hp)
                     if record:
-                        for mm in range(m):
-                            switches.append((np.full(hp.size, k + 1),
-                                             hp + mm*n, i[hp], X[mm, hp]))
-                    if over is not None:
-                        project(disc[k]*np.exp(-rho*tloc[ha]), hp)
+                        switches += [(np.full(hp.size, k + 1), hp + r*n,
+                                      i[hp], X[r, hp]) for r in range(m)]
+                    if reflecting:
+                        reflect(disc[k]*np.exp(-rho*tloc[ha]), hp)
                 keep = rem[act] > 1e-15
                 R[pp[~keep]] = Rj[act[~keep]]
                 act = act[keep]
-        if over is not None:
-            project(disc[k + 1])
+        if reflecting:
+            reflect(disc[k + 1])
         if record:
             # settle the running cost so each row is one step's increment
             pay -= fY*(dlast - disc[k + 1])/rho
@@ -318,10 +322,9 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
             if done.mean() > 0.25:
                 keep = ~done
                 pay_done.append(pay[:, done].copy())
-                i, R, s_cur = i[keep], R[keep], s_cur[keep]
-                shift_p = shift_p[keep]
-                X, Y, fpY, fY = X[:, keep], Y[:, keep], fpY[:, keep], fY[:, keep]
-                pay, dlast, xthr = pay[:, keep], dlast[:, keep], xthr[:, keep]
+                i, R, s_cur, shift_p = (a[keep] for a in (i, R, s_cur, shift_p))
+                X, Y, fpY, fY, pay, dlast, xthr = (
+                    a[:, keep] for a in (X, Y, fpY, fY, pay, dlast, xthr))
                 n = int(keep.sum())
     if record:
         if switches:
@@ -334,28 +337,13 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
 def simulate_traces(cs: ControlSolution, x0, y0, i0, policy: Policy,
                     cfg: SimConfig, n_paths: int) -> Trace:
     """Record full uniform-grid traces for n_paths paths (memory permitting)."""
-    _check_state(x0, y0, i0)
-    T = cfg.resolved_horizon(cs.params)
-    K = int(round(T/cfg.dt))
-    m = 2 if cfg.antithetic else 1
-    if cfg.antithetic and n_paths % 2:
-        raise PreconditionViolated("antithetic tracing needs even n_paths")
+    T, K, m = _checked_run(cs, x0, y0, i0, cfg, n_paths)
     need = (K + 1)*n_paths*8*4
     if need > 2**31:
         raise OutOfRange(f"trace would need {need/2**30:.1f} GiB; "
                          "reduce n_paths, dt resolution or horizon")
     return _simulate_batch(cs, x0, y0, i0, policy, n_paths//m, cfg.dt, K,
                            cfg.base_seed, 0, cfg.antithetic, record=True)
-
-
-def _deterministic_value(cs: ControlSolution, x0, y0, policy: Policy,
-                         T: float) -> Optional[float]:
-    p = cs.params
-    if policy.kind == "never_extract":
-        return -p.cost.value(y0)*(1.0 - math.exp(-p.rho*T))/p.rho
-    if policy.kind == "extract_all_at_start":
-        return (x0 - p.c)*y0
-    return None
 
 
 def estimate_value(cs: ControlSolution, x0, y0, i0, policy: Policy,
@@ -366,36 +354,27 @@ def estimate_value(cs: ControlSolution, x0, y0, i0, policy: Policy,
     pair, so std_error = std(pair means)/sqrt(n_pairs). Deterministic
     policies reduce to their closed-form payoff with zero error.
     """
-    p = cs.params
-    _check_state(x0, y0, i0)
-    T = cfg.resolved_horizon(p)
-    K = int(round(T/cfg.dt))
-    tb = tail_bound(cs, T)
-
-    det = _deterministic_value(cs, x0, y0, policy, T)
-    if det is not None:
-        return SimOutcome(mean=float(det), std_error=0.0, n_paths=cfg.n_paths,
-                          tail_bound=tb, policy_id=policy.policy_id,
-                          dt=cfg.dt, horizon=T)
-
-    m = 2 if cfg.antithetic else 1
-    if cfg.antithetic and cfg.n_paths % 2:
-        raise PreconditionViolated("antithetic estimation needs even n_paths")
-    n_units = cfg.n_paths//m
-    batch = max(1, min(cfg.batch_pairs, n_units))
-    sizes = [batch]*(n_units//batch)
-    if n_units % batch:
-        sizes.append(n_units % batch)
-
-    pays = [_simulate_batch(cs, x0, y0, i0, policy, size, cfg.dt, K,
-                            cfg.base_seed, bidx, cfg.antithetic)
-            for bidx, size in enumerate(sizes)]
-    samples = np.concatenate([pp.mean(axis=0) for pp in pays])
-    mean = float(samples.mean())
-    se = (float(samples.std(ddof=1))/math.sqrt(samples.size)
-          if samples.size > 1 else float("inf"))
-    return SimOutcome(mean=mean, std_error=se, n_paths=cfg.n_paths,
-                      tail_bound=tb, policy_id=policy.policy_id,
+    p, kind = cs.params, policy.kind
+    T, K, m = _checked_run(cs, x0, y0, i0, cfg, cfg.n_paths,
+                           paired=kind not in _CLOSED_FORM)
+    se = 0.0
+    if kind == "never_extract":
+        mean = -p.cost.value(y0)*(1.0 - math.exp(-p.rho*T))/p.rho
+    elif kind == "extract_all_at_start":
+        mean = (x0 - p.c)*y0
+    else:
+        n_units = cfg.n_paths//m
+        batch = max(1, min(cfg.batch_pairs, n_units))
+        sizes = [min(batch, n_units - s) for s in range(0, n_units, batch)]
+        pays = [_simulate_batch(cs, x0, y0, i0, policy, size, cfg.dt, K,
+                                cfg.base_seed, bidx, cfg.antithetic)
+                for bidx, size in enumerate(sizes)]
+        samples = np.concatenate([pp.mean(axis=0) for pp in pays])
+        mean = float(samples.mean())
+        se = (float(samples.std(ddof=1))/math.sqrt(samples.size)
+              if samples.size > 1 else float("inf"))
+    return SimOutcome(mean=float(mean), std_error=se, n_paths=cfg.n_paths,
+                      tail_bound=tail_bound(cs, x0, y0, T), policy_id=kind,
                       dt=cfg.dt, horizon=T)
 
 
@@ -409,12 +388,12 @@ def skorokhod_check(cs: ControlSolution, trace: Trace) -> bool:
     inside the step, where the engine reflects too). Raises SRPViolated
     with the first offending step.
     """
+    shift = np.array([np.nan, external_shift(cs, 1), external_shift(cs, 2)])
     b_rows = np.empty_like(trace.X)
     for k in range(0, b_rows.shape[0], 256):
         rows = slice(k, k + 256)
-        b_rows[rows] = np.where(trace.regime[rows] == 1,
-                                b_star(cs, 1, trace.X[rows]),
-                                b_star(cs, 2, trace.X[rows]))
+        b_rows[rows] = _boundary_inverse(
+            cs.params, shift[trace.regime[rows]], trace.X[rows])
     over = trace.Y > b_rows + BARRIER_TOL
     if over.any():
         k, j = np.unravel_index(int(np.argmax(over)), over.shape)
@@ -427,7 +406,7 @@ def skorokhod_check(cs: ControlSolution, trace: Trace) -> bool:
     bad = moved & low
     if trace.switches:
         s_k, s_j, s_i, s_x = trace.switches
-        b_sw = np.where(s_i == 1, b_star(cs, 1, s_x), b_star(cs, 2, s_x))
+        b_sw = _boundary_inverse(cs.params, shift[s_i], s_x)
         fine = trace.Y[s_k - 1, s_j] > b_sw - BARRIER_TOL
         bad[s_k[fine] - 1, s_j[fine]] = False
     if bad.any():

@@ -261,7 +261,8 @@ def test_simulate_zero_reserve_never_extract(capsys, cfg_path):
         "--horizon", "1.0", "--policy", "never_extract"])
     assert code == 0
     assert out["mean"] == 0.0 and out["std_error"] == 0.0
-    assert out["tail_bound"] > 0
+    # an empty reserve leaves nothing to truncate
+    assert out["tail_bound"] == 0.0
 
 
 def test_simulate_reflect_reports_u_comparison(capsys, cfg_path):
@@ -468,18 +469,20 @@ CONFIGS = Path(__file__).resolve().parent.parent/"configs"
 # stdout of the simulator before its engines were merged; seeded means
 # must stay bit-identical (paths 4000 at dt 0.04, seed 7). u_value (and
 # abs_diff_vs_u) is the closed-form U's, within 4e-16 of scipy's quad.
+# tail_bound is mcsim.tail_bound's, which bounds E|X_T - c| through
+# sigma_max (sqrt(T) + 4/sqrt(rho)) rather than the verifier's price range.
 PINNED_SIMULATE = {
     ("example.json", "0.6", "0.5", "2", None): (
         '{\n  "mean": 0.10887279483184736,\n'
         '  "std_error": 0.0037150285908267486,\n  "n_paths": 4000,\n'
-        '  "tail_bound": 0.0005467301267282992,\n'
+        '  "tail_bound": 0.000566767213226932,\n'
         '  "policy_id": "reflect_optimal",\n  "dt": 0.04,\n'
         '  "horizon": 30.0,\n  "u_value": 0.11416649859204625,\n'
         '  "abs_diff_vs_u": 0.005293703760198887\n}\n'),
     ("equal_vol.json", "-2.0", "0.3", "1", "40"): (
         '{\n  "mean": -0.7019914761023677,\n'
         '  "std_error": 0.0007337289645481317,\n  "n_paths": 4000,\n'
-        '  "tail_bound": 3.091730433657837e-08,\n'
+        '  "tail_bound": 1.0871395806728777e-08,\n'
         '  "policy_id": "reflect_optimal",\n  "dt": 0.04,\n'
         '  "horizon": 40.0,\n  "u_value": -0.7015015797798478,\n'
         '  "abs_diff_vs_u": 0.0004898963225198338\n}\n'),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -246,16 +247,19 @@ def test_dt_halving_smoke(cs_a):
     assert d_fine <= d_coarse + noise
 
 
-def test_tail_bound_formula(cs_a):
+def test_tail_bound_formula(cs_a, cs_b):
+    # e^{-rho T} (f(y0)/rho + y0 (|x0 - c| + sigma_max (sqrt(T) + 4/sqrt(rho))))
     p = cs_a.params
-    T = 30.0
-    tb = tail_bound(cs_a, T)
-    assert tb > 0
-    # sup-grid |x - c| on the default verifier range, computed by hand
-    sup = abs((cs_a.stopping.z1 + cs_a.stopping.z2 - 0.5)
-              - 5.0*cs_a.stopping.z1 - 5.0 - p.c)
-    assert tb == pytest.approx(
-        math.exp(-p.rho*T)*(p.cost.value(1.0)/p.rho + sup), rel=1e-12)
+    tb = tail_bound(cs_a, 0.6, 0.5, 30.0)
+    assert tb == pytest.approx(math.exp(-10.0)*(
+        p.cost.value(0.5)/p.rho
+        + 0.5*(0.1 + 1.9*(math.sqrt(30.0) + 4.0*math.sqrt(3.0)))), rel=1e-12)
+    assert tb == pytest.approx(5.67e-4, abs=5e-7)
+    assert tail_bound(cs_b, -2.0, 0.3, 40.0) == pytest.approx(1.09e-8,
+                                                              abs=5e-11)
+    assert tail_bound(cs_a, 0.6, 0.0, 30.0) == 0.0
+    # it grows with the distance of the start price from c
+    assert tail_bound(cs_a, 3.0, 0.5, 30.0) > tb
 
 
 def test_trace_csv_format(cs_a, tmp_path):
@@ -330,6 +334,29 @@ def test_simulator_rejects_invalid_states(cs_a, x0, y0, i0):
         rx.estimate_value(cs_a, x0, y0, i0, pol, cfg)
 
 
+@pytest.mark.parametrize("n_paths", [0, -2])
+def test_simulate_traces_checks_its_path_count(cs_a, n_paths):
+    # the n_paths argument is what runs; cfg.n_paths is not used here
+    cfg = rx.SimConfig(dt=1e-2, horizon=0.5, n_paths=8, base_seed=3)
+    with pytest.raises(OutOfRange):
+        rx.simulate_traces(cs_a, 0.2, 0.5, 2, rx.Policy.reflect_optimal(),
+                           cfg, n_paths)
+
+
+def test_closed_form_policies_take_odd_path_counts(cs_a):
+    cfg = rx.SimConfig(dt=1e-2, horizon=1.0, n_paths=7, base_seed=5)
+    for pol in (rx.Policy.never_extract(), rx.Policy.extract_all_at_start()):
+        assert rx.estimate_value(cs_a, 0.6, 0.5, 2, pol, cfg).n_paths == 7
+        with pytest.raises(PreconditionViolated):
+            rx.simulate_traces(cs_a, 0.6, 0.5, 2, pol, cfg, 7)
+
+
+def test_unknown_policy_rejected(cs_a):
+    with pytest.raises(PreconditionViolated):
+        _simulate_batch(cs_a, 0.6, 0.5, 2, rx.Policy("sell_on_tuesdays"),
+                        4, 0.01, 10, 1, 0, True)
+
+
 @settings(max_examples=30, deadline=None)
 @given(kind=st.sampled_from(["reflect_optimal", "never_extract",
                              "extract_all_at_start", "custom"]),
@@ -365,3 +392,115 @@ def test_reflect_optimal_custom_cost_matches_builtin(params_a, cs_a):
     pa = _simulate_batch(cs_a, *run, compact_every=0)
     pc = _simulate_batch(cs_c, *run, compact_every=0)
     assert np.abs(pa - pc).max() <= 1e-12
+
+
+def _sha(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _pin_policy(kind):
+    if kind == "custom":
+        return rx.Policy.reflect_at_custom_boundary(
+            lambda i, x: 1.05 - 0.15*i - 0.3*np.asarray(x))
+    return getattr(rx.Policy, kind)()
+
+
+def _exp_cost_twin(params):
+    """params with its exponential cost written as a custom cost."""
+    g = params.cost.gamma
+    cost = rx.CostFunction.custom(lambda y: g*(np.exp(y) - 1.0),
+                                  lambda y: g*np.exp(y))
+    kw = {k: getattr(params, k) for k in ("rho", "sigma1", "sigma2",
+                                          "lambda1", "lambda2", "c")}
+    return rx.from_stopping(rx.solve_z(rx.validate(**kw, cost=cost)))
+
+
+# sha256 of recorded traces (t, regime, X, Y, dnu, disc_inc and the four
+# switches arrays), recorded before the reflection step was written once;
+# 64 paths on example.json from (0.16, 0.9, 2) over 2 time units, where
+# paths switch regime inside steps
+PINNED_TRACES = {
+    ("reflect_optimal", True): (
+        "9a1f93b75917a101fdfc2218399e5b25"
+        "14e4594d6b7072bc42c1a5a36a742af2"),
+    ("reflect_optimal", False): (
+        "9955efa0bf03e527ae396348090c5efa"
+        "e4257bd81794b0bb28e278ad402cd65a"),
+    ("never_extract", True): (
+        "f5d82ca61a89ef26d2a79389ab30f4e9"
+        "15dbf1aebb29e0215ba900de3dd3dcd3"),
+    ("never_extract", False): (
+        "344ca1c6157c19fb1f6509fb2a46a068"
+        "9f83def027bb2f7615ea74a43718dc7a"),
+    ("extract_all_at_start", True): (
+        "81861898f365c6cca63490d2824dfcec"
+        "5337661c8f2007823df8a6dc9bb27327"),
+    ("extract_all_at_start", False): (
+        "def8d1e235e417d2bc7705fbcbebe1c7"
+        "b9a820f54a56dbcff379c6e8aa0ce3a9"),
+    ("custom", True): (
+        "b313216513559c7604d6d619314ef02d"
+        "abfb2dddc6b2d2319a9a8d5ae2cc3717"),
+    ("custom", False): (
+        "372a939f8e16225e3f5b48159cafde19"
+        "1a3aefd48fac4eb81c389510411140b0"),
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_TRACES),
+                         ids=lambda k: f"{k[0]}-{'anti' if k[1] else 'plain'}")
+def test_trace_pinned(cs_a, key):
+    kind, antithetic = key
+    cfg = rx.SimConfig(dt=0.01, horizon=2.0, n_paths=64, base_seed=4242,
+                       antithetic=antithetic)
+    tr = rx.simulate_traces(cs_a, 0.16, 0.9, 2, _pin_policy(kind), cfg, 64)
+    assert tr.switches and tr.switches[0].size > 0
+    assert _sha(tr.t, tr.regime, tr.X, tr.Y, tr.dnu, tr.disc_inc,
+                *tr.switches) == PINNED_TRACES[key]
+
+
+# sha256 of _simulate_batch's (m, n_pairs) payoffs with compaction every
+# 64 steps, recorded before the reflection step was written once
+PINNED_BATCHES = {
+    "reflect_optimal": (
+        "7af9f230c09c2e78ff4b2120a19bdc51"
+        "866dc717c35b1b35906803f4c02327f0"),
+    "custom": (
+        "1105be92c96043e4abdebb962dd8f9d2"
+        "ac557a95941a18092789c33448b8020b"),
+    "custom_cost": (
+        "337410d80ff0c8edfb87fcc6c5a2e909"
+        "e6b77b00a0d77f46e491fd15305d8897"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_BATCHES))
+def test_compacted_batch_pinned(params_a, cs_a, name):
+    cs = _exp_cost_twin(params_a) if name == "custom_cost" else cs_a
+    pol = _pin_policy("custom" if name == "custom" else "reflect_optimal")
+    run = (1.0, 0.5, 2, pol, 300, 0.01, 400, 19, 3, True)
+    pay = _simulate_batch(cs, *run, compact_every=64)
+    # compaction fired: it reshuffles the draws the survivors see
+    assert not np.array_equal(pay, _simulate_batch(cs, *run, compact_every=0))
+    assert _sha(pay) == PINNED_BATCHES[name]
+
+
+# (mean, std_error) recorded before the reflection step was written once:
+# reflect_optimal without antithetics, and a custom boundary with them
+PINNED_OTHER_ESTIMATES = {
+    "plain": (0.10303773171973866, 0.007428951083099776),
+    "custom": (0.08318367012454363, 0.00378437648314732),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_OTHER_ESTIMATES))
+def test_other_estimates_pinned(cs_a, name):
+    plain = name == "plain"
+    cfg = rx.SimConfig(dt=0.04, n_paths=3000, base_seed=2025,
+                       batch_pairs=1000, antithetic=not plain)
+    pol = _pin_policy("reflect_optimal" if plain else "custom")
+    out = rx.estimate_value(cs_a, 0.6, 0.5, 2, pol, cfg)
+    assert (out.mean, out.std_error) == PINNED_OTHER_ESTIMATES[name]
