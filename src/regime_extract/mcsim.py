@@ -9,14 +9,22 @@ reserve onto the boundary, Delta nu = (Y - b(regime, X))^+, which places
 a lump at t = 0 and, because the regime-1 boundary lies below the
 regime-2 one, automatic lumps at 2 -> 1 switches.
 
-One batch engine runs every policy; the antithetic members lie on one
-axis, moving by +1 and -1 times the shared increments, and one reflect
-step serves both. The running cost f(Y) is accrued lazily, at each
-extraction and at the horizon, since Y is constant in between;
-reflect_optimal triggers on the price threshold x*_i(Y) and projects in
-f'-space. Pairs whose reserve is exhausted are compacted away, which
-changes the draws the survivors see but not their law; a recorded trace
-is never compacted and settles the running cost at every grid time.
+One batch engine runs every policy. Its per-member state is flat and
+member-major: entry r*n + j is antithetic member r of path j, moving by
++1 (r = 0) or -1 (r = 1) times the shared increments, so the subsets
+that jump splitting and reflection touch are 1-D gathers and scatters of
+both members at once, and one reflect step serves both. The jump rounds
+run on the paths still short of the step end, compressed once a round.
+The running cost f(Y) is accrued lazily, at each extraction and at the
+horizon, since Y is constant in between; reflect_optimal triggers on the
+price threshold x*_i(Y) and projects in f'-space. A custom boundary
+bfun(regime, x) is called with two 1-D arrays covering both members and
+must return one finite level per price (else PreconditionViolated); the
+level is clipped to [0, 1]. Pairs whose reserve is exhausted are
+compacted away, which changes the draws the survivors see but not their
+law; compaction compresses the (m, n) view of each state array, which
+stays C-contiguous, so its flat view is not a second copy. A recorded
+trace is never compacted and settles the running cost at every grid time.
 
 estimate_value runs path pairs in fixed-size batches whose generators are
 seeded from (base_seed, batch_index) and aggregates them in batch order,
@@ -62,8 +70,6 @@ class SimConfig:
         if not (0 < self.dt <= T < math.inf and T/self.dt <= MAX_STEPS):
             raise OutOfRange(f"need 0 < dt <= horizon < inf and at most "
                              f"{MAX_STEPS} steps, got dt={self.dt}, T={T}")
-        if self.n_paths < 1:
-            raise OutOfRange(f"n_paths must be >= 1, got {self.n_paths}")
         return T
 
 
@@ -167,104 +173,118 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
                     compact_every=256):
     """n_pairs path pairs (single paths without antithetics) seeded from
     (seed, batch_idx): the (m, n_pairs) discounted payoffs, or with
-    record=True the Trace of all m*n_pairs paths. Row r of every (m, n)
-    state array is antithetic member r, which moves by sgn[r] times the
-    shared price increments."""
+    record=True the Trace of all m*n_pairs paths. The per-member state is
+    flat and member-major: entry r*n + j is antithetic member r of path j,
+    which moves by +1 (r = 0) or -1 (r = 1) times the shared increments."""
     kind = policy.kind
     if kind not in _KINDS:
         raise PreconditionViolated(f"unknown policy {kind!r}")
-    reflecting = kind not in _CLOSED_FORM
+    reflecting, optimal = kind not in _CLOSED_FORM, kind == "reflect_optimal"
     p = cs.params
     cost, rho, c = p.cost, p.rho, p.c
     shift_tbl = np.array([np.nan, external_shift(cs, 1), external_shift(cs, 2)])
     sig_tbl = np.array([np.nan, p.sigma1, p.sigma2])
-    lam_tbl = np.array([np.nan, p.lambda1, p.lambda2])
+    hold_tbl = np.array([np.nan, 1.0/p.lambda1, 1.0/p.lambda2])
 
     ss = np.random.SeedSequence([seed, batch_idx])
     gc, gn = (np.random.Generator(np.random.PCG64(s)) for s in ss.spawn(2))
     m = 2 if antithetic else 1
-    sgn = np.array([[1.0], [-1.0]])[:m]
     n = n_pairs
     disc = np.exp(-rho*dt*np.arange(K + 1))
     sqdt = math.sqrt(dt)
     every = slice(None)
 
     i = np.full(n, i0, dtype=np.int64)
-    R = gc.exponential(1.0/lam_tbl[i0], size=n)
+    R = gc.standard_exponential(n)*hold_tbl[i0]
     s_cur = np.full(n, sig_tbl[i0]*sqdt)
-    X, Y = np.full((m, n), float(x0)), np.full((m, n), float(y0))
-    fpY = np.full((m, n), float(cost.derivative(y0)))
-    fY = np.full((m, n), float(cost.value(y0)))
-    pay = np.zeros((m, n))
-    dlast = np.ones((m, n))  # discount factor up to which f(Y) is paid
     shift_p = np.full(n, shift_tbl[i0])
-    xthr = np.empty((m, n))  # reflect_optimal's price trigger
+    X, Y = np.full(m*n, float(x0)), np.full(m*n, float(y0))
+    fpY = np.full(m*n, float(cost.derivative(y0)))
+    fY = np.full(m*n, float(cost.value(y0)))
+    pay = np.zeros(m*n)
+    dlast = np.ones(m*n)  # discount factor up to which f(Y) is paid
+    xthr = np.empty(m*n)  # reflect_optimal's price trigger
     fp_lo, fp_hi = float(cost.derivative(0.0)), float(cost.derivative(1.0))
 
-    def threshold(r, col):
-        """x*_i(Y) = shift_i + c - f'(Y)/rho on the entries (r, col), or
-        infinity once the reserve is exhausted."""
-        xthr[r, col] = np.where(Y[r, col] > 0.0,
-                                shift_p[col] + c - fpY[r, col]/rho, np.inf)
+    def members(cols):
+        """The flat entries of both members of the paths cols."""
+        return cols if m == 1 else np.concatenate((cols, cols + n))
 
-    def lower(r, col, d, y_new, f_new):
-        """Extract the entries (r, col) down to y_new (running cost f_new)
-        at discount factor d, settling their running cost up to d."""
-        dnu = Y[r, col] - y_new
-        pay[r, col] += (d*((X[r, col] - c)*dnu)
-                        - fY[r, col]*(dlast[r, col] - d)/rho)
-        Y[r, col] = y_new
-        fY[r, col] = f_new
-        dlast[r, col] = d
+    def signed(v):
+        """v per path as the members' moves: +v, and -v for member 1."""
+        return v if m == 1 else np.concatenate((v, -v))
+
+    def threshold(e, shift):
+        """x*_i(Y) = shift_i + c - f'(Y)/rho on the entries e, whose
+        regimes' shifts are shift, or infinity once the reserve is
+        exhausted."""
+        xthr[e] = np.where(Y[e] > 0.0, shift + c - fpY[e]/rho, np.inf)
+
+    def lower(e, d, y_new, f_new):
+        """Extract the entries e down to y_new (running cost f_new) at
+        discount factor d, settling their running cost up to d."""
+        dnu = Y[e] - y_new
+        pay[e] += d*((X[e] - c)*dnu) - fY[e]*(dlast[e] - d)/rho
+        Y[e] = y_new
+        fY[e] = f_new
+        dlast[e] = d
         if record:
-            dnu_row[r, col] += dnu
+            dnu_row[e] += dnu
 
     def reflect(d, cols=None):
-        """Reflect both members on the paths cols (default all) at the
+        """Reflect both members of the paths cols (default all) at the
         discount factors d (one per path of cols, or a scalar for all)."""
-        at = every if cols is None else cols
-        if kind == "reflect_optimal":
-            trig = X[:, at] > xthr[:, at]
+        e = every if cols is None else members(cols)
+        if optimal:
+            trig = X[e] > xthr[e]
         else:
-            b = np.clip(policy.bfun(np.tile(i[at], m), X[:, at].reshape(-1)),
-                        0.0, 1.0).reshape(m, -1)
-            trig = b < Y[:, at]
-        hits = np.flatnonzero(trig)  # np.nonzero of a 2-D mask is 10x slower
+            x = X[e]
+            b = np.asarray(policy.bfun(np.tile(i if cols is None else i[cols],
+                                               m), x))
+            if b.shape != x.shape:
+                raise PreconditionViolated(
+                    f"a custom boundary must act elementwise: {x.size} "
+                    f"prices gave an output of shape {b.shape}")
+            if not np.isfinite(b).all():
+                raise PreconditionViolated(
+                    "a custom boundary returned a non-finite reserve level")
+            b = np.clip(b, 0.0, 1.0)
+            trig = b < Y[e]
+        hits = trig.nonzero()[0]
         if not hits.size:
             return
-        r, j = np.divmod(hits, trig.shape[1])
-        col = j if cols is None else cols[j]
-        d = d if np.ndim(d) == 0 else d[j]
-        if kind == "reflect_optimal":
-            fp = np.clip(rho*(c + shift_p[col] - X[r, col]), fp_lo, fp_hi)
-            fpY[r, col] = fp
-            lower(r, col, d, *cost.from_derivative(fp))
-            threshold(r, col)
+        he = hits if cols is None else e[hits]
+        if np.ndim(d):
+            d = d[hits % cols.size]
+        if optimal:
+            shift = shift_p[he % n]
+            fp = np.clip(rho*(c + shift - X[he]), fp_lo, fp_hi)
+            fpY[he] = fp
+            lower(he, d, *cost.from_derivative(fp))
+            threshold(he, shift)
         else:
-            lower(r, col, d, b[r, j], cost.value(b[r, j]))
+            lower(he, d, b[hits], cost.value(b[hits]))
 
     if record:
         compact_every = 0
-        N = m*n
         trace = Trace(t=dt*np.arange(K + 1),
-                      regime=np.empty((K + 1, N), dtype=np.int8),
-                      X=np.empty((K + 1, N)), Y=np.empty((K + 1, N)),
-                      dnu=np.zeros((K + 1, N)), disc_inc=np.zeros((K + 1, N)),
-                      dt=dt, policy_id=kind)
-        # pay and dnu_row are step k's rows of the trace, seen as (m, n)
-        inc_rows = trace.disc_inc.reshape(K + 1, m, n)
-        dnu_rows = trace.dnu.reshape(K + 1, m, n)
-        pay, dnu_row = inc_rows[0], dnu_rows[0]
+                      regime=np.empty((K + 1, m*n), dtype=np.int8),
+                      X=np.empty((K + 1, m*n)), Y=np.empty((K + 1, m*n)),
+                      dnu=np.zeros((K + 1, m*n)),
+                      disc_inc=np.zeros((K + 1, m*n)), dt=dt, policy_id=kind)
+        # pay and dnu_row are step k's rows of the trace
+        pay, dnu_row = trace.disc_inc[0], trace.dnu[0]
         switches = []
 
         def snapshot(k):
             trace.regime[k] = np.tile(i, m)
-            trace.X[k] = X.reshape(-1)
-            trace.Y[k] = Y.reshape(-1)
+            trace.X[k] = X
+            trace.Y[k] = Y
 
-    threshold(every, every)
+    if optimal:
+        threshold(every, shift_tbl[i0])
     if kind == "extract_all_at_start":
-        lower(every, every, 1.0, 0.0, cost.value(0.0))
+        lower(every, 1.0, 0.0, cost.value(0.0))
     elif reflecting:
         reflect(1.0)
     if record:
@@ -273,43 +293,47 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
     pay_done = []
     for k in range(K):
         if record:
-            pay, dnu_row = inc_rows[k + 1], dnu_rows[k + 1]
-        inc = gn.standard_normal(n)*s_cur
-        X += sgn*inc
-        jumped = R < dt
+            pay, dnu_row = trace.disc_inc[k + 1], trace.dnu[k + 1]
+        inc = gn.standard_normal(n)
+        inc *= s_cur
+        X[:n] += inc
+        if m == 2:
+            X[n:] -= inc
+        pp = (R < dt).nonzero()[0]
         R -= dt
-        if jumped.any():
-            jj = np.flatnonzero(jumped)
-            X[:, jj] -= sgn*inc[jj]
-            rem = np.full(jj.size, dt)
-            Rj = R[jj] + dt
-            tloc = np.zeros(jj.size)
-            act = np.arange(jj.size)
-            while act.size:
-                pp = jj[act]
-                tau = np.minimum(Rj[act], rem[act])
-                X[:, pp] += sgn*(sig_tbl[i[pp]]*np.sqrt(tau)
-                                 *gn.standard_normal(act.size))
-                tloc[act] += tau
-                hit = Rj[act] < rem[act]
-                rem[act] -= tau
-                Rj[act] -= tau
+        if pp.size:
+            # split the step at each path's switch instants, in rounds on
+            # the paths pp still short of the step end
+            X[members(pp)] -= signed(inc[pp])
+            rem = np.full(pp.size, dt)
+            Rj = R[pp] + dt
+            tloc = np.zeros(pp.size)
+            while pp.size:
+                tau = np.minimum(Rj, rem)
+                X[members(pp)] += signed(sig_tbl[i[pp]]*np.sqrt(tau)
+                                         * gn.standard_normal(pp.size))
+                tloc += tau
+                hit = Rj < rem
+                rem -= tau
+                Rj -= tau
                 hp = pp[hit]
                 if hp.size:
-                    ha = act[hit]
                     i[hp] = 3 - i[hp]
-                    Rj[ha] = gc.exponential(1.0/lam_tbl[i[hp]])
+                    Rj[hit] = gc.standard_exponential(hp.size)*hold_tbl[i[hp]]
                     s_cur[hp] = sig_tbl[i[hp]]*sqdt
                     shift_p[hp] = shift_tbl[i[hp]]
-                    threshold(every, hp)
+                    e = members(hp)
+                    if optimal:
+                        threshold(e, shift_p[e % n])
                     if record:
-                        switches += [(np.full(hp.size, k + 1), hp + r*n,
-                                      i[hp], X[r, hp]) for r in range(m)]
+                        switches.append((np.full(e.size, k + 1), e,
+                                         i[e % n], X[e]))
                     if reflecting:
-                        reflect(disc[k]*np.exp(-rho*tloc[ha]), hp)
-                keep = rem[act] > 1e-15
-                R[pp[~keep]] = Rj[act[~keep]]
-                act = act[keep]
+                        reflect(disc[k]*np.exp(-rho*tloc[hit]), hp)
+                keep = rem > 1e-15
+                if not keep.all():
+                    R[pp[~keep]] = Rj[~keep]
+                    pp, rem, Rj, tloc = (a[keep] for a in (pp, rem, Rj, tloc))
         if reflecting:
             reflect(disc[k + 1])
         if record:
@@ -318,19 +342,22 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
             dlast[:] = disc[k + 1]
             snapshot(k + 1)
         if compact_every and (k + 1) % compact_every == 0 and n > 64:
-            done = (Y == 0.0).all(axis=0)
+            done = (Y.reshape(m, n) == 0.0).all(axis=0)
             if done.mean() > 0.25:
+                # compress, unlike a boolean index, keeps the (m, n) view
+                # C-contiguous, so reshape(-1) returns a view
                 keep = ~done
-                pay_done.append(pay[:, done].copy())
+                pay_done.append(pay.reshape(m, n)[:, done])
                 i, R, s_cur, shift_p = (a[keep] for a in (i, R, s_cur, shift_p))
                 X, Y, fpY, fY, pay, dlast, xthr = (
-                    a[:, keep] for a in (X, Y, fpY, fY, pay, dlast, xthr))
+                    a.reshape(m, n).compress(keep, axis=1).reshape(-1)
+                    for a in (X, Y, fpY, fY, pay, dlast, xthr))
                 n = int(keep.sum())
     if record:
         if switches:
             trace.switches = tuple(map(np.concatenate, zip(*switches)))
         return trace
-    pay = pay - fY*(dlast - disc[K])/rho
+    pay = (pay - fY*(dlast - disc[K])/rho).reshape(m, n)
     return np.concatenate(pay_done + [pay], axis=1) if pay_done else pay
 
 

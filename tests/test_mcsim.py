@@ -91,7 +91,8 @@ def test_sim_config_validation(cs_a):
     with pytest.raises(OutOfRange):
         rx.SimConfig(dt=2.0, horizon=1.0).resolved_horizon(cs_a.params)
     with pytest.raises(OutOfRange):
-        rx.SimConfig(n_paths=0).resolved_horizon(cs_a.params)
+        rx.estimate_value(cs_a, 0.6, 0.5, 2, rx.Policy.reflect_optimal(),
+                          rx.SimConfig(n_paths=0))
     assert rx.SimConfig().resolved_horizon(cs_a.params) == pytest.approx(30.0)
 
 
@@ -343,12 +344,36 @@ def test_simulate_traces_checks_its_path_count(cs_a, n_paths):
                            cfg, n_paths)
 
 
+def test_simulate_traces_ignores_cfg_n_paths(cs_a):
+    cfg = rx.SimConfig(dt=0.01, horizon=0.5, n_paths=0)
+    tr = rx.simulate_traces(cs_a, 0.2, 0.5, 2, rx.Policy.reflect_optimal(),
+                            cfg, 8)
+    assert tr.X.shape == (51, 8)
+
+
 def test_closed_form_policies_take_odd_path_counts(cs_a):
     cfg = rx.SimConfig(dt=1e-2, horizon=1.0, n_paths=7, base_seed=5)
     for pol in (rx.Policy.never_extract(), rx.Policy.extract_all_at_start()):
         assert rx.estimate_value(cs_a, 0.6, 0.5, 2, pol, cfg).n_paths == 7
         with pytest.raises(PreconditionViolated):
             rx.simulate_traces(cs_a, 0.6, 0.5, 2, pol, cfg, 7)
+
+
+@pytest.mark.parametrize("bfun", [
+    lambda i, x: np.where(x > 0.5, np.nan, 0.3),
+    lambda i, x: np.full(x.shape, np.inf),
+    lambda i, x: 0.3,
+    lambda i, x: np.full((2, x.size), 0.3),
+], ids=["nan", "inf", "scalar", "wrong-shape"])
+def test_custom_boundary_output_checked(cs_a, bfun):
+    # a NaN boundary would otherwise run as never_extract, and a
+    # non-elementwise one would fail inside numpy
+    cfg = rx.SimConfig(dt=0.01, horizon=0.5, n_paths=8, base_seed=3)
+    pol = rx.Policy.reflect_at_custom_boundary(bfun)
+    with pytest.raises(PreconditionViolated):
+        rx.estimate_value(cs_a, 0.6, 0.5, 2, pol, cfg)
+    with pytest.raises(PreconditionViolated):
+        rx.simulate_traces(cs_a, 0.6, 0.5, 2, pol, cfg, 8)
 
 
 def test_unknown_policy_rejected(cs_a):
@@ -504,3 +529,87 @@ def test_other_estimates_pinned(cs_a, name):
     pol = _pin_policy("reflect_optimal" if plain else "custom")
     out = rx.estimate_value(cs_a, 0.6, 0.5, 2, pol, cfg)
     assert (out.mean, out.std_error) == PINNED_OTHER_ESTIMATES[name]
+
+
+def _high_switching_cs():
+    """equal_vol.json with fast, unequal switching rates: at dt 0.04 many
+    steps hold two or more switches, so three or more jump-split rounds.
+    Unequal volatilities fail the solvability conditions at these rates,
+    so _regime_boundary lets the regime reach the payoffs."""
+    return rx.from_stopping(rx.solve_z(rx.validate(
+        rho=0.5, sigma1=1.0, sigma2=1.0, lambda1=25.0, lambda2=20.0, c=1.0,
+        cost=rx.CostFunction.quadratic(1.0, 1.0))))
+
+
+def _regime_boundary(i, x):
+    return np.clip(0.4 - 0.1*i - 0.2*np.asarray(x), 0.0, 1.0)
+
+
+def _engine_run(name, cs_a, cs_b):
+    """(cs, _simulate_batch arguments after cs) of each PINNED_ENGINE_RUNS
+    entry; every run compacts every 64 steps."""
+    opt = rx.Policy.reflect_optimal()
+    if name == "plain":
+        return cs_a, (1.0, 0.5, 2, opt, 600, 0.01, 400, 19, 3, False)
+    if name == "plain_custom":
+        return cs_a, (1.0, 0.5, 2, _pin_policy("custom"), 600, 0.01, 400, 19,
+                      4, False)
+    if name == "quadratic":
+        return cs_b, (-1.0, 0.3, 1, opt, 300, 0.04, 1000, 23, 5, True)
+    pol = (opt if name == "switching" else
+           rx.Policy.reflect_at_custom_boundary(_regime_boundary))
+    return _high_switching_cs(), (-0.5, 0.4, 2, pol, 300, 0.04, 500, 29, 6,
+                                  True)
+
+
+# sha256 of _simulate_batch's payoffs, recorded before the engine moved to
+# flat member-major indexing: single paths (m = 1), the quadratic cost of
+# equal_vol.json, and a high-switching set under both policy kinds
+PINNED_ENGINE_RUNS = {
+    "plain": (
+        "e70f83dece647e60af4c885eb15536e4"
+        "579287512f2905764b4009f8114288ff"),
+    "plain_custom": (
+        "92333d769a80bb1a0464553d392908b2"
+        "dd71fecf34022473e11aafe60a1ca6d4"),
+    "quadratic": (
+        "8a347beb8c5ff6cee73134b7307805fe"
+        "26fa124a19880f3f537e327412579cac"),
+    "switching": (
+        "d53fdca6fbed75d4523510dbcc2a2c55"
+        "b485acae855de9c76d770e84da6a9e8f"),
+    "switching_custom": (
+        "0c7373900684a6fe6005b92280114364"
+        "1ee5b9de665c58694ad6fb000b2adf87"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_ENGINE_RUNS))
+def test_engine_run_pinned(cs_a, cs_b, name):
+    cs, run = _engine_run(name, cs_a, cs_b)
+    pay = _simulate_batch(cs, *run, compact_every=64)
+    # (m, n_pairs): one member per path without antithetics
+    assert pay.shape == (2 if run[-1] else 1, run[4])
+    # compaction fired
+    assert not np.array_equal(pay, _simulate_batch(cs, *run, compact_every=0))
+    assert _sha(pay) == PINNED_ENGINE_RUNS[name]
+
+
+# sha256 of a recorded trace on the high-switching set, recorded with
+# PINNED_ENGINE_RUNS
+PINNED_SWITCHING_TRACE = (
+    "357465d53c3653e839596f4c38c1aaaf"
+    "eb9edcb959cabd75bcde2fac2d09f716")
+
+
+def test_high_switching_trace_pinned():
+    cfg = rx.SimConfig(dt=0.04, horizon=4.0, n_paths=64, base_seed=31)
+    tr = rx.simulate_traces(_high_switching_cs(), -0.5, 0.4, 2,
+                            rx.Policy.reflect_at_custom_boundary(
+                                _regime_boundary), cfg, 64)
+    s_k, s_j = tr.switches[:2]
+    # one cell's switches per member: two or more need three or more rounds
+    _, per_cell = np.unique(s_k*tr.X.shape[1] + s_j, return_counts=True)
+    assert (per_cell >= 2).sum() >= 1000
+    assert _sha(tr.t, tr.regime, tr.X, tr.Y, tr.dnu, tr.disc_inc,
+                *tr.switches) == PINNED_SWITCHING_TRACE
