@@ -13,7 +13,7 @@ from .model import (AssumptionReport, CostFunction, ModelParams,
                     params_from_config, phi, validate)
 from .roots import RootSet, check_sign_lemma, solve_characteristic
 from .stopping import (StoppingSolution, g1, g2, m1, m2, solve_z, verify_fbp,
-                       v, w, w_x, w_xx, x_star, zhat2, zhat2_closed_form)
+                       v, w, w_x, w_xx, x_star, zhat2)
 from .control import (ControlSolution, U, U_report, U_x, U_xx, ValueReport,
                       b_sharp, b_star, compare_boundaries, from_stopping,
                       single_regime_boundary, solve_control, verify_hjb)

@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 
@@ -411,6 +412,17 @@ def main(argv=None) -> int:
         if params is None:
             return EXIT_USER
         return args.func(args, params, cfg_hash)
+    except BrokenPipeError:
+        # the reader closed stdout (`... | head -1`): exit quietly, with
+        # stdout on devnull so that the flush at exit cannot fail again
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):   # not a file
+            return EXIT_IO
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return EXIT_IO
     except OutOfRange as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER

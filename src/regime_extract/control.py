@@ -25,12 +25,14 @@ import numpy as np
 from ._numerics import adaptive_simpson, expi_scaled
 from .errors import OrderingViolated, OutOfRange, PreconditionViolated, \
     VerificationFailed
-from .model import ModelParams, chat
+from .model import ModelParams, chat, finite_prices
 from .stopping import (StoppingSolution, _branch_form, solve_z,
                        v as v_stop, x_star)
 
 SIMPSON_TOL = 1e-9   # absolute, per branch term integral of a custom cost
 HJB_TAU = 1e-5   # verify_hjb's acceptance tolerance
+# verify_hjb's most grid states; it peaks near 470 B a state
+MAX_HJB_STATES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,9 @@ def _boundary_inverse(params: ModelParams, shift: float, x):
 
 def b_star(cs: ControlSolution, i: int, x):
     """Reflecting reserve boundary: clamped inverse of y -> x*_i(y)
-    = shift_i + c - f'(y)/rho."""
-    return _boundary_inverse(cs.params, external_shift(cs, i), x)
+    = shift_i + c - f'(y)/rho. A non-finite price raises OutOfRange."""
+    return _boundary_inverse(cs.params, external_shift(cs, i),
+                             finite_prices(x))
 
 
 def _u_surface(cs: ControlSolution, x, y, series):
@@ -277,10 +280,12 @@ def verify_hjb(cs: ControlSolution, nx: int = 400, ny: int = 50,
     perturbation(x, y, i), if given, is added to U (test hook); it is
     called with (nx, ny) arrays of x and y and an integer regime i.
     Raises VerificationFailed on the first failing state; a NaN fails,
-    and OutOfRange on an empty grid.
+    and OutOfRange, before anything is allocated, on an empty grid or one
+    of more than MAX_HJB_STATES states.
     """
-    if nx < 1 or ny < 1:
-        raise OutOfRange(f"need nx, ny >= 1, got nx={nx}, ny={ny}")
+    if nx < 1 or ny < 1 or nx*ny > MAX_HJB_STATES:
+        raise OutOfRange(f"need nx, ny >= 1 and nx*ny <= {MAX_HJB_STATES}, "
+                         f"got nx={nx}, ny={ny}")
     sol, tau = cs.stopping, HJB_TAU
     x2_at_0 = sol.z1 + sol.z2 + chat(sol.params, 0.0)
     x_lo, x_hi = x2_at_0 - 5.0*sol.z1 - 5.0, x2_at_0 + 5.0
@@ -330,8 +335,10 @@ def single_regime_boundary(params: ModelParams, sigma: float, y):
 
 
 def b_sharp(params: ModelParams, sigma: float, x):
-    """Clamped inverse of x#: the single-regime reflecting boundary."""
-    return _boundary_inverse(params, sigma/math.sqrt(2.0*params.rho), x)
+    """Clamped inverse of x#: the single-regime reflecting boundary. A
+    non-finite price raises OutOfRange."""
+    return _boundary_inverse(params, sigma/math.sqrt(2.0*params.rho),
+                             finite_prices(x))
 
 
 @dataclass(frozen=True)
@@ -348,8 +355,11 @@ def compare_boundaries(cs: ControlSolution, n: int = 1000,
     """Tabulate and order-check b#(.;sigma1) <= b*_1 <= b*_2 <= b#(.;sigma2).
 
     Equality is allowed only on the clamp plateaus (both curves at 0 or
-    at 1); in the equal-volatility case all four curves coincide.
+    at 1); in the equal-volatility case all four curves coincide. n < 1
+    or a non-finite price raises OutOfRange.
     """
+    if n < 1:
+        raise OutOfRange(f"need n >= 1 prices, got {n}")
     p = cs.params
     sol = cs.stopping
     if sol.relabeled:
@@ -362,7 +372,7 @@ def compare_boundaries(cs: ControlSolution, n: int = 1000,
         x_lo = min(sh_lo, external_shift(cs, 1)) + ch1 - 1.0
         x_hi = max(sh_hi, external_shift(cs, 2)) + ch0 + 1.0
     else:
-        x_lo, x_hi = x_range
+        x_lo, x_hi = finite_prices(x_range)
     xs = np.linspace(x_lo, x_hi, n)
     curves = (b_sharp(p, p.sigma1, xs), b_star(cs, 1, xs),
               b_star(cs, 2, xs), b_sharp(p, p.sigma2, xs))

@@ -33,6 +33,7 @@ so results are bit-reproducible for a given batch size.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -155,11 +156,16 @@ def tail_bound(cs: ControlSolution, x0, y0, T: float) -> float:
 def _checked_run(cs: ControlSolution, x0, y0, i0, cfg: SimConfig, n_paths,
                  paired=True):
     """(T, K, m) of a run of n_paths paths, after checking the start state,
-    the horizon, n_paths >= 1 and, if paired, its parity under antithetics."""
+    the horizon, the seed, n_paths >= 1 and, if paired, its parity under
+    antithetics."""
     if not (math.isfinite(x0) and 0.0 <= y0 <= 1.0 and i0 in (1, 2)):
         raise OutOfRange("need a finite price, a reserve in [0, 1] and "
                          f"regime 1 or 2, got x={x0}, y={y0}, regime={i0}")
     T = cfg.resolved_horizon(cs.params)
+    if not (isinstance(cfg.base_seed, numbers.Integral)
+            and cfg.base_seed >= 0):
+        raise OutOfRange(f"base_seed must be an integer >= 0, "
+                         f"got {cfg.base_seed!r}")
     if n_paths < 1:
         raise OutOfRange(f"n_paths must be >= 1, got {n_paths}")
     m = 2 if cfg.antithetic else 1
@@ -390,8 +396,12 @@ def estimate_value(cs: ControlSolution, x0, y0, i0, policy: Policy,
     elif kind == "extract_all_at_start":
         mean = (x0 - p.c)*y0
     else:
+        if not (isinstance(cfg.batch_pairs, numbers.Integral)
+                and cfg.batch_pairs >= 1):
+            raise OutOfRange(f"batch_pairs must be an integer >= 1, "
+                             f"got {cfg.batch_pairs!r}")
         n_units = cfg.n_paths//m
-        batch = max(1, min(cfg.batch_pairs, n_units))
+        batch = min(cfg.batch_pairs, n_units)
         sizes = [min(batch, n_units - s) for s in range(0, n_units, batch)]
         pays = [_simulate_batch(cs, x0, y0, i0, policy, size, cfg.dt, K,
                                 cfg.base_seed, bidx, cfg.antithetic)

@@ -215,6 +215,14 @@ def phi(params: ModelParams, i: int, alpha) -> float:
     return -0.5*params.sigma(i)**2*np.square(alpha) + params.rho + params.lam(i)
 
 
+def finite_prices(x):
+    """x, after one check that every price in it is finite: OutOfRange
+    otherwise, NaN included, as for U's states."""
+    if not np.isfinite(x).all():
+        raise OutOfRange(f"prices must be finite, got {x}")
+    return x
+
+
 def chat(params: ModelParams, y) -> float:
     """Effective selling cost c - f'(y)/rho, strictly decreasing in y."""
     y = np.asarray(y, dtype=float)

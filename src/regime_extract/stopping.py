@@ -13,7 +13,8 @@ obtained by eliminating the exponential coefficients from the six
 value-match/smooth-fit equations. Writing kappa = (sigma1^2 a3r a4r / 2
 + rho + l1)/l1 = rho/(rho+l2) - a1, the G1 coefficient of u at v = 0 is
 1 - kappa < 0, it vanishes at the unique zhat2 > 0 with
-cosh(a5 zhat2) = (kappa (rho+l2) - l2)/rho, and on (0, zhat2) the system
+cosh(a5 zhat2) = (kappa (rho+l2) - l2)/rho (zhat2 takes the acosh, the
+one place it is computed), and on (0, zhat2) the system
 is equivalent to u = M1(v), M1(v) - M2(v) = 0 with M1 increasing to
 +infinity and M2 decreasing, so a guarded bisection finds the unique
 root. At v = 0, M1(0) and M2(0) reproduce the two equal-volatility
@@ -31,14 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
 from ._numerics import bisect
 from .errors import (AssumptionViolated, DomainError, NoBracket, OutOfRange,
                      PreconditionViolated, VerificationFailed)
-from .model import ModelParams, chat, check_assumptions
+from .model import ModelParams, chat, check_assumptions, finite_prices
 from .roots import RootSet, solve_characteristic
 
 # solve_z brackets z2 in [eps, zhat2 (1 - ENDPOINT_EPS)], eps from
@@ -47,6 +47,8 @@ ENDPOINT_EPS = 1e-10
 # verify_fbp's acceptance tolerances (ODE residual, operator inequality,
 # payoff domination, C1 gap) and the step of its one-sided C1 slopes
 ODE_TOL, INEQ_TOL, DOM_TOL, C1_TOL, C1_STEP = 1e-7, 1e-7, 1e-9, 1e-6, 1e-6
+# verify_fbp's most points per level; a pass peaks near 90 B a point
+MAX_FBP_POINTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -81,11 +83,6 @@ class StoppingSolution:
         return self.z1 if i_internal == 1 else self.z1 + self.z2
 
 
-def _den0(params: ModelParams, roots: RootSet) -> float:
-    # G1 coefficient of u at v=0; equals 1 - kappa, negative for all params
-    return roots.a1 + params.lambda2/(params.rho + params.lambda2)
-
-
 def _reduced(params: ModelParams, roots: RootSet, v):
     """(A1, T1, A2, T2) of the reduced system at v: G1 = A1 u - T1 + a2 and
     G2 = A2 u - T2 + a4, so M1 = (T1 - a2)/A1 and M2 = (T2 - a4)/A2."""
@@ -107,40 +104,26 @@ def g2(params: ModelParams, roots: RootSet, u, v):
     return A2*u - T2 + roots.a4
 
 
-def zhat2_closed_form(params: ModelParams, roots: RootSet) -> float:
-    """Endpoint where M1 diverges: cosh(a5 v) = (kappa (rho+l2) - l2)/rho."""
+def zhat2(params: ModelParams, roots: RootSet) -> float:
+    """Endpoint where M1 diverges, in closed form: the positive zero of
+    its denominator, cosh(a5 v) = (kappa (rho+l2) - l2)/rho.
+
+    Raises PreconditionViolated unless that denominator, a1 + l2/(rho+l2)
+    = 1 - kappa at v = 0, is negative (the cosh target above 1) and the
+    target is finite; the feasibility conditions imply both.
+    """
     rho, l2 = params.rho, params.lambda2
-    target = -_den0(params, roots)*(rho + l2)/rho + 1.0
+    target = -(roots.a1 + l2/(rho + l2))*(rho + l2)/rho + 1.0
+    if not 1.0 < target < math.inf:   # NaN fails too
+        raise PreconditionViolated(
+            "M1's denominator a1 + lambda2/(rho+lambda2) must be negative at "
+            f"0 with a finite zero; the cosh target is {target}")
     return math.acosh(target)/roots.alpha5
 
 
-def zhat2(params: ModelParams, roots: RootSet) -> float:
-    """Unique positive zero of the M1 denominator, by bisection to 1e-12.
-
-    The documented precondition (a1 + rho/(a5 (rho+l2)) < 0) is enforced;
-    it holds whenever the feasibility conditions do.
-    """
-    rho, l2 = params.rho, params.lambda2
-    if roots.a1 + rho/(roots.alpha5*(rho + l2)) >= 0.0:
-        raise PreconditionViolated(
-            "a1 + rho/(alpha5 (rho+lambda2)) must be negative")
-    r = rho/(rho + l2)
-
-    def h(v):
-        return _den0(params, roots) + r*(math.cosh(roots.alpha5*v) - 1.0)
-
-    hi = 1.0/roots.alpha5
-    for _ in range(10):   # alpha5*hi up to 512, short of cosh's overflow
-        if h(hi) > 0.0:
-            return bisect(h, 0.0, hi)
-        hi *= 2.0
-    raise NoBracket("M1 denominator stays negative up to alpha5 v = 512")
-
-
-def m1(params: ModelParams, roots: RootSet, v,
-       zhat: Optional[float] = None):
+def m1(params: ModelParams, roots: RootSet, v):
     """u-branch of the reduced system; increasing to +inf on [0, zhat2)."""
-    zh = zhat if zhat is not None else zhat2_closed_form(params, roots)
+    zh = zhat2(params, roots)
     va = np.asarray(v, dtype=float)
     if np.any(va < 0.0) or np.any(va >= zh):
         raise DomainError(f"M1 domain is [0, zhat2={zh}), got {v}")
@@ -149,11 +132,10 @@ def m1(params: ModelParams, roots: RootSet, v,
     return float(out) if out.ndim == 0 else out
 
 
-def m2(params: ModelParams, roots: RootSet, v,
-       zhat: Optional[float] = None):
+def m2(params: ModelParams, roots: RootSet, v):
     """Second u-branch; decreasing on [0, zhat2] under the feasibility
     conditions (denominator a3 - ... stays negative since a3 < 0)."""
-    zh = zhat if zhat is not None else zhat2_closed_form(params, roots)
+    zh = zhat2(params, roots)
     va = np.asarray(v, dtype=float)
     if np.any(va < 0.0) or np.any(va > zh*(1.0 + 1e-12)):
         raise DomainError(f"M2 domain is [0, zhat2={zh}], got {v}")
@@ -190,9 +172,8 @@ def solve_z(params: ModelParams) -> StoppingSolution:
         iparams, case, relabeled = swapped, "C_relabeled", True
 
     roots = solve_characteristic(iparams)
-    zh = (zhat2_closed_form if case == "B" else zhat2)(iparams, roots)
-    m1_0 = m1(iparams, roots, 0.0, zhat=zh)
-    m2_0 = m2(iparams, roots, 0.0, zhat=zh)
+    zh = zhat2(iparams, roots)
+    m1_0, m2_0 = m1(iparams, roots, 0.0), m2(iparams, roots, 0.0)
     if case == "B":   # both candidate shifts must agree with the closed form
         z1, z2 = iparams.sigma1/math.sqrt(2.0*iparams.rho), 0.0
         if abs(m1_0 - m2_0) > 1e-10*max(1.0, abs(m1_0)):
@@ -223,7 +204,7 @@ def solve_z(params: ModelParams) -> StoppingSolution:
             raise NoBracket("M1 - M2 changes sign more than once on "
                             "(0, zhat2)")
         z2 = bisect(diff, lo, hi)
-        z1 = m1(iparams, roots, z2, zhat=zh)
+        z1 = m1(iparams, roots, z2)
     return StoppingSolution(
         case=case, z1=float(z1), z2=float(z2), zhat2=float(zh),
         relabeled=relabeled, params=params, iparams=iparams, roots=roots,
@@ -315,13 +296,15 @@ def _w_table(sol: StoppingSolution, x, y, series, side: int = -1):
 
 
 def _w_value(sol: StoppingSolution, x, i: int, y, order: int, side: int):
-    out = _w_table(sol, x, y, [(sol.internal_regime(i), order)], side)[0]
+    out = _w_table(sol, finite_prices(x), y,
+                   [(sol.internal_regime(i), order)], side)[0]
     return float(out) if out.ndim == 0 else out
 
 
 def w(sol: StoppingSolution, x, i: int, y):
     """Stopping value w(x, i; y); equals the payoff x - chat(y) once x is
-    at or above the regime boundary. x and y broadcast as arrays."""
+    at or above the regime boundary. x and y broadcast as arrays; OutOfRange
+    on a non-finite x or y outside [0, 1], as in w_x, w_xx and v."""
     return _w_value(sol, x, i, y, 0, -1)
 
 
@@ -436,10 +419,12 @@ def verify_fbp(sol: StoppingSolution, y, n_points: int = 10000, grid=None):
     (iv) w is C^1 at the boundaries to C1_TOL, comparing second-order
     one-sided difference slopes with step C1_STEP. Raises
     VerificationFailed with the worst offender of the first failing
-    level; a NaN anywhere fails.
+    level; a NaN anywhere fails. OutOfRange, before any allocation, on
+    n_points outside [2, MAX_FBP_POINTS].
     """
-    if n_points < 2:
-        raise OutOfRange(f"n_points must be at least 2, got {n_points}")
+    if not 2 <= n_points <= MAX_FBP_POINTS:
+        raise OutOfRange(f"n_points must lie in [2, {MAX_FBP_POINTS}], "
+                         f"got {n_points}")
     ys = np.asarray(y, dtype=float).reshape(-1)
     step = max(1, (1 << 15)//n_points)   # levels per pass: arrays of a few MB
     table = np.concatenate([_fbp_table(sol, ys[s:s + step], n_points, grid)

@@ -1,4 +1,7 @@
+import importlib
 import inspect
+import re
+from pathlib import Path
 
 import regime_extract as rx
 
@@ -46,8 +49,8 @@ PINNED_SIGNATURES = {
     "from_stopping": ("sol",),
     "g1": ("params", "roots", "u", "v"),
     "g2": ("params", "roots", "u", "v"),
-    "m1": ("params", "roots", "v", "zhat"),
-    "m2": ("params", "roots", "v", "zhat"),
+    "m1": ("params", "roots", "v"),
+    "m2": ("params", "roots", "v"),
     "params_from_config": ("cfg",),
     "phi": ("params", "i", "alpha"),
     "simulate_traces": ("cs", "x0", "y0", "i0", "policy", "cfg", "n_paths"),
@@ -67,7 +70,6 @@ PINNED_SIGNATURES = {
     "w_xx": ("sol", "x", "i", "y", "side"),
     "x_star": ("sol", "i", "y"),
     "zhat2": ("params", "roots"),
-    "zhat2_closed_form": ("params", "roots"),
 }
 
 
@@ -86,3 +88,37 @@ def _signatures():
 
 def test_public_signatures_pinned():
     assert _signatures() == PINNED_SIGNATURES
+
+
+README = Path(__file__).resolve().parent.parent/"README.md"
+# a `NAME` = value pair, or the (`module`) tag that closes its group
+_CONSTANT = re.compile(r"`([A-Z][A-Z0-9_]*)` = ([0-9][0-9.e+-]*)"
+                       r"|\(`([a-z_]+)`\)")
+
+
+def _readme_constants():
+    """(name, value, module) of every pair in README's list of module
+    constants: each pair belongs to the first module tag after it in its
+    bullet."""
+    text = README.read_text()
+    start = text.index("Every tolerance and size cap is")
+    block = text[start:text.index("\n\n", text.index("\n- ", start))]
+    out = []
+    for bullet in block.split("\n- ")[1:]:
+        pending = []
+        for m in _CONSTANT.finditer(" ".join(bullet.split())):
+            if m.group(3) is None:
+                pending.append(m.group(1, 2))
+            else:
+                out += [(name, value, m.group(3)) for name, value in pending]
+                pending = []
+        assert not pending, f"no module tag after {pending}"
+    return out
+
+
+def test_readme_constants_match_the_code():
+    pairs = _readme_constants()
+    assert len(pairs) >= 16
+    for name, value, module in pairs:
+        mod = importlib.import_module(f"regime_extract.{module}")
+        assert float(value) == getattr(mod, name), (name, module)

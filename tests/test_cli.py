@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regime_extract
-from regime_extract import mcsim
+from regime_extract import control, mcsim, stopping
 from regime_extract.cli import main
 
 from conftest import draw_from_boxes, draw_valid
@@ -453,15 +453,75 @@ def test_cli_json_on_random_configs(tmp_path_factory, seed, family, quadratic):
             _strict_json(out.getvalue())
 
 
-def test_console_entry_point_runs():
-    # the child imports the package the tests import, installed or not
+def _child_env():
+    """Environment in which a child imports the package the tests import,
+    installed or not."""
     src = str(Path(regime_extract.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "regime_extract.cli", "--version"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_quietly(capsys, monkeypatch):
+    # `solve ... | head -1` printed a BrokenPipeError traceback, exit 1
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["solve", "--config", str(CONFIGS/"example.json")]) == 3
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_pipe_in_a_child():
+    # the pipe's read end is closed before the child starts, so its first
+    # write fails for certain; the flush at exit must not fail again
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "regime_extract.cli", "solve",
+             "--config", str(CONFIGS/"example.json")],
+            stdout=w, stderr=subprocess.PIPE, env=_child_env())
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (3, b"")
+
+
+@pytest.mark.parametrize("argv,module,first_step", [
+    (["--fbp-points", "100000000"], stopping, "_fbp_table"),
+    (["--fbp-points", "200", "--hjb-nx", "5000", "--hjb-ny", "5000"],
+     control, "chat"),
+], ids=["fbp", "hjb"])
+def test_verify_grid_caps_are_user_errors(capsys, cfg_path, monkeypatch,
+                                          argv, module, first_step):
+    # 10^8 points or 25 * 10^6 states asked for 9-12 GB; past the caps
+    # neither verifier reaches the step that builds its grid
+    def built(*args):
+        raise AssertionError("the grid would be built")
+
+    monkeypatch.setattr(module, first_step, built)
+    assert main(["verify", "--config", cfg_path] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_simulate_negative_seed_is_user_error(capsys, cfg_path):
+    # SeedSequence raised an untyped ValueError: a traceback and exit 1
+    assert main(["simulate", "--config", cfg_path, "--x", "0", "--y", "0.5",
+                 "--regime", "1", "--paths", "10", "--dt", "0.1",
+                 "--horizon", "1.0", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "base_seed" in captured.err
 
 
 CONFIGS = Path(__file__).resolve().parent.parent/"configs"
@@ -471,14 +531,16 @@ CONFIGS = Path(__file__).resolve().parent.parent/"configs"
 # abs_diff_vs_u) is the closed-form U's, within 4e-16 of scipy's quad.
 # tail_bound is mcsim.tail_bound's, which bounds E|X_T - c| through
 # sigma_max (sqrt(T) + 4/sqrt(rho)) rather than the verifier's price range.
+# example.json's entry was re-pinned when zhat2 became one closed form,
+# which moved z1 and z2 by about 1e-13.
 PINNED_SIMULATE = {
     ("example.json", "0.6", "0.5", "2", None): (
-        '{\n  "mean": 0.10887279483184736,\n'
-        '  "std_error": 0.0037150285908267486,\n  "n_paths": 4000,\n'
+        '{\n  "mean": 0.10887279483185044,\n'
+        '  "std_error": 0.0037150285908266324,\n  "n_paths": 4000,\n'
         '  "tail_bound": 0.000566767213226932,\n'
         '  "policy_id": "reflect_optimal",\n  "dt": 0.04,\n'
-        '  "horizon": 30.0,\n  "u_value": 0.11416649859204625,\n'
-        '  "abs_diff_vs_u": 0.005293703760198887\n}\n'),
+        '  "horizon": 30.0,\n  "u_value": 0.11416649859201966,\n'
+        '  "abs_diff_vs_u": 0.005293703760169216\n}\n'),
     ("equal_vol.json", "-2.0", "0.3", "1", "40"): (
         '{\n  "mean": -0.7019914761023677,\n'
         '  "std_error": 0.0007337289645481317,\n  "n_paths": 4000,\n'
@@ -490,18 +552,20 @@ PINNED_SIMULATE = {
 
 
 # stdout of solve and the boundary CSV pair (grid 5) before the closed
-# forms were shared between the solver, the feasibility check and w
+# forms were shared between the solver, the feasibility check and w;
+# example.json's were re-pinned when zhat2 became one closed form, which
+# moved z1 and z2 by about 1e-13
 PINNED_SOLVE = {
     "example.json": (
-        '{\n  "case": "A",\n  "z1": 1.3078217229805618,\n'
-        '  "z2": 0.9070362850100658,\n  "zhat2": 1.7190574227684392,\n'
+        '{\n  "case": "A",\n  "z1": 1.3078217229804578,\n'
+        '  "z2": 0.9070362850100065,\n  "zhat2": 1.7190574227683268,\n'
         '  "alpha": [\n    -5.326156562976988,\n    -0.47223651756545215,\n'
         '    0.47223651756545215,\n    5.326156562976988,\n'
         '    0.6545529160062327\n  ],\n  "a": [\n    -0.8718662111384478,\n'
         '    0.24626116495009662,\n    -0.6193974678700619,\n'
         '    0.6939838581972715\n  ],\n  "relabeled": false,\n'
-        '  "residuals": {\n    "G1": -2.7755575615628914e-17,\n'
-        '    "G2": 4.5430326167661406e-13\n  }\n}\n'),
+        '  "residuals": {\n    "G1": 2.7755575615628914e-17,\n'
+        '    "G2": 5.657696533489798e-13\n  }\n}\n'),
     "equal_vol.json": (
         '{\n  "case": "B",\n  "z1": 1.0,\n  "z2": 0.0,\n'
         '  "zhat2": 1.416190409532931,\n  "alpha": [\n'
@@ -514,35 +578,37 @@ PINNED_SOLVE = {
 }
 PINNED_BOUNDARY = (
     "x,b1_star,b2_star,bhash_sigma1,bhash_sigma2\n"
-    "-1.0034238204684174,1.0,1.0,0.6774378687201872,1.0\n"
-    "-0.3006124346061726,0.7459455665823186,1.0,0.23587455566532287,1.0\n"
-    "0.4021989512560722,0.34048045847415426,0.8383979693297374,0.0,"
-    "0.8857557707523552\n"
-    "1.1050103371183169,0.0,0.47613956015512593,0.0,0.5434892622881627\n"
-    "1.8078217229805618,0.0,0.0,0.0,0.019011660312741853\n",
+    "-1.0034238204685808,1.0,1.0,0.6774378687202702,1.0\n"
+    "-0.30061243460632114,0.7459455665823398,1.0,0.23587455566544002,1.0\n"
+    "0.4021989512559385,0.3404804584741754,0.8383979693297243,0.0,"
+    "0.8857557707524105\n"
+    "1.1050103371181983,0.0,0.47613956015509806,0.0,0.5434892622882316\n"
+    "1.8078217229804578,0.0,0.0,0.0,0.01901166031284381\n",
     "y,x1_star,x2_star,xhash_sigma1,xhash_sigma2\n"
-    "0.0,0.8078217229805618,1.7148580079906277,-0.03459694887119613,"
+    "0.0,0.8078217229804578,1.7148580079904643,-0.03459694887119613,"
     "1.8270152556440191\n"
-    "0.25,0.5237963062928204,1.4308325913028863,-0.3186223655589375,"
+    "0.25,0.5237963062927165,1.430832591302723,-0.3186223655589375,"
     "1.5429898389562777\n"
-    "0.5,0.15910045228043357,1.0661367372904995,-0.6833182195713243,"
+    "0.5,0.15910045228032965,1.066136737290336,-0.6833182195713243,"
     "1.178293984943891\n"
-    "0.75,-0.309178293632113,0.5978579913779529,-1.151596965483871,"
+    "0.75,-0.30917829363221694,0.5978579913777895,-1.151596965483871,"
     "0.7100152390313443\n"
-    "1.0,-0.9104601054784833,-0.0034238204684173823,-1.7528787773302412,"
+    "1.0,-0.9104601054785872,-0.003423820468580807,-1.7528787773302412,"
     "0.10873342718497403\n")
 
 
 # sha256 of verify's stdout (--fbp-points 2000 --hjb-nx 40 --hjb-ny 10);
 # example.json's hjb block moved from Simpson's 2.35e-10 worst residual
-# to the closed form's round-off, the rest is unchanged
+# to the closed form's round-off, the rest is unchanged; both example.json
+# hashes were re-pinned when zhat2 became one closed form, which moved
+# z1 and z2 by about 1e-13
 PINNED_VERIFY = {
     ("example.json", False):
-        "8a60dd813c52a54e75eded08c3bb8f3fc74683fbd0291cead2537258d021bdeb",
+        "b8e084c70da8a6a9ff04be9170038197e0571b450afda6f18f076146d015c8d7",
     ("equal_vol.json", False):
         "263d6b567973977bc5593a5a10722e676389056875440b066f0f856e4610798d",
     ("example.json", True):
-        "0632b836e03a688072d280a14c786fe72b2e6c4b08eea694f2e33f0f18fd080b",
+        "2dd6101eb14a6e81a1673a4db8fb5435cb63d90042ef6421df9b53bf90988dd1",
 }
 
 
@@ -611,16 +677,17 @@ def test_check_stdout_pinned(capsys, tmp_path, name):
 
 
 # stdout of value at two states per config, recorded before the
-# tolerances became module constants
+# tolerances became module constants; example.json's were re-pinned
+# when zhat2 became one closed form, which moved z1 and z2 by about 1e-13
 PINNED_VALUE = {
     ("example.json", "0.6", "0.5", "2"): (
-        '{\n  "U": 0.11416649859204625,\n  "Uy": 0.14165081014872172,\n'
-        '  "Ux": 0.3569186107040433,\n  "Uxx": 0.15583335275598942,\n'
-        '  "hjb_residual": -2.7755575615628914e-17\n}\n'),
+        '{\n  "U": 0.11416649859201966,\n  "Uy": 0.1416508101486904,\n'
+        '  "Ux": 0.3569186107040605,\n  "Uxx": 0.15583335275597893,\n'
+        '  "hjb_residual": -5.551115123125783e-17\n}\n'),
     ("example.json", "-1.0", "0.3", "1"): (
-        '{\n  "U": -0.17983417592153075,\n  "Uy": -0.7324448732683969,\n'
-        '  "Ux": 0.08031294925844634,\n  "Uxx": 0.03803913893972523,\n'
-        '  "hjb_residual": -4.163336342344337e-17\n}\n'),
+        '{\n  "U": -0.17983417592153816,\n  "Uy": -0.7324448732684239,\n'
+        '  "Ux": 0.08031294925844287,\n  "Uxx": 0.03803913893972366,\n'
+        '  "hjb_residual": 1.3877787807814457e-17\n}\n'),
     ("equal_vol.json", "-2.0", "0.3", "1"): (
         '{\n  "U": -0.7015015797798478,\n  "Uy": -2.7506710358827786,\n'
         '  "Ux": 0.07849842022015224,\n  "Uxx": 0.07849842022015224,\n'

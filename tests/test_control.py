@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 
 import regime_extract as rx
+from regime_extract import control
 from regime_extract.errors import (OrderingViolated, OutOfRange,
                                    PreconditionViolated, VerificationFailed)
 from regime_extract.model import chat
@@ -50,6 +51,38 @@ def test_value_zero_at_empty_reserve(cs_a):
 def test_value_rejects_bad_reserve(cs_a):
     with pytest.raises(OutOfRange):
         rx.U(cs_a, 0.0, 1.2, 1)
+
+
+def _exp_twin(cs):
+    """cs with its exponential cost written as a custom cost."""
+    cost = cs.params.cost
+    return rx.solve_control(dataclasses.replace(
+        cs.params, cost=rx.CostFunction.custom(cost.value, cost.derivative)))
+
+
+NAN, INF = math.nan, math.inf
+
+
+# b_star(cs, 1, nan) returned NaN, and its custom twin bisected its way to
+# 0.9999999999999964; compare_boundaries reported NaN or empty tables as
+# passes
+@pytest.mark.parametrize("call", [
+    lambda cs: rx.b_star(cs, 1, NAN),
+    lambda cs: rx.b_star(_exp_twin(cs), 1, NAN),
+    lambda cs: rx.b_star(cs, 2, np.array([0.1, INF])),
+    lambda cs: rx.b_sharp(cs.params, cs.params.sigma1, -INF),
+    lambda cs: rx.w(cs.stopping, NAN, 1, 0.5),
+    lambda cs: rx.w_x(cs.stopping, np.array([0.2, NAN]), 2, 0.5),
+    lambda cs: rx.w_xx(cs.stopping, INF, 2, 0.5, 1),
+    lambda cs: rx.v(cs.stopping, NAN, 2, 0.3),
+    lambda cs: rx.compare_boundaries(cs, x_range=(NAN, 1.0)),
+    lambda cs: rx.compare_boundaries(cs, x_range=(0.0, INF)),
+    lambda cs: rx.compare_boundaries(cs, n=0),
+], ids=["b_star", "b_star_custom", "b_star_array", "b_sharp", "w", "w_x",
+        "w_xx", "v", "compare_nan", "compare_inf", "compare_n0"])
+def test_non_finite_prices_are_out_of_range(cs_a, call):
+    with pytest.raises(OutOfRange):
+        call(cs_a)
 
 
 @pytest.fixture(scope="module")
@@ -200,10 +233,26 @@ def test_verify_hjb_empty_grid_is_out_of_range(cs_a, nx, ny):
         rx.verify_hjb(cs_a, nx=nx, ny=ny)
 
 
+def test_verify_hjb_caps_its_states_before_allocating(cs_a, monkeypatch):
+    # chat is verify_hjb's first step after the check: reaching it means
+    # the grid would be built
+    def built(*args):
+        raise AssertionError("verify_hjb went past its size check")
+
+    monkeypatch.setattr(control, "chat", built)
+    cap = control.MAX_HJB_STATES
+    with pytest.raises(OutOfRange, match="nx\\*ny"):
+        rx.verify_hjb(cs_a, nx=cap//64 + 1, ny=64)
+    with pytest.raises(AssertionError):   # the cap itself is allowed
+        rx.verify_hjb(cs_a, nx=cap//64, ny=64)
+
+
 # 40x10 worst residuals of the closed-form U (round-off level; the
-# Simpson U read 2.353347794414873e-10 at (-0.4944970292746991, 0.5, 2))
+# Simpson U read 2.353347794414873e-10 at (-0.4944970292746991, 0.5, 2));
+# A's worst state moved from x = -8.976091190763318, a round-off tie, when
+# zhat2 became one closed form, which moved z1 and z2 by about 1e-13
 HJB_40x10 = {
-    "A": ((-8.976091190763318, 1.0, 1), 4.440892098500626e-16,
+    "A": ((-7.279772358465319, 1.0, 1), 4.440892098500626e-16,
           4.440892098500626e-16),
     "B": ((3.8461538461538467, 0.8, 1), 8.881784197001252e-16,
           8.881784197001252e-16),

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -278,14 +279,16 @@ def test_trace_csv_format(cs_a, tmp_path):
 
 # estimate_value of reflect_optimal before the simulator's engines were
 # merged, (mean, std_error) at dt 0.04 on 3,000 antithetic pairs in
-# batches of 1,000; exhausted pairs are compacted away in every batch
+# batches of 1,000; exhausted pairs are compacted away in every batch.
+# The "a" entries were re-pinned when zhat2 became one closed form, which
+# moved z1 and z2 by about 1e-13.
 PINNED_ESTIMATES = {
     ("b", (0.6, 0.5, 2)): (-0.19999999999999996, 1.0136592813758637e-18),
     ("b", (1.5, 0.5, 2)): (0.25, 0.0),
     ("b", (-2.0, 0.3, 1)): (-0.7035740041184463, 0.0005951169111198213),
-    ("a", (0.6, 0.5, 2)): (0.11020038856017789, 0.0030231868101133837),
-    ("a", (0.16, 0.9, 2)): (-0.1485481016747618, 0.004379332160299285),
-    ("a", (-1.5, 0.5, 1)): (-0.4068663210251366, 0.002459321246718727),
+    ("a", (0.6, 0.5, 2)): (0.11020038856018037, 0.003023186810113297),
+    ("a", (0.16, 0.9, 2)): (-0.14854810167475585, 0.004379332160299115),
+    ("a", (-1.5, 0.5, 1)): (-0.4068663210251357, 0.0024593212467185982),
 }
 
 
@@ -333,6 +336,23 @@ def test_simulator_rejects_invalid_states(cs_a, x0, y0, i0):
         rx.simulate_traces(cs_a, x0, y0, i0, pol, cfg, 8)
     with pytest.raises(OutOfRange):
         rx.estimate_value(cs_a, x0, y0, i0, pol, cfg)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("base_seed", -1), ("base_seed", 2.5), ("batch_pairs", 0),
+    ("batch_pairs", -5), ("batch_pairs", 2.5)])
+def test_sim_config_seed_and_batch_checked(cs_a, field, value):
+    # batch_pairs 0 and -5 ran as 1-pair batches; a negative seed failed
+    # in SeedSequence with an untyped ValueError
+    cfg = dataclasses.replace(
+        rx.SimConfig(dt=1e-2, horizon=0.5, n_paths=8, base_seed=3),
+        **{field: value})
+    pol = rx.Policy.reflect_optimal()
+    with pytest.raises(OutOfRange, match=field):
+        rx.estimate_value(cs_a, 0.2, 0.5, 2, pol, cfg)
+    if field == "base_seed":
+        with pytest.raises(OutOfRange, match=field):
+            rx.simulate_traces(cs_a, 0.2, 0.5, 2, pol, cfg, 8)
 
 
 @pytest.mark.parametrize("n_paths", [0, -2])
@@ -446,14 +466,15 @@ def _exp_cost_twin(params):
 # sha256 of recorded traces (t, regime, X, Y, dnu, disc_inc and the four
 # switches arrays), recorded before the reflection step was written once;
 # 64 paths on example.json from (0.16, 0.9, 2) over 2 time units, where
-# paths switch regime inside steps
+# paths switch regime inside steps; reflect_optimal's were re-pinned when
+# zhat2 became one closed form, which moved z1 and z2 by about 1e-13
 PINNED_TRACES = {
     ("reflect_optimal", True): (
-        "9a1f93b75917a101fdfc2218399e5b25"
-        "14e4594d6b7072bc42c1a5a36a742af2"),
+        "250b610df92fcffa6fabdaba19a43bc2"
+        "66818cd78ece0ddaccee6342d10e8ec4"),
     ("reflect_optimal", False): (
-        "9955efa0bf03e527ae396348090c5efa"
-        "e4257bd81794b0bb28e278ad402cd65a"),
+        "7316e06e73225f3f2a6446db882ade53"
+        "4061290aa5c75c66c5554db927e06279"),
     ("never_extract", True): (
         "f5d82ca61a89ef26d2a79389ab30f4e9"
         "15dbf1aebb29e0215ba900de3dd3dcd3"),
@@ -488,17 +509,18 @@ def test_trace_pinned(cs_a, key):
 
 
 # sha256 of _simulate_batch's (m, n_pairs) payoffs with compaction every
-# 64 steps, recorded before the reflection step was written once
+# 64 steps, recorded before the reflection step was written once; the
+# reflect_optimal ones were re-pinned when zhat2 became one closed form
 PINNED_BATCHES = {
     "reflect_optimal": (
-        "7af9f230c09c2e78ff4b2120a19bdc51"
-        "866dc717c35b1b35906803f4c02327f0"),
+        "20143b33b8a8181a75e09b945c7f67d3"
+        "5e8627ed6817cff4c40bd2f6567fed9c"),
     "custom": (
         "1105be92c96043e4abdebb962dd8f9d2"
         "ac557a95941a18092789c33448b8020b"),
     "custom_cost": (
-        "337410d80ff0c8edfb87fcc6c5a2e909"
-        "e6b77b00a0d77f46e491fd15305d8897"),
+        "9ee7848cefda46bca7afb9072e6256ed"
+        "3146660345f2342811708f68ac6fa65b"),
 }
 
 
@@ -514,9 +536,10 @@ def test_compacted_batch_pinned(params_a, cs_a, name):
 
 
 # (mean, std_error) recorded before the reflection step was written once:
-# reflect_optimal without antithetics, and a custom boundary with them
+# reflect_optimal without antithetics, and a custom boundary with them;
+# "plain" was re-pinned when zhat2 became one closed form
 PINNED_OTHER_ESTIMATES = {
-    "plain": (0.10303773171973866, 0.007428951083099776),
+    "plain": (0.1030377317197394, 0.007428951083099141),
     "custom": (0.08318367012454363, 0.00378437648314732),
 }
 
@@ -564,11 +587,12 @@ def _engine_run(name, cs_a, cs_b):
 
 # sha256 of _simulate_batch's payoffs, recorded before the engine moved to
 # flat member-major indexing: single paths (m = 1), the quadratic cost of
-# equal_vol.json, and a high-switching set under both policy kinds
+# equal_vol.json, and a high-switching set under both policy kinds;
+# "plain" was re-pinned when zhat2 became one closed form
 PINNED_ENGINE_RUNS = {
     "plain": (
-        "e70f83dece647e60af4c885eb15536e4"
-        "579287512f2905764b4009f8114288ff"),
+        "2cb4958ca2df53d39a1ce6635eead125"
+        "f0f4c34233df7685a896f8ea1b521961"),
     "plain_custom": (
         "92333d769a80bb1a0464553d392908b2"
         "dd71fecf34022473e11aafe60a1ca6d4"),

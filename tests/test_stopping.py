@@ -7,8 +7,8 @@ import pytest
 import regime_extract as rx
 from regime_extract import stopping
 from regime_extract.errors import (AssumptionViolated, DomainError,
-                                   NoBracket, OutOfRange,
-                                   PreconditionViolated, VerificationFailed)
+                                   OutOfRange, PreconditionViolated,
+                                   VerificationFailed)
 from regime_extract.model import chat
 from regime_extract.stopping import (FbpReport, _continuation,
                                      case_b_shift_candidates, perturbed)
@@ -25,28 +25,22 @@ M1_0_A = 0.8130095767749578
 M2_0_A = 1.8163108493557811
 
 
-def test_zhat2_bisection_matches_closed_form(params_a, roots_a):
-    zb = rx.zhat2(params_a, roots_a)
-    zc = rx.zhat2_closed_form(params_a, roots_a)
-    assert abs(zb - zc) <= 1e-10
-    assert zc == pytest.approx(ZHAT2_A, rel=1e-12)
-
-
 def test_zhat2_bracketing_endpoint(params_a, roots_a):
     # denominator of M1 is negative at 0 and vanishes exactly at zhat2
     d0 = roots_a.a1 + params_a.lambda2/(params_a.rho + params_a.lambda2)
     assert d0 < 0.0
     r = params_a.rho/(params_a.rho + params_a.lambda2)
-    zc = rx.zhat2_closed_form(params_a, roots_a)
-    assert d0 + r*(math.cosh(roots_a.alpha5*zc) - 1.0) == pytest.approx(
+    zh = rx.zhat2(params_a, roots_a)
+    assert d0 + r*(math.cosh(roots_a.alpha5*zh) - 1.0) == pytest.approx(
         0.0, abs=1e-12)
+    assert zh == pytest.approx(ZHAT2_A, rel=1e-12)
 
 
-def test_zhat2_bracket_doubling_capped(params_a, roots_a):
-    # the M1 denominator stays negative until cosh overflows
+def test_zhat2_overflow_is_typed(params_a, roots_a):
+    # the cosh target overflows to inf: no finite zhat2, a typed error
     import dataclasses
-    with pytest.raises(NoBracket):
-        rx.zhat2(params_a, dataclasses.replace(roots_a, a1=-1e300))
+    with pytest.raises(PreconditionViolated):
+        rx.zhat2(params_a, dataclasses.replace(roots_a, a1=-1e308))
 
 
 def test_zhat2_requires_negative_denominator(params_a, roots_a):
@@ -70,7 +64,7 @@ def test_m_functions_at_zero(params_a, roots_a):
 
 
 def test_m_functions_reject_out_of_domain(params_a, roots_a):
-    zh = rx.zhat2_closed_form(params_a, roots_a)
+    zh = rx.zhat2(params_a, roots_a)
     with pytest.raises(DomainError):
         rx.m1(params_a, roots_a, zh)
     with pytest.raises(DomainError):
@@ -332,8 +326,8 @@ def test_unique_root_on_feasible_draws(rng):
         sol = rx.solve_z(p)
         rt = sol.roots
         vs = np.linspace(sol.zhat2*1e-9, sol.zhat2*(1 - 1e-9), 10_000)
-        m1v = rx.m1(p, rt, vs, zhat=sol.zhat2)
-        m2v = rx.m2(p, rt, vs, zhat=sol.zhat2)
+        m1v = rx.m1(p, rt, vs)
+        m2v = rx.m2(p, rt, vs)
         assert np.all(np.diff(m1v) > 0.0)   # increasing, diverging branch
         assert np.all(np.diff(m2v) < 0.0)   # decreasing branch
         dd = m1v - m2v
@@ -391,6 +385,19 @@ def test_verify_fbp_needs_two_points(sol_a):
         rx.verify_fbp(sol_a, 0.5, n_points=1)
 
 
+def test_verify_fbp_caps_its_points_before_allocating(sol_a, monkeypatch):
+    def built(*args):
+        raise AssertionError("verify_fbp went past its size check")
+
+    monkeypatch.setattr(stopping, "_fbp_table", built)
+    cap = stopping.MAX_FBP_POINTS
+    for n in (cap + 1, 100_000_000):
+        with pytest.raises(OutOfRange, match="n_points"):
+            rx.verify_fbp(sol_a, [0.2, 0.5], n_points=n)
+    with pytest.raises(AssertionError):   # the cap itself is allowed
+        rx.verify_fbp(sol_a, 0.5, n_points=cap)
+
+
 def test_nan_level_is_out_of_range(sol_a):
     for call in (lambda y: rx.w(sol_a, 0.0, 1, y),
                  lambda y: rx.x_star(sol_a, 2, y),
@@ -433,11 +440,12 @@ def test_verify_fbp_equals_two_table_oracle(any_sol, monkeypatch):
 
 def test_verify_fbp_right_limits_at_boundary_grid_points(any_sol, monkeypatch):
     """Grids with a point exactly on x*_1 or x*_2, where w_xx's right
-    limit differs from its left one, match the two-table verifier."""
+    limit differs from its left one, match the two-table verifier. Each
+    grid ends or starts at the boundary, which linspace hits exactly."""
     for sol in (any_sol, perturbed(any_sol, 1e-3), perturbed(any_sol, -1e-3)):
         x1 = sol.z1 + chat(sol.iparams, 0.5)
         for xb in (x1, x1 + sol.z2):
-            grid = (xb - 1.0, xb + 1.0)
-            assert xb in np.linspace(*grid, 2001)
-            _assert_fbp_equals_oracle(monkeypatch, sol, 0.5, n_points=2001,
-                                      grid=grid)
+            for grid in ((xb - 2.0, xb), (xb, xb + 2.0)):
+                assert xb in np.linspace(*grid, 2001)
+                _assert_fbp_equals_oracle(monkeypatch, sol, 0.5,
+                                          n_points=2001, grid=grid)
