@@ -40,7 +40,7 @@ def bisect(fun, lo, hi, xtol=1e-12):
     return 0.5*(lo + hi)
 
 
-def adaptive_simpson(g, a, b, *row_data, tol=1e-9, max_depth=40):
+def adaptive_simpson(g, a, b, *row_data, tol=1e-9):
     """Integrate g over [a, b] (scalars, or 1-D arrays of rows) by
     composite Simpson from n = 8 panels, doubling n.
 
@@ -49,8 +49,8 @@ def adaptive_simpson(g, a, b, *row_data, tol=1e-9, max_depth=40):
     integrand. Each (integrand, row) keeps the Richardson-extrapolated
     value of the first doubling that moves it by less than tol (absolute),
     as if integrated alone. Returns (..., rows), or a float for scalar a, b
-    and one integrand. Raises QuadratureNotConverged past max_depth
-    doublings or NODE_BUDGET nodes.
+    and one integrand. Raises QuadratureNotConverged past NODE_BUDGET
+    nodes.
     """
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     a, b, *row_data = np.broadcast_arrays(
@@ -60,9 +60,7 @@ def adaptive_simpson(g, a, b, *row_data, tol=1e-9, max_depth=40):
     s_prev = _composite(g, a, b, row_data, rows, n)
     out = np.zeros(s_prev.shape[:-1] + a.shape)
     pending = np.ones(s_prev.shape, dtype=bool)
-    for _ in range(max_depth):
-        if rows.size == 0:
-            break
+    while rows.size:
         n *= 2
         s = _composite(g, a, b, row_data, rows, n)
         hit = pending & (np.abs(s - s_prev) < tol)
@@ -73,10 +71,6 @@ def adaptive_simpson(g, a, b, *row_data, tol=1e-9, max_depth=40):
             live = pending.any(axis=tuple(range(pending.ndim - 1)))
             rows, s, pending = rows[live], s[..., live], pending[..., live]
         s_prev = s
-    if rows.size:
-        raise QuadratureNotConverged(
-            f"Simpson on [{a[rows[0]]}, {b[rows[0]]}] still moving after "
-            f"depth {max_depth}")
     out = out[..., 0] if scalar else out
     return float(out) if out.ndim == 0 else out
 

@@ -1,13 +1,16 @@
 """Command-line surface: config ingestion, solver/verifier/simulator
 subcommands, CSV/JSON emission with re-run manifests, optional SVG plots.
 
-Exit codes: 0 success, 1 mathematical or verification failure, 2 user
-input error, 3 I/O error.
+Each cmd_* returns (exit code, stdout document, files) and does no I/O;
+`main` alone reads the config, writes the files, prints and maps every
+error to an exit code: 0 success, 1 mathematical or verification failure,
+2 user input error, 3 I/O error.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -29,82 +32,84 @@ from .stopping import perturbed, solve_z, verify_fbp, x_star
 
 EXIT_OK, EXIT_MATH, EXIT_USER, EXIT_IO = 0, 1, 2, 3
 MAX_SCAN_STEPS = 1000   # scan-region builds its steps^2 CSV lines in memory
+POLICIES = {"reflect_optimal": Policy.reflect_optimal,
+            "never_extract": Policy.never_extract,
+            "extract_all_at_start": Policy.extract_all_at_start}
 
 
-def _load_config(path):
+def _load_params(path):
+    """The parameters of the config file at path and the file's sha256;
+    OutOfRange if it cannot be read, decoded or made into parameters."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        print(f"error: cannot read config {path!r}: {exc}", file=sys.stderr)
-        return None, None
+        raise OutOfRange(f"cannot read config {path!r}: {exc}") from exc
     try:
         cfg = json.loads(raw.decode("utf-8"))
     except json.JSONDecodeError as exc:
-        print(f"error: config {path!r} is not valid JSON at byte offset "
-              f"{exc.pos}: {exc.msg}", file=sys.stderr)
-        return None, None
+        raise OutOfRange(f"config {path!r} is not valid JSON at byte offset "
+                         f"{exc.pos}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
-        print(f"error: config {path!r} is not UTF-8 at byte offset "
-              f"{exc.start}", file=sys.stderr)
-        return None, None
-    return cfg, hashlib.sha256(raw).hexdigest()
-
-
-def _params_or_none(cfg):
+        raise OutOfRange(f"config {path!r} is not UTF-8 at byte offset "
+                         f"{exc.start}") from exc
     try:
-        return params_from_config(cfg)
+        return params_from_config(cfg), hashlib.sha256(raw).hexdigest()
     except SolverError as exc:
-        print(f"error: invalid parameters: {exc}", file=sys.stderr)
+        raise OutOfRange(f"invalid parameters: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: malformed config: {exc}", file=sys.stderr)
-    return None
+        raise OutOfRange(f"malformed config: {exc}") from exc
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, allow_nan=False))
+def _emit(doc) -> None:
+    """Write doc to stdout: text as it is, anything else as JSON (never
+    NaN or infinity)."""
+    sys.stdout.write(doc if isinstance(doc, str)
+                     else json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
-def _write_manifest(args, cfg_hash, outputs, t0):
-    """Re-run record next to args.out; the options are the parsed
+def _write_files(args, cfg_hash, files, t0) -> None:
+    """Write files (path -> text) as given, then, for a command with
+    --out, its re-run record next to args.out: the options are the parsed
     arguments, the config being named by its hash."""
-    options = {k: v for k, v in vars(args).items()
-               if k not in ("command", "config", "func")}
-    manifest = {
-        "tool": "regime-extract",
-        "version": __version__,
-        "subcommand": args.command,
-        "config_sha256": cfg_hash,
-        "options": options,
-        "outputs": outputs,
-        "wall_clock_s": round(time.time() - t0, 6),
-    }
-    path = str(args.out) + ".manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    if hasattr(args, "out"):   # simulate's --trace-out gets no manifest
+        options = {k: v for k, v in vars(args).items()
+                   if k not in ("command", "config", "func")}
+        manifest = {
+            "tool": "regime-extract",
+            "version": __version__,
+            "subcommand": args.command,
+            "config_sha256": cfg_hash,
+            "options": options,
+            "outputs": list(files),
+            "wall_clock_s": round(time.time() - t0, 6),
+        }
+        files = {**files, args.out + ".manifest.json":
+                 json.dumps(manifest, indent=2) + "\n"}
+    for path, text in files.items():
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
 
 
 # ---------------------------------------------------------------------------
 
-def cmd_check(args, params, cfg_hash) -> int:
+def cmd_check(args, params):
     report = check_assumptions(params, eps=args.eps)
     out = report.to_dict()
     out["case"] = "B" if report.case_b else (
         "conditions_met" if report.all_ok else "conditions_failed")
-    _emit(out)
-    return EXIT_OK if report.all_ok else EXIT_MATH
+    return (EXIT_OK if report.all_ok else EXIT_MATH), out, None
 
 
-def cmd_solve(args, params, cfg_hash) -> int:
+def cmd_solve(args, params):
     try:
         sol = solve_z(params)
     except AssumptionViolated as exc:
-        _emit({"error": "AssumptionViolated", "detail": str(exc),
-               "report": exc.report.to_dict() if exc.report else None})
-        return EXIT_MATH
+        return EXIT_MATH, {"error": "AssumptionViolated", "detail": str(exc),
+                           "report": exc.report.to_dict() if exc.report
+                           else None}, None
     rt = sol.roots
-    _emit({
+    return EXIT_OK, {
         "case": sol.case,
         "z1": sol.z1,
         "z2": sol.z2,
@@ -113,15 +118,12 @@ def cmd_solve(args, params, cfg_hash) -> int:
         "a": [rt.a1, rt.a2, rt.a3, rt.a4],
         "relabeled": sol.relabeled,
         "residuals": {"G1": sol.g1_residual, "G2": sol.g2_residual},
-    })
-    return EXIT_OK
+    }, None
 
 
-def cmd_boundary(args, params, cfg_hash) -> int:
-    t0 = time.time()
+def cmd_boundary(args, params):
     if args.grid < 2:
-        print("error: --grid must be at least 2", file=sys.stderr)
-        return EXIT_USER
+        raise OutOfRange("--grid must be at least 2")
     cs = from_stopping(solve_z(params))
     sol = cs.stopping
     x_lo = x_star(sol, 2, 1.0) - 1.0
@@ -135,33 +137,25 @@ def cmd_boundary(args, params, cfg_hash) -> int:
         ys, x_star(sol, 1, ys), x_star(sol, 2, ys),
         single_regime_boundary(params, params.sigma1, ys),
         single_regime_boundary(params, params.sigma2, ys)])
-    out_y = _suffixed(args.out, "_y")
-    try:
-        _write_csv(args.out, ["x", "b1_star", "b2_star",
-                              "bhash_sigma1", "bhash_sigma2"], rows)
-        _write_csv(out_y, ["y", "x1_star", "x2_star",
-                           "xhash_sigma1", "xhash_sigma2"], rows_y)
-        outputs = [args.out, out_y]
-        if args.svg:
-            svg = args.out + ".svg"
-            _svg_curves(svg, xs, rows[:, 1:5],
-                        ["b1_star", "b2_star", "bhash_sigma1", "bhash_sigma2"])
-            outputs.append(svg)
-        _write_manifest(args, cfg_hash, outputs, t0)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+    files = {
+        args.out: _csv(["x", "b1_star", "b2_star",
+                        "bhash_sigma1", "bhash_sigma2"], rows),
+        _suffixed(args.out, "_y"): _csv(["y", "x1_star", "x2_star",
+                                         "xhash_sigma1", "xhash_sigma2"],
+                                        rows_y)}
+    if args.svg:
+        files[args.out + ".svg"] = _svg_curves(
+            xs, rows[:, 1:5],
+            ["b1_star", "b2_star", "bhash_sigma1", "bhash_sigma2"])
+    return EXIT_OK, None, files
 
 
-def cmd_value(args, params, cfg_hash) -> int:
+def cmd_value(args, params):
     cs = from_stopping(solve_z(params))
-    rep = U_report(cs, args.x, args.y, args.regime)
-    _emit(rep.to_dict())
-    return EXIT_OK
+    return EXIT_OK, U_report(cs, args.x, args.y, args.regime).to_dict(), None
 
 
-def cmd_verify(args, params, cfg_hash) -> int:
+def cmd_verify(args, params):
     sol = solve_z(params)
     if args.inject_z2_error:
         sol = perturbed(sol, 1e-3)
@@ -171,33 +165,29 @@ def cmd_verify(args, params, cfg_hash) -> int:
         hjb = verify_hjb(from_stopping(sol), nx=args.hjb_nx,
                          ny=args.hjb_ny).to_dict()
     except VerificationFailed as exc:
-        _emit({"status": "fail", "detail": str(exc),
-               "report": exc.report.to_dict() if exc.report else None})
-        return EXIT_MATH
-    _emit({"status": "pass",
-           "worst_fbp_ode": max(r["worst_ode"] for r in fbp),
-           "worst_fbp_c1": max(r["worst_c1"] for r in fbp),
-           "worst_hjb": hjb["worst_max_abs"], "fbp": fbp, "hjb": hjb})
-    return EXIT_OK
+        return EXIT_MATH, {"status": "fail", "detail": str(exc),
+                           "report": exc.report.to_dict() if exc.report
+                           else None}, None
+    return EXIT_OK, {"status": "pass",
+                     "worst_fbp_ode": max(r["worst_ode"] for r in fbp),
+                     "worst_fbp_c1": max(r["worst_c1"] for r in fbp),
+                     "worst_hjb": hjb["worst_max_abs"], "fbp": fbp,
+                     "hjb": hjb}, None
 
 
-def cmd_simulate(args, params, cfg_hash) -> int:
-    kinds = {"reflect_optimal": Policy.reflect_optimal,
-             "never_extract": Policy.never_extract,
-             "extract_all_at_start": Policy.extract_all_at_start}
-    if args.policy not in kinds:
-        print(f"error: unknown policy {args.policy!r}", file=sys.stderr)
-        return EXIT_USER
+def cmd_simulate(args, params):
+    if args.policy not in POLICIES:
+        raise OutOfRange(f"unknown policy {args.policy!r}")
+    policy = POLICIES[args.policy]
     cs = from_stopping(solve_z(params))
     try:
         sim = SimConfig(dt=args.dt, horizon=args.horizon, n_paths=args.paths,
                         base_seed=args.seed, antithetic=not args.no_antithetic)
-        outcome = estimate_value(cs, args.x, args.y, args.regime,
-                                 kinds[args.policy](), sim)
-    except (OutOfRange, SolverError) as exc:
-        print(f"error: invalid simulation parameters: {exc}", file=sys.stderr)
-        return EXIT_USER
-    out = outcome.to_dict()
+        outcome = estimate_value(cs, args.x, args.y, args.regime, policy(),
+                                 sim)
+    except SolverError as exc:
+        raise OutOfRange(f"invalid simulation parameters: {exc}") from exc
+    out, files = outcome.to_dict(), None
     if args.policy == "reflect_optimal":
         uval = U_value(cs, args.x, args.y, args.regime)
         out["u_value"] = uval
@@ -206,36 +196,28 @@ def cmd_simulate(args, params, cfg_hash) -> int:
         tr_cfg = SimConfig(dt=args.dt, horizon=args.horizon,
                            n_paths=max(2, min(args.paths, 16)),
                            base_seed=args.seed, antithetic=False)
-        trace = simulate_traces(cs, args.x, args.y, args.regime,
-                                kinds[args.policy](), tr_cfg, tr_cfg.n_paths)
-        try:
-            trace_to_csv(trace, args.trace_out)
-        except OSError as exc:
-            print(f"error: cannot write trace: {exc}", file=sys.stderr)
-            return EXIT_IO
+        trace = simulate_traces(cs, args.x, args.y, args.regime, policy(),
+                                tr_cfg, tr_cfg.n_paths)
+        text = io.StringIO()
+        trace_to_csv(trace, text)
+        files = {args.trace_out: text.getvalue()}
         out["trace_out"] = args.trace_out
-    _emit(out)
-    return EXIT_OK
+    return EXIT_OK, out, files
 
 
-def cmd_scan_region(args) -> int:
-    t0 = time.time()
+def cmd_scan_region(args):
     try:
         s1_lo, s1_hi = (float(t) for t in args.sigma1_range.split(":"))
         s2_lo, s2_hi = (float(t) for t in args.sigma2_range.split(":"))
     except ValueError:
-        print("error: ranges must look like LO:HI", file=sys.stderr)
-        return EXIT_USER
+        raise OutOfRange("ranges must look like LO:HI") from None
     bounds = (s1_lo, s1_hi, s2_lo, s2_hi, args.rho, args.lambda1, args.lambda2)
     if (not all(map(math.isfinite, bounds)) or args.steps < 1 or s1_hi < s1_lo
             or s2_hi < s2_lo or min(s1_lo, s2_lo, *bounds[4:]) <= 0):
-        print("error: need finite positive rates and nonempty positive ranges",
-              file=sys.stderr)
-        return EXIT_USER
+        raise OutOfRange(
+            "need finite positive rates and nonempty positive ranges")
     if args.steps > MAX_SCAN_STEPS:
-        print(f"error: --steps must be at most {MAX_SCAN_STEPS}",
-              file=sys.stderr)
-        return EXIT_USER
+        raise OutOfRange(f"--steps must be at most {MAX_SCAN_STEPS}")
     s1 = np.linspace(s1_lo, s1_hi, args.steps)
     s2 = np.linspace(s2_lo, s2_hi, args.steps)
     feas, caseb = feasibility_scan(args.rho, args.lambda1, args.lambda2, s1, s2)
@@ -245,22 +227,12 @@ def cmd_scan_region(args) -> int:
             lines.append(f"{float(v1)!r},{float(v2)!r},{int(feas[j2, j1])},"
                          f"{int(caseb[j2, j1])}")
     text = "\n".join(lines) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-            outputs = [args.out]
-            if args.svg:
-                svg = args.out + ".svg"
-                _svg_raster(svg, s1, s2, feas)
-                outputs.append(svg)
-            _write_manifest(args, None, outputs, t0)
-        except OSError as exc:
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return EXIT_IO
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    if not args.out:
+        return EXIT_OK, text, None
+    files = {args.out: text}
+    if args.svg:
+        files[args.out + ".svg"] = _svg_raster(s1, s2, feas)
+    return EXIT_OK, None, files
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +243,13 @@ def _suffixed(path: str, suffix: str) -> str:
     return path + suffix
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(vv)) for vv in row) + "\n")
+def _csv(header, rows) -> str:
+    lines = [",".join(header)]
+    lines += [",".join(repr(float(vv)) for vv in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _svg_curves(path, xs, curves, names, width=640, height=420) -> None:
+def _svg_curves(xs, curves, names, width=640, height=420) -> str:
     x0, x1 = float(xs[0]), float(xs[-1])
     pad = 50
     colors = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
@@ -304,11 +275,10 @@ def _svg_curves(path, xs, curves, names, width=640, height=420) -> None:
     parts.append(f'<text x="{width//2}" y="{height-12}" font-size="12" '
                  f'text-anchor="middle">x</text>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
-def _svg_raster(path, s1, s2, feasible, width=560, height=560) -> None:
+def _svg_raster(s1, s2, feasible, width=560, height=560) -> str:
     pad = 50
     n1, n2 = s1.size, s2.size
     cw = (width - 2*pad)/n1
@@ -328,8 +298,7 @@ def _svg_raster(path, s1, s2, feasible, width=560, height=560) -> None:
     parts.append(f'<text x="{width//2}" y="{height-12}" font-size="12" '
                  f'text-anchor="middle">sigma1</text>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,19 +368,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Parse argv, load the config once, run the subcommand and map every
-    typed error that escapes it to an exit code."""
+    """Parse argv, run the subcommand on the checked config, write its
+    files, emit its stdout document and map every error that escapes to
+    an exit code: the one place the CLI does I/O."""
     args = build_parser().parse_args(argv)
+    t0 = time.time()
     try:
         if args.command == "scan-region":
-            return args.func(args)
-        cfg, cfg_hash = _load_config(args.config)
-        if cfg is None:
-            return EXIT_USER
-        params = _params_or_none(cfg)
-        if params is None:
-            return EXIT_USER
-        return args.func(args, params, cfg_hash)
+            cfg_hash, (code, doc, files) = None, args.func(args)
+        else:
+            params, cfg_hash = _load_params(args.config)
+            code, doc, files = args.func(args, params)
+        if files:
+            _write_files(args, cfg_hash, files, t0)
+        if doc is not None:
+            _emit(doc)
+        return code
     except BrokenPipeError:
         # the reader closed stdout (`... | head -1`): exit quietly, with
         # stdout on devnull so that the flush at exit cannot fail again
@@ -422,6 +394,9 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, fd)
         os.close(devnull)
+        return EXIT_IO
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
     except OutOfRange as exc:
         print(f"error: {exc}", file=sys.stderr)

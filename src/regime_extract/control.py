@@ -18,6 +18,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,6 +34,8 @@ SIMPSON_TOL = 1e-9   # absolute, per branch term integral of a custom cost
 HJB_TAU = 1e-5   # verify_hjb's acceptance tolerance
 # verify_hjb's most grid states; it peaks near 470 B a state
 MAX_HJB_STATES = 1 << 20
+# U, U_x and U_xx's most states in one call; they peak near 450 B a state
+MAX_U_STATES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -113,12 +116,16 @@ def _u_surface(cs: ControlSolution, x, y, series):
     terms (cs._terms), whose integrals over the level _exact_panels gives
     in closed form for the built-in costs, _simpson_panels to SIMPSON_TOL
     for a custom cost; every series weighs the same four. The stopped
-    panel is exact for any cost. Raises OutOfRange on non-finite states
-    or y outside [0, 1].
+    panel is exact for any cost. Raises OutOfRange on non-finite states,
+    y outside [0, 1] or, before anything is allocated, more than
+    MAX_U_STATES states.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape:
-        x, y = np.broadcast_arrays(x, y)
+        x, y = np.broadcast_arrays(x, y)   # views: nothing is built yet
+    if x.size > MAX_U_STATES:
+        raise OutOfRange(f"at most {MAX_U_STATES} states in one call, got "
+                         f"{x.size}")
     if not (np.isfinite(x) & (y >= 0.0) & (y <= 1.0)).all():
         raise OutOfRange(f"need finite x and y in [0, 1], got x={x}, y={y}")
     shape, x, y = x.shape, x.reshape(-1), y.reshape(-1)
@@ -197,7 +204,7 @@ def U(cs: ControlSolution, x, y, i: int):
     """Control value U(x,y,i) = integral_0^y v(x,i;z) dz: in closed form
     for the built-in costs; for a custom cost by Simpson doubling, each
     branch term's integral to SIMPSON_TOL (absolute). x and y broadcast
-    as arrays; scalars give a float."""
+    as arrays of at most MAX_U_STATES states; scalars give a float."""
     return _value(cs, x, y, i, 0)
 
 
@@ -280,10 +287,11 @@ def verify_hjb(cs: ControlSolution, nx: int = 400, ny: int = 50,
     perturbation(x, y, i), if given, is added to U (test hook); it is
     called with (nx, ny) arrays of x and y and an integer regime i.
     Raises VerificationFailed on the first failing state; a NaN fails,
-    and OutOfRange, before anything is allocated, on an empty grid or one
-    of more than MAX_HJB_STATES states.
+    and OutOfRange, before anything is allocated, on non-integer sizes, an
+    empty grid or one of more than MAX_HJB_STATES states.
     """
-    if nx < 1 or ny < 1 or nx*ny > MAX_HJB_STATES:
+    if not (isinstance(nx, Integral) and isinstance(ny, Integral)
+            and nx >= 1 and ny >= 1 and nx*ny <= MAX_HJB_STATES):
         raise OutOfRange(f"need nx, ny >= 1 and nx*ny <= {MAX_HJB_STATES}, "
                          f"got nx={nx}, ny={ny}")
     sol, tau = cs.stopping, HJB_TAU
@@ -355,10 +363,10 @@ def compare_boundaries(cs: ControlSolution, n: int = 1000,
     """Tabulate and order-check b#(.;sigma1) <= b*_1 <= b*_2 <= b#(.;sigma2).
 
     Equality is allowed only on the clamp plateaus (both curves at 0 or
-    at 1); in the equal-volatility case all four curves coincide. n < 1
-    or a non-finite price raises OutOfRange.
+    at 1); in the equal-volatility case all four curves coincide. An n
+    that is not an integer >= 1 or a non-finite price raises OutOfRange.
     """
-    if n < 1:
+    if not (isinstance(n, Integral) and n >= 1):
         raise OutOfRange(f"need n >= 1 prices, got {n}")
     p = cs.params
     sol = cs.stopping

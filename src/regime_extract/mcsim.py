@@ -463,14 +463,17 @@ def skorokhod_check(cs: ControlSolution, trace: Trace) -> bool:
 
 
 def trace_to_csv(trace: Trace, path, path_index: int = 0) -> None:
-    """Dump one traced path: columns t, regime, X, Y, dnu, discounted_increment."""
+    """Dump one traced path: columns t, regime, X, Y, dnu, discounted_increment,
+    to a file path or a writable text stream."""
     import csv
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t", "regime", "X", "Y", "dnu", "discounted_increment"])
-        for k in range(trace.t.size):
-            wr.writerow([f"{trace.t[k]:.10g}", int(trace.regime[k, path_index]),
-                         repr(float(trace.X[k, path_index])),
-                         repr(float(trace.Y[k, path_index])),
-                         repr(float(trace.dnu[k, path_index])),
-                         repr(float(trace.disc_inc[k, path_index]))])
+    if not hasattr(path, "write"):
+        with open(path, "w", newline="") as fh:
+            return trace_to_csv(trace, fh, path_index)
+    wr = csv.writer(path)
+    wr.writerow(["t", "regime", "X", "Y", "dnu", "discounted_increment"])
+    for k in range(trace.t.size):
+        wr.writerow([f"{trace.t[k]:.10g}", int(trace.regime[k, path_index]),
+                     repr(float(trace.X[k, path_index])),
+                     repr(float(trace.Y[k, path_index])),
+                     repr(float(trace.dnu[k, path_index])),
+                     repr(float(trace.disc_inc[k, path_index]))])

@@ -111,31 +111,39 @@ class CostFunction:
         return self.fprime(y)
 
     def derivative_inverse(self, fp):
-        """y with f'(y) = fp; closed form for the built-in families.
-
-        Input is clipped to [f'(0), f'(1)] so the result lands in [0, 1].
-        """
-        lo, hi = self._fp_range   # f'(0), f'(1)
-        fp = np.minimum(np.maximum(fp, lo), hi)
-        if self.kind == "exponential":
-            return np.log(fp/self.gamma)
-        if self.kind == "quadratic":
-            return (fp - self.beta)/(2.0*self.alpha)
-        vals = np.asarray(fp, dtype=float)
-        out = np.array([bisect(lambda y, t=t: self.fprime(y) - t, 0.0, 1.0,
-                               xtol=1e-14) for t in vals.ravel()])
-        return out.reshape(vals.shape)[()]
+        """y in [0, 1] with f'(y) = fp; closed form for the built-in
+        families. Input is clipped to [f'(0), f'(1)], and the closed
+        forms' round-off (1 + 2^-52 at f'(1)) to [0, 1]."""
+        return self._inverse(self._clipped(fp))
 
     def from_derivative(self, fp):
         """(y, f(y)) at the y with f'(y) = fp, from one inversion of f'
-        (clipped as in derivative_inverse); the built-in families give
-        f(y) without a transcendental call."""
-        y = self.derivative_inverse(fp)
+        (clipped as in derivative_inverse, f taken at the clipped f'); the
+        built-in families give f(y) without a transcendental call."""
+        fp = self._clipped(fp)
+        y = self._inverse(fp)
         if self.kind == "exponential":
             return y, fp - self.gamma
         if self.kind == "quadratic":
             return y, (np.square(fp) - self.beta**2)/(4.0*self.alpha)
         return y, self.value(y)
+
+    def _clipped(self, fp):
+        lo, hi = self._fp_range   # f'(0), f'(1)
+        return np.minimum(np.maximum(fp, lo), hi)
+
+    def _inverse(self, fp):
+        """derivative_inverse of an fp in [f'(0), f'(1)]."""
+        if self.kind == "custom":
+            vals = np.asarray(fp, dtype=float)
+            out = np.array([bisect(lambda y, t=t: self.fprime(y) - t, 0.0,
+                                   1.0, xtol=1e-14) for t in vals.ravel()])
+            return out.reshape(vals.shape)[()]
+        if self.kind == "exponential":
+            y = np.log(fp/self.gamma)
+        else:
+            y = (fp - self.beta)/(2.0*self.alpha)
+        return np.minimum(np.maximum(y, 0.0), 1.0)
 
     def _check_custom(self) -> None:
         if self.value(0.0) != 0.0:
@@ -152,7 +160,9 @@ class CostFunction:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Validated market and cost parameters. Construct through validate()."""
+    """Market and cost parameters, valid by construction: each rate and c
+    must be finite and positive (NonPositiveParameter, never clamped) and
+    cost a CostFunction (CostNotConvex)."""
 
     rho: float
     sigma1: float
@@ -161,6 +171,16 @@ class ModelParams:
     lambda2: float
     c: float
     cost: CostFunction
+
+    def __post_init__(self):
+        for name in ("rho", "sigma1", "sigma2", "lambda1", "lambda2", "c"):
+            val = float(getattr(self, name))
+            if not math.isfinite(val) or val <= 0.0:
+                raise NonPositiveParameter(name, val)
+            object.__setattr__(self, name, val)
+        if not isinstance(self.cost, CostFunction):
+            raise CostNotConvex(
+                f"cost must be a CostFunction, got {type(self.cost)}")
 
     def sigma(self, i: int) -> float:
         return self.sigma1 if i == 1 else self.sigma2
@@ -176,15 +196,7 @@ class ModelParams:
 
 def validate(rho, sigma1, sigma2, lambda1, lambda2, c, cost) -> ModelParams:
     """Build ModelParams, rejecting (never clamping) bad inputs."""
-    for name, val in (("rho", rho), ("sigma1", sigma1), ("sigma2", sigma2),
-                      ("lambda1", lambda1), ("lambda2", lambda2), ("c", c)):
-        val = float(val)
-        if not math.isfinite(val) or val <= 0.0:
-            raise NonPositiveParameter(name, val)
-    if not isinstance(cost, CostFunction):
-        raise CostNotConvex(f"cost must be a CostFunction, got {type(cost)}")
-    return ModelParams(float(rho), float(sigma1), float(sigma2),
-                       float(lambda1), float(lambda2), float(c), cost)
+    return ModelParams(rho, sigma1, sigma2, lambda1, lambda2, c, cost)
 
 
 def params_from_config(cfg: dict) -> ModelParams:

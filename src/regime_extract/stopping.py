@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -420,9 +421,10 @@ def verify_fbp(sol: StoppingSolution, y, n_points: int = 10000, grid=None):
     one-sided difference slopes with step C1_STEP. Raises
     VerificationFailed with the worst offender of the first failing
     level; a NaN anywhere fails. OutOfRange, before any allocation, on
-    n_points outside [2, MAX_FBP_POINTS].
+    n_points not an integer in [2, MAX_FBP_POINTS].
     """
-    if not 2 <= n_points <= MAX_FBP_POINTS:
+    if not (isinstance(n_points, Integral)
+            and 2 <= n_points <= MAX_FBP_POINTS):
         raise OutOfRange(f"n_points must lie in [2, {MAX_FBP_POINTS}], "
                          f"got {n_points}")
     ys = np.asarray(y, dtype=float).reshape(-1)

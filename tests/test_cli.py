@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regime_extract
-from regime_extract import control, mcsim, stopping
+from regime_extract import cli, control, mcsim, stopping
 from regime_extract.cli import main
 
 from conftest import draw_from_boxes, draw_valid
@@ -159,9 +160,22 @@ def test_boundary_case_b_columns_coincide(capsys, cfg_b_path, tmp_path):
         assert float(row[1]) == pytest.approx(float(row[2]), abs=1e-12)
 
 
-def test_boundary_unwritable_is_io_error(capsys, cfg_path):
-    assert main(["boundary", "--config", cfg_path,
-                 "--out", "/nonexistent-dir/b.csv"]) == 3
+@pytest.mark.parametrize("argv", [
+    ["boundary", "--config", "CFG", "--out", "/nonexistent-dir/b.csv"],
+    ["scan-region", "--rho", "0.03", "--lambda1", "0.017", "--lambda2",
+     "0.016", "--sigma1-range", "0.01:0.06", "--sigma2-range", "0.5:1.2",
+     "--steps", "3", "--out", "/nonexistent-dir/s.csv"],
+    ["simulate", "--config", "CFG", "--x", "0", "--y", "0.5", "--regime",
+     "1", "--paths", "10", "--dt", "0.1", "--horizon", "1.0",
+     "--trace-out", "/nonexistent-dir/t.csv"],
+], ids=["boundary", "scan-region", "simulate-trace"])
+def test_boundary_unwritable_is_io_error(capsys, cfg_path, argv):
+    # every file goes through main's one writer: exit 3, nothing on stdout
+    argv = [cfg_path if a == "CFG" else a for a in argv]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output: ")
 
 
 def test_boundary_svg(capsys, cfg_path, tmp_path):
@@ -201,6 +215,27 @@ def test_non_finite_price_rejected(capsys, cfg_path, cmd, x):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+def test_subcommands_do_no_io():
+    # each cmd_* returns (exit code, stdout document, files); main alone
+    # prints, emits, writes and maps errors
+    tree = ast.parse(Path(cli.__file__).read_text())
+    commands = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                and fn.name.startswith("cmd_")]
+    assert len(commands) == 7
+    offences = []
+    for fn in commands:
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("print", "_emit", "open")):
+                offences.append((fn.name, node.func.id))
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("stdout", "stderr")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "sys"):
+                offences.append((fn.name, "sys." + node.attr))
+    assert offences == []
 
 
 def test_emit_refuses_non_finite_numbers():

@@ -247,6 +247,36 @@ def test_verify_hjb_caps_its_states_before_allocating(cs_a, monkeypatch):
         rx.verify_hjb(cs_a, nx=cap//64, ny=64)
 
 
+@pytest.mark.parametrize("call", [
+    lambda cs: rx.verify_fbp(cs.stopping, 0.5, n_points=1000.0),
+    lambda cs: rx.verify_hjb(cs, nx=40.0),
+    lambda cs: rx.verify_hjb(cs, ny=10.0),
+    lambda cs: rx.compare_boundaries(cs, n=50.0),
+], ids=["fbp_n_points", "hjb_nx", "hjb_ny", "compare_n"])
+def test_grid_sizes_must_be_integers(cs_a, call):
+    # numpy raised an untyped TypeError for a float size
+    with pytest.raises(OutOfRange):
+        call(cs_a)
+
+
+@pytest.mark.parametrize("value", [rx.U, rx.U_x, rx.U_xx])
+def test_u_caps_its_states_before_allocating(cs_a, monkeypatch, value):
+    # an array state took about 450 B: 10^7 states asked for 4.5 GB.
+    # _boundary_inverse is the first step after the check; the states
+    # are broadcast views, so the test itself allocates nothing
+    def built(*args):
+        raise AssertionError("U went past its size check")
+
+    monkeypatch.setattr(control, "_boundary_inverse", built)
+    cap = control.MAX_U_STATES
+    with pytest.raises(OutOfRange, match="states"):
+        value(cs_a, np.broadcast_to(0.5, (cap + 1,)), 0.5, 1)
+    with pytest.raises(OutOfRange, match="states"):
+        value(cs_a, np.zeros((cap//64 + 1, 1)), np.linspace(0.0, 1.0, 64), 1)
+    with pytest.raises(AssertionError):   # the cap itself is allowed
+        value(cs_a, np.broadcast_to(0.5, (cap,)), 0.5, 1)
+
+
 # 40x10 worst residuals of the closed-form U (round-off level; the
 # Simpson U read 2.353347794414873e-10 at (-0.4944970292746991, 0.5, 2));
 # A's worst state moved from x = -8.976091190763318, a round-off tie, when

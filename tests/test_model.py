@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -91,6 +92,42 @@ def test_from_derivative_inverts_custom_cost_once():
         y, fy = built_in.from_derivative(fp)
         assert np.allclose(y, [0.0, 0.3, 1.0], atol=1e-14)
         assert np.allclose(fy, built_in.value(y), rtol=1e-14, atol=1e-15)
+
+
+def test_cost_inverse_stays_in_the_unit_interval():
+    # at f'(1) the quadratic closed form gave 1.0000000000000002 for about
+    # a third of these costs, and f was taken at the unclipped input
+    rng = np.random.default_rng(5)
+    for alpha in rng.uniform(0.1, 0.3, 2000):
+        cost = rx.CostFunction.quadratic(alpha, 1/3)
+        top = cost.derivative(1.0)
+        assert 0.0 <= cost.derivative_inverse(top) <= 1.0
+        assert cost.derivative_inverse(np.array([top, 2.0*top]))[1] <= 1.0
+    y, fy = rx.CostFunction.quadratic(0.2, 1/3).from_derivative(0.0)
+    assert (y, fy) == (0.0, 0.0)
+    exp_cost = rx.CostFunction.exponential(1/3)
+    y, fy = exp_cost.from_derivative(10.0)
+    assert y == 1.0 and fy == pytest.approx(exp_cost.value(1.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("field,value", [("rho", -1.0), ("sigma2", 0.0),
+                                         ("c", math.nan), ("lambda1", math.inf)])
+def test_model_params_checked_on_direct_construction(field, value):
+    # a negative rho ended check_assumptions and solve_z in ZeroDivisionError
+    kw = dict(A_KW, cost=EXP_COST)
+    with pytest.raises(NonPositiveParameter) as exc:
+        rx.ModelParams(**{**kw, field: value})
+    assert exc.value.field == field
+    with pytest.raises(NonPositiveParameter):
+        dataclasses.replace(rx.ModelParams(**kw), **{field: value})
+
+
+def test_model_params_need_a_cost_function():
+    # "notacost" was accepted and solved
+    with pytest.raises(CostNotConvex):
+        rx.ModelParams(**A_KW, cost="notacost")
+    assert rx.ModelParams(**A_KW, cost=EXP_COST) == \
+        rx.validate(**A_KW, cost=EXP_COST)
 
 
 def test_phi_at_zero_is_rho_plus_lambda(params_a):

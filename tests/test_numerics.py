@@ -31,17 +31,12 @@ def test_simpson_oscillatory_vs_closed_form():
     assert val == pytest.approx((1 - math.cos(6.0))/3.0, abs=1e-10)
 
 
-def test_simpson_raises_past_depth():
-    with pytest.raises(QuadratureNotConverged):
-        adaptive_simpson(lambda x: np.sin(50*x), 0.0, 3.0, tol=0.0, max_depth=3)
-
-
 def test_simpson_empty_interval():
     assert adaptive_simpson(lambda x: x, 1.0, 1.0) == 0.0
 
 
 def test_simpson_node_budget_stops_default_depth():
-    # tol=0 never converges; the node budget raises long before 8*2^40 nodes
+    # tol=0 never converges; the node budget ends the doubling (2^17 panels)
     t0 = time.time()
     with pytest.raises(QuadratureNotConverged, match="budget"):
         adaptive_simpson(lambda x: np.sin(50*x), 0.0, 3.0, tol=0.0)
