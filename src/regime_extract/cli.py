@@ -9,6 +9,7 @@ error to an exit code: 0 success, 1 mathematical or verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -301,7 +302,10 @@ def _svg_raster(s1, s2, feasible, width=560, height=560) -> str:
     return "\n".join(parts) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: each parse makes a new
+    namespace, so every in-process `main` call can share it."""
     ap = argparse.ArgumentParser(
         prog="regime-extract",
         description="Two-regime optimal extraction: solve, verify, simulate.")

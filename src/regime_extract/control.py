@@ -292,8 +292,8 @@ def verify_hjb(cs: ControlSolution, nx: int = 400, ny: int = 50,
     """
     if not (isinstance(nx, Integral) and isinstance(ny, Integral)
             and nx >= 1 and ny >= 1 and nx*ny <= MAX_HJB_STATES):
-        raise OutOfRange(f"need nx, ny >= 1 and nx*ny <= {MAX_HJB_STATES}, "
-                         f"got nx={nx}, ny={ny}")
+        raise OutOfRange(f"need integers nx, ny >= 1 with nx*ny <= "
+                         f"{MAX_HJB_STATES}, got nx={nx}, ny={ny}")
     sol, tau = cs.stopping, HJB_TAU
     x2_at_0 = sol.z1 + sol.z2 + chat(sol.params, 0.0)
     x_lo, x_hi = x2_at_0 - 5.0*sol.z1 - 5.0, x2_at_0 + 5.0
@@ -367,7 +367,7 @@ def compare_boundaries(cs: ControlSolution, n: int = 1000,
     that is not an integer >= 1 or a non-finite price raises OutOfRange.
     """
     if not (isinstance(n, Integral) and n >= 1):
-        raise OutOfRange(f"need n >= 1 prices, got {n}")
+        raise OutOfRange(f"need an integer number of prices n >= 1, got {n}")
     p = cs.params
     sol = cs.stopping
     if sol.relabeled:

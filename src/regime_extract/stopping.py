@@ -27,6 +27,8 @@ that do not depend on y, so no exponential overflows where its branch
 applies; the control module integrates the same branches over y.
 _reduced writes G1, G2 once; _w_table evaluates w piecewise over (level
 x price) arrays, and equal volatilities (case B) are its z2 = 0 case.
+verify_fbp checks one level at a time: its grid ascends, so each region
+of w is a slice, which _continuation fills directly.
 """
 from __future__ import annotations
 
@@ -48,7 +50,8 @@ ENDPOINT_EPS = 1e-10
 # verify_fbp's acceptance tolerances (ODE residual, operator inequality,
 # payoff domination, C1 gap) and the step of its one-sided C1 slopes
 ODE_TOL, INEQ_TOL, DOM_TOL, C1_TOL, C1_STEP = 1e-7, 1e-7, 1e-9, 1e-6, 1e-6
-# verify_fbp's most points per level; a pass peaks near 90 B a point
+# verify_fbp's most points per level; a level peaks near 76 B a point
+# (tracemalloc at 100,000 points; tested at most 80), so about 320 MB
 MAX_FBP_POINTS = 1 << 22
 
 
@@ -252,7 +255,8 @@ def _branch_form(sol: StoppingSolution, band: bool = False):
 def _continuation(sol: StoppingSolution, x, ch, series, band: bool = False):
     """w's continuation branches (_branch_form) at prices x whose reserve
     levels have chat = ch (broadcast), one row per (internal regime k,
-    x-derivative order 0..2) in series. Anchored at the boundaries
+    x-derivative order 0..2) in series, each made as it is taken, so a
+    caller that stores them holds one at a time. Anchored at the boundaries
     x*_1 = z1 + chat <= x*_2 = z1 + z2 + chat, so on its branch's region
     no exponential exceeds e^{a5 z2}."""
     (a, b), (pa, pb), shift, lin, f = _branch_form(sol, band)
@@ -261,9 +265,9 @@ def _continuation(sol: StoppingSolution, x, ch, series, band: bool = False):
     if band:   # b = -a: sums and differences of the pair
         terms = {0: lambda: ta + tb + lin*(x - ch),
                  1: lambda: a*(ta - tb) + lin, 2: lambda: a*a*(ta + tb)}
-        return [terms[o]() for _, o in series]
-    return [(1.0, a, a*a)[o]*f[k][0]*ta + (1.0, b, b*b)[o]*f[k][1]*tb
-            for k, o in series]
+        return (terms[o]() for _, o in series)
+    return ((1.0, a, a*a)[o]*f[k][0]*ta + (1.0, b, b*b)[o]*f[k][1]*tb
+            for k, o in series)
 
 
 def _w_table(sol: StoppingSolution, x, y, series, side: int = -1):
@@ -346,74 +350,110 @@ class FbpReport:
         return vars(self).copy()
 
 
-def _worse(worst, vals, at):
-    """Per level (row), the first maximum of vals and its x where it is
-    strictly above the worst (values, x) so far, else that worst. NaN
-    counts as the worst of all: argmax finds the first one, and it stays."""
-    j = np.argmax(vals, axis=-1)
-    rows = np.arange(j.size)
-    up = (vals[rows, j] > worst[0]) | np.isnan(vals[rows, j])
-    return (np.where(up, vals[rows, j], worst[0]),
-            np.where(up, at[rows, j], worst[1]))
+# the w rows of the free-boundary check: w_1, w_2, w_1xx, w_2xx
+_FBP_ROWS = [(1, 0), (2, 0), (1, 2), (2, 2)]
+
+
+def _worst(worst, vals, at):
+    """The first maximum of vals and its x in at where it is strictly
+    above the worst (value, x) so far, else that worst. NaN counts as the
+    worst of all: argmax finds the first one."""
+    j = int(vals.argmax())
+    val = float(vals[j])
+    return (val, float(at[j])) if val > worst[0] or val != val else worst
+
+
+def _fbp_level(sol: StoppingSolution, n_points, y, ch, x1, x2, lo, hi,
+               h_cell):
+    """The worst offender and its x of the ODE, inequality and domination
+    checks at one level, on its grid of n_points prices from lo to hi.
+
+    The grid ascends, so the regions are slices: both regimes continue on
+    the first i1 points (x <= x*_1), regime 2 alone on its band up to i2,
+    and w is the payoff on the rest; the ODE must hold on a prefix. Each
+    cut is a count of a comparison, so a NaN boundary or grid, which every
+    comparison fails, cuts where a mask would. w_xx's right limit differs
+    from its left one only at grid points on a boundary, so only there is
+    the operator evaluated again.
+    """
+    p = sol.iparams
+    xs = np.linspace(lo, hi, n_points)
+    pay = xs - ch   # w where stopped
+    i1 = np.count_nonzero(xs <= x1)
+    i2 = n_points - np.count_nonzero(xs > x2)   # band empty if i2 <= i1
+    w = [pay.copy(), pay.copy(), np.zeros(n_points), np.zeros(n_points)]
+    for row, val in zip(w, _continuation(sol, xs[:i1], ch, _FBP_ROWS)):
+        row[:i1] = val
+    w[1][i1:i2], w[3][i1:i2] = _continuation(sol, xs[i1:i2], ch,
+                                             _FBP_ROWS[1::2], True)
+    on = np.flatnonzero((xs == x1) | (xs == x2))
+    if on.size:
+        w_hi = _w_table(sol, xs[on], y, _FBP_ROWS[2:], 1)
+
+    # scanned by internal regime, then side
+    ode, ineq, dom = (0.0, lo), (-np.inf, lo), (-np.inf, lo)
+    for k in (1, 2):
+        wk, wo = w[k - 1], w[2 - k]
+        sig, lam = p.sigma(k), p.lam(k)
+        n_eq = np.count_nonzero(xs < (x1 if k == 1 else x2) - 0.5*h_cell)
+        op = 0.5*sig*sig*w[k + 1] - p.rho*wk + lam*(wo - wk)
+        for right in range(1 + (on.size > 0)):
+            if right:
+                op[on] = (0.5*sig*sig*w_hi[k - 1] - p.rho*wk[on]
+                          + lam*(wo[on] - wk[on]))
+            ineq = _worst(ineq, op, xs)
+            if n_eq:
+                ode = _worst(ode, np.abs(op[:n_eq]), xs)
+        dom = _worst(dom, pay - wk, xs)
+    return (*ode, *ineq, *dom)
 
 
 def _fbp_table(sol: StoppingSolution, ys, n_points, grid):
     """One row per level in ys: y, the grid ends, then the worst offender
-    and its x of the ODE, inequality, domination and C1 checks."""
-    p = sol.iparams
-    ch = chat(p, ys)
+    and its x of the ODE, inequality, domination and C1 checks.
+
+    Each level is checked on its own 1-D arrays (_fbp_level): at the
+    default 10,000 points each is 80 KB, below glibc's 128 KB mmap
+    threshold, so the levels of a call reuse the same heap memory, and
+    that memory does not grow with the levels. The C1 stencils of all
+    levels are one small table. The per-level Python work costs about
+    0.1 ms, so below one or two thousand points per level one table over
+    all levels would be faster.
+    """
+    ch = chat(sol.iparams, ys)
     x1 = sol.z1 + ch
     x2 = x1 + sol.z2
     if grid is None:
         lo, hi = ch - 10.0*sol.z1, x2 + 10.0*sol.z1
     else:
         lo, hi = (np.full(ys.shape, g, dtype=float) for g in grid)
-    xs = np.ascontiguousarray(np.linspace(lo, hi, n_points, axis=-1))
     h_cell = (hi - lo)/(n_points - 1)
-    # C1 stencils about the junctions (1, x*_1), (2, x*_1), (2, x*_2), one
-    # table with the grid: each level's 15 stencil points follow its grid
+    # slopes either side of the junctions (1, x*_1), (2, x*_1), (2, x*_2)
     h = C1_STEP
     bs = np.stack([x1, x1, x2], axis=-1)
-    st = bs[..., None] + h*np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    table = _w_table(sol, np.concatenate([xs, st.reshape(ys.size, 15)], -1),
-                     ys[:, None], [(1, 0), (2, 0), (1, 2), (2, 2)], -1)
-    w_lo = table[..., :n_points]
-    sw = table[:2, :, n_points:].reshape(2, ys.size, 3, 5)
-    # the right limit of w_xx differs from the left one only at grid
-    # points on a boundary; without such points its scans repeat the left
-    # side's values, which _worse's strict > and first NaN keep as they are
-    on = np.nonzero((xs == x1[:, None]) | (xs == x2[:, None]))
-    wxx_sides = [w_lo[2:]]
-    if on[0].size:
-        wxx_hi = w_lo[2:].copy()
-        wxx_hi[:, on[0], on[1]] = _w_table(sol, xs[on], ys[on[0]],
-                                           [(1, 2), (2, 2)], 1)
-        wxx_sides.append(wxx_hi)
-
-    # scanned by internal regime, then side
-    ode, ineq, dom = (0.0, lo), (-np.inf, lo), (-np.inf, lo)
-    for k in (1, 2):
-        wk, wo = w_lo[k - 1], w_lo[2 - k]
-        sig, lam = p.sigma(k), p.lam(k)
-        eq = xs < ((x1 if k == 1 else x2) - 0.5*h_cell)[:, None]
-        for wxx in wxx_sides:
-            op = 0.5*sig*sig*wxx[k - 1] - p.rho*wk + lam*(wo - wk)
-            ineq = _worse(ineq, op, xs)
-            ode = _worse(ode, np.where(eq, np.abs(op), -np.inf), xs)
-        dom = _worse(dom, (xs - ch[:, None]) - wk, xs)
-
+    sw = _w_table(sol, bs[..., None] + h*np.array([-2.0, -1.0, 0.0, 1.0, 2.0]),
+                  ys[:, None, None], _FBP_ROWS[:2], -1)
     d_lo = (3.0*sw[..., 2] - 4.0*sw[..., 1] + sw[..., 0])/(2.0*h)
     d_hi = (-3.0*sw[..., 2] + 4.0*sw[..., 3] - sw[..., 4])/(2.0*h)
-    gap, c1 = np.abs(d_hi - d_lo), (0.0, x1)   # gap[regime - 1, level, j]
-    for k, j in ((1, 0), (2, 1), (2, 2)):
-        c1 = _worse(c1, gap[k - 1, :, j:j + 1], bs[:, j:j + 1])
-    return np.stack([ys, lo, hi, *ode, *ineq, *dom, *c1], axis=1)
+    gap = np.abs(d_hi - d_lo)   # gap[regime - 1, level, j]
+
+    rows = []
+    levels = zip(*(v.tolist() for v in (ys, ch, x1, x2, lo, hi, h_cell)))
+    for l, level in enumerate(levels):
+        c1 = (0.0, level[2])
+        for k, j in ((1, 0), (2, 1), (2, 2)):
+            c1 = _worst(c1, gap[k - 1, l, j:j + 1], bs[l, j:j + 1])
+        rows.append([level[0], *level[4:6],
+                     *_fbp_level(sol, n_points, *level), *c1])
+    return np.array(rows, dtype=float).reshape(ys.size, 11)
 
 
 def verify_fbp(sol: StoppingSolution, y, n_points: int = 10000, grid=None):
     """Grid check that w solves the free boundary problem at level y, or
     at each level of a 1-D array y (then a list of reports).
 
+    Each level is checked at n_points prices, evenly spaced on grid =
+    (lo, hi), by default [chat - 10 z1, x*_2 + 10 z1] at that level:
     (i) the coupled ODEs hold to ODE_TOL where equality is required,
     (ii) the operator inequality holds everywhere to INEQ_TOL (one-sided
     at the boundaries), (iii) w dominates the payoff to DOM_TOL, and
@@ -421,16 +461,21 @@ def verify_fbp(sol: StoppingSolution, y, n_points: int = 10000, grid=None):
     one-sided difference slopes with step C1_STEP. Raises
     VerificationFailed with the worst offender of the first failing
     level; a NaN anywhere fails. OutOfRange, before any allocation, on
-    n_points not an integer in [2, MAX_FBP_POINTS].
+    n_points not an integer in [2, MAX_FBP_POINTS], or on a grid whose
+    ends are not lo < hi with a finite width hi - lo.
     """
     if not (isinstance(n_points, Integral)
             and 2 <= n_points <= MAX_FBP_POINTS):
-        raise OutOfRange(f"n_points must lie in [2, {MAX_FBP_POINTS}], "
-                         f"got {n_points}")
+        raise OutOfRange(f"n_points must be an integer in [2, "
+                         f"{MAX_FBP_POINTS}], got {n_points}")
+    if grid is not None:
+        grid = tuple(map(float, grid))
+        if not (len(grid) == 2 and grid[0] < grid[1]
+                and math.isfinite(grid[1] - grid[0])):
+            raise OutOfRange("grid must be (lo, hi) with lo < hi and a "
+                             f"finite width, got {grid}")
     ys = np.asarray(y, dtype=float).reshape(-1)
-    step = max(1, (1 << 15)//n_points)   # levels per pass: arrays of a few MB
-    table = np.concatenate([_fbp_table(sol, ys[s:s + step], n_points, grid)
-                            for s in range(0, max(ys.size, 1), step)])
+    table = _fbp_table(sol, ys, n_points, grid)
     tols = (ODE_TOL, INEQ_TOL, DOM_TOL, C1_TOL)
     messages = ("ODE residual {} at x={}", "operator inequality {} at x={}",
                 "payoff domination violated by {} at x={}",

@@ -1,10 +1,22 @@
 """Two-table reference for the free-boundary verifier's table: w over the
 grid at both one-sided limits of w_xx, and a separate table for the C1
-stencils. regime_extract.stopping._fbp_table must equal it bit for bit."""
+stencils, every level at once, scanned row-wise by its own _worse.
+regime_extract.stopping._fbp_table must equal it bit for bit."""
 import numpy as np
 
 from regime_extract.model import chat
-from regime_extract.stopping import C1_STEP, _w_table, _worse
+from regime_extract.stopping import C1_STEP, _w_table
+
+
+def _worse(worst, vals, at):
+    """Per level (row), the first maximum of vals and its x where it is
+    strictly above the worst (values, x) so far, else that worst. NaN
+    counts as the worst of all: argmax finds the first one, and it stays."""
+    j = np.argmax(vals, axis=-1)
+    rows = np.arange(j.size)
+    up = (vals[rows, j] > worst[0]) | np.isnan(vals[rows, j])
+    return (np.where(up, vals[rows, j], worst[0]),
+            np.where(up, at[rows, j], worst[1]))
 
 
 def fbp_table(sol, ys, n_points, grid):

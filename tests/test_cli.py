@@ -754,3 +754,14 @@ def test_scan_region_stdout_pinned(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SCAN, out
     assert out.count("\n") == 1 + 7*7
+
+
+def test_parser_is_built_once(capsys):
+    # the pinned commands, run again in one process on the one parser,
+    # with verify's hook on, then off, so no option carries over
+    assert cli.build_parser() is cli.build_parser()
+    for key in sorted(PINNED_VERIFY, key=lambda k: not k[1]):
+        test_verify_stdout_pinned(capsys, key)
+    for name in sorted(PINNED_SOLVE):
+        test_solve_stdout_pinned(capsys, name)
+    test_scan_region_stdout_pinned(capsys)

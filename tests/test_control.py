@@ -254,8 +254,9 @@ def test_verify_hjb_caps_its_states_before_allocating(cs_a, monkeypatch):
     lambda cs: rx.compare_boundaries(cs, n=50.0),
 ], ids=["fbp_n_points", "hjb_nx", "hjb_ny", "compare_n"])
 def test_grid_sizes_must_be_integers(cs_a, call):
-    # numpy raised an untyped TypeError for a float size
-    with pytest.raises(OutOfRange):
+    # numpy raised an untyped TypeError for a float size; the message
+    # named only a range, which the float lies in
+    with pytest.raises(OutOfRange, match="integer"):
         call(cs_a)
 
 

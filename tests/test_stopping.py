@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -449,3 +450,53 @@ def test_verify_fbp_right_limits_at_boundary_grid_points(any_sol, monkeypatch):
                 assert xb in np.linspace(*grid, 2001)
                 _assert_fbp_equals_oracle(monkeypatch, sol, 0.5,
                                           n_points=2001, grid=grid)
+
+
+def test_verify_fbp_on_one_region_grids_equals_oracle(any_sol, monkeypatch):
+    """Grids wholly below x*_1, wholly stopped (no point where the ODE
+    must hold) and starting exactly at x*_2 match the two-table verifier,
+    for z2 +- 1e-3 and NaN too: the region cuts fall at 0, at n_points
+    and on an empty band."""
+    x1 = any_sol.z1 + chat(any_sol.iparams, 0.5)
+    x2 = x1 + any_sol.z2
+    grids = [(x1 - 3.0, x1 - 1.0), (x2 + 1.0, x2 + 3.0), (x2, x2 + 2.0)]
+    rep = rx.verify_fbp(any_sol, 0.5, n_points=501, grid=grids[1])
+    assert (rep.worst_ode, rep.worst_ode_x) == (0.0, grids[1][0])
+    for sol in (any_sol, perturbed(any_sol, 1e-3), perturbed(any_sol, -1e-3),
+                replace(any_sol, z2=math.nan)):
+        own_x2 = x1 + sol.z2
+        for grid in grids + [(own_x2, own_x2 + 2.0)]*math.isfinite(own_x2):
+            _assert_fbp_equals_oracle(monkeypatch, sol, 0.5, n_points=501,
+                                      grid=grid)
+
+
+@pytest.mark.parametrize("grid", [
+    (1.0, -1.0), (0.5, 0.5), (math.nan, 1.0), (-1.0, math.nan),
+    (-math.inf, 1.0), (-1.0, math.inf), (-1e308, 1e308)],
+    ids=["reversed", "equal", "nan_lo", "nan_hi", "inf_lo", "inf_hi",
+         "overflowing_width"])
+def test_verify_fbp_grid_must_ascend_with_finite_ends(sol_a, monkeypatch,
+                                                      grid):
+    # a NaN end used to be reported as the solver's "ODE residual nan"
+    def built(*args):
+        raise AssertionError("verify_fbp went past its grid check")
+
+    monkeypatch.setattr(stopping, "_fbp_table", built)
+    with pytest.raises(OutOfRange, match="grid"):
+        rx.verify_fbp(sol_a, [0.2, 0.5], n_points=50, grid=grid)
+    with pytest.raises(AssertionError):
+        rx.verify_fbp(sol_a, 0.5, n_points=50, grid=(-1.0, 1.0))
+
+
+def test_verify_fbp_memory_per_point(sol_a):
+    # the memory that MAX_FBP_POINTS's comment and the README state: a
+    # level peaks near 76 B a point, at most 80
+    n = 100_000
+    rx.verify_fbp(sol_a, 0.5, n_points=200)
+    tracemalloc.start()
+    try:
+        rx.verify_fbp(sol_a, 0.5, n_points=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak/n <= 80.0
