@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,9 +34,6 @@ from .stopping import perturbed, solve_z, verify_fbp, x_star
 
 EXIT_OK, EXIT_MATH, EXIT_USER, EXIT_IO = 0, 1, 2, 3
 MAX_SCAN_STEPS = 1000   # scan-region builds its steps^2 CSV lines in memory
-POLICIES = {"reflect_optimal": Policy.reflect_optimal,
-            "never_extract": Policy.never_extract,
-            "extract_all_at_start": Policy.extract_all_at_start}
 
 
 def _load_params(path):
@@ -177,28 +175,21 @@ def cmd_verify(args, params):
 
 
 def cmd_simulate(args, params):
-    if args.policy not in POLICIES:
-        raise OutOfRange(f"unknown policy {args.policy!r}")
-    policy = POLICIES[args.policy]
     cs = from_stopping(solve_z(params))
     try:
+        policy = Policy(args.policy)
         sim = SimConfig(dt=args.dt, horizon=args.horizon, n_paths=args.paths,
                         base_seed=args.seed, antithetic=not args.no_antithetic)
-        outcome = estimate_value(cs, args.x, args.y, args.regime, policy(),
-                                 sim)
+        outcome = estimate_value(cs, args.x, args.y, args.regime, policy, sim)
     except SolverError as exc:
         raise OutOfRange(f"invalid simulation parameters: {exc}") from exc
     out, files = outcome.to_dict(), None
     if args.policy == "reflect_optimal":
-        uval = U_value(cs, args.x, args.y, args.regime)
-        out["u_value"] = uval
+        out["u_value"] = uval = U_value(cs, args.x, args.y, args.regime)
         out["abs_diff_vs_u"] = abs(outcome.mean - uval)
-    if args.trace_out:
-        tr_cfg = SimConfig(dt=args.dt, horizon=args.horizon,
-                           n_paths=max(2, min(args.paths, 16)),
-                           base_seed=args.seed, antithetic=False)
-        trace = simulate_traces(cs, args.x, args.y, args.regime, policy(),
-                                tr_cfg, tr_cfg.n_paths)
+    if args.trace_out:   # one path: the only one the CSV holds
+        trace = simulate_traces(cs, args.x, args.y, args.regime, policy,
+                                replace(sim, antithetic=False), 1)
         text = io.StringIO()
         trace_to_csv(trace, text)
         files = {args.trace_out: text.getvalue()}

@@ -34,14 +34,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .control import ControlSolution, _boundary_inverse, external_shift
 from .errors import OutOfRange, PreconditionViolated, SRPViolated
-from .model import ModelParams
+from .model import ModelParams, _regime
 
 DEFAULT_BATCH_PAIRS = 25_000
 MAX_STEPS = 10_000_000   # grid steps per path; arrays of K + 1 are made
@@ -55,9 +55,10 @@ _KINDS = ("reflect_optimal", "reflect_at_custom_boundary") + _CLOSED_FORM
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation controls. horizon=None resolves to 10/rho at run time
-    (discount tail ~ e^-10); the truncation tail bound is reported with
-    every outcome so it can be folded into comparison budgets."""
+    """Simulation controls, checked when made (OutOfRange naming the
+    field) but for dt and horizon, which resolved_horizon checks; a
+    horizon of None resolves to 10/rho (discount tail ~ e^-10). Every
+    outcome reports the truncation tail bound, for comparison budgets."""
 
     dt: float = 1e-3
     horizon: Optional[float] = None
@@ -65,6 +66,15 @@ class SimConfig:
     base_seed: int = 20_240_601
     antithetic: bool = True
     batch_pairs: int = DEFAULT_BATCH_PAIRS
+
+    def __post_init__(self):
+        for name, least in dict(n_paths=1, base_seed=0, batch_pairs=1).items():
+            val = getattr(self, name)
+            if not (isinstance(val, numbers.Integral) and val >= least):
+                raise OutOfRange(f"{name} must be an integer >= {least}, "
+                                 f"got {val!r}")
+        if not isinstance(self.antithetic, (bool, np.bool_)):
+            raise OutOfRange(f"antithetic must be a bool: {self.antithetic!r}")
 
     def resolved_horizon(self, params: ModelParams) -> float:
         T = self.horizon if self.horizon is not None else 10.0/params.rho
@@ -81,6 +91,13 @@ class Policy:
 
     kind: str
     bfun: Optional[Callable] = None  # (regime, x_array) -> reserve level
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise PreconditionViolated(f"unknown policy {self.kind!r}")
+        if callable(self.bfun) != (self.kind == "reflect_at_custom_boundary"):
+            raise PreconditionViolated(f"bfun must be callable exactly for a "
+                                       f"custom boundary, got {self.bfun!r}")
 
     @staticmethod
     def reflect_optimal() -> "Policy":
@@ -153,24 +170,20 @@ def tail_bound(cs: ControlSolution, x0, y0, T: float) -> float:
                                + y0*(abs(x0 - p.c) + spread))
 
 
-def _checked_run(cs: ControlSolution, x0, y0, i0, cfg: SimConfig, n_paths,
-                 paired=True):
-    """(T, K, m) of a run of n_paths paths, after checking the start state,
-    the horizon, the seed, n_paths >= 1 and, if paired, its parity under
-    antithetics."""
-    if not (math.isfinite(x0) and 0.0 <= y0 <= 1.0 and i0 in (1, 2)):
-        raise OutOfRange("need a finite price, a reserve in [0, 1] and "
-                         f"regime 1 or 2, got x={x0}, y={y0}, regime={i0}")
+def _checked_run(cs: ControlSolution, x0, y0, i0, cfg: SimConfig, units=1):
+    """(T, K, m) of a checked run of cfg.n_paths paths from (x0, y0, i0):
+    at least units sampling units (pairs if antithetic; 0: a closed form)."""
+    _regime(i0)
+    if not (math.isfinite(x0) and 0.0 <= y0 <= 1.0):
+        raise OutOfRange("need a finite price and a reserve in [0, 1], "
+                         f"got x={x0}, y={y0}")
     T = cfg.resolved_horizon(cs.params)
-    if not (isinstance(cfg.base_seed, numbers.Integral)
-            and cfg.base_seed >= 0):
-        raise OutOfRange(f"base_seed must be an integer >= 0, "
-                         f"got {cfg.base_seed!r}")
-    if n_paths < 1:
-        raise OutOfRange(f"n_paths must be >= 1, got {n_paths}")
     m = 2 if cfg.antithetic else 1
-    if paired and n_paths % m:
+    if units and cfg.n_paths % m:
         raise PreconditionViolated("antithetic runs need an even n_paths")
+    if cfg.n_paths//m < units:
+        raise PreconditionViolated("a simulated estimate needs at least "
+                                   f"{units} sampling units")
     return T, int(round(T/cfg.dt)), m
 
 
@@ -183,8 +196,6 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
     flat and member-major: entry r*n + j is antithetic member r of path j,
     which moves by +1 (r = 0) or -1 (r = 1) times the shared increments."""
     kind = policy.kind
-    if kind not in _KINDS:
-        raise PreconditionViolated(f"unknown policy {kind!r}")
     reflecting, optimal = kind not in _CLOSED_FORM, kind == "reflect_optimal"
     p = cs.params
     cost, rho, c = p.cost, p.rho, p.c
@@ -203,7 +214,6 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
     i = np.full(n, i0, dtype=np.int64)
     R = gc.standard_exponential(n)*hold_tbl[i0]
     s_cur = np.full(n, sig_tbl[i0]*sqdt)
-    shift_p = np.full(n, shift_tbl[i0])
     X, Y = np.full(m*n, float(x0)), np.full(m*n, float(y0))
     fpY = np.full(m*n, float(cost.derivative(y0)))
     fY = np.full(m*n, float(cost.value(y0)))
@@ -247,13 +257,10 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
             x = X[e]
             b = np.asarray(policy.bfun(np.tile(i if cols is None else i[cols],
                                                m), x))
-            if b.shape != x.shape:
+            if b.shape != x.shape or not np.isfinite(b).all():
                 raise PreconditionViolated(
-                    f"a custom boundary must act elementwise: {x.size} "
-                    f"prices gave an output of shape {b.shape}")
-            if not np.isfinite(b).all():
-                raise PreconditionViolated(
-                    "a custom boundary returned a non-finite reserve level")
+                    "a custom boundary must return one finite level per "
+                    f"price: {x.size} prices gave {b.shape}")
             b = np.clip(b, 0.0, 1.0)
             trig = b < Y[e]
         hits = trig.nonzero()[0]
@@ -263,7 +270,7 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
         if np.ndim(d):
             d = d[hits % cols.size]
         if optimal:
-            shift = shift_p[he % n]
+            shift = shift_tbl[i[he % n]]
             fp = np.clip(rho*(c + shift - X[he]), fp_lo, fp_hi)
             fpY[he] = fp
             lower(he, d, *cost.from_derivative(fp))
@@ -327,10 +334,9 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
                     i[hp] = 3 - i[hp]
                     Rj[hit] = gc.standard_exponential(hp.size)*hold_tbl[i[hp]]
                     s_cur[hp] = sig_tbl[i[hp]]*sqdt
-                    shift_p[hp] = shift_tbl[i[hp]]
                     e = members(hp)
                     if optimal:
-                        threshold(e, shift_p[e % n])
+                        threshold(e, shift_tbl[i[e % n]])
                     if record:
                         switches.append((np.full(e.size, k + 1), e,
                                          i[e % n], X[e]))
@@ -354,7 +360,7 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
                 # C-contiguous, so reshape(-1) returns a view
                 keep = ~done
                 pay_done.append(pay.reshape(m, n)[:, done])
-                i, R, s_cur, shift_p = (a[keep] for a in (i, R, s_cur, shift_p))
+                i, R, s_cur = (a[keep] for a in (i, R, s_cur))
                 X, Y, fpY, fY, pay, dlast, xthr = (
                     a.reshape(m, n).compress(keep, axis=1).reshape(-1)
                     for a in (X, Y, fpY, fY, pay, dlast, xthr))
@@ -370,12 +376,13 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
 def simulate_traces(cs: ControlSolution, x0, y0, i0, policy: Policy,
                     cfg: SimConfig, n_paths: int) -> Trace:
     """Record full uniform-grid traces for n_paths paths (memory permitting)."""
-    T, K, m = _checked_run(cs, x0, y0, i0, cfg, n_paths)
-    need = (K + 1)*n_paths*8*4
+    cfg = replace(cfg, n_paths=n_paths)
+    T, K, m = _checked_run(cs, x0, y0, i0, cfg)
+    need = (K + 1)*cfg.n_paths*8*4
     if need > 2**31:
         raise OutOfRange(f"trace would need {need/2**30:.1f} GiB; "
                          "reduce n_paths, dt resolution or horizon")
-    return _simulate_batch(cs, x0, y0, i0, policy, n_paths//m, cfg.dt, K,
+    return _simulate_batch(cs, x0, y0, i0, policy, cfg.n_paths//m, cfg.dt, K,
                            cfg.base_seed, 0, cfg.antithetic, record=True)
 
 
@@ -384,32 +391,26 @@ def estimate_value(cs: ControlSolution, x0, y0, i0, policy: Policy,
     """Mean discounted payoff and standard error over cfg.n_paths paths.
 
     With antithetic pairing (default) the independent sampling unit is the
-    pair, so std_error = std(pair means)/sqrt(n_pairs). Deterministic
+    pair; std_error = std(unit means)/sqrt(units) needs two units. Deterministic
     policies reduce to their closed-form payoff with zero error.
     """
     p, kind = cs.params, policy.kind
-    T, K, m = _checked_run(cs, x0, y0, i0, cfg, cfg.n_paths,
-                           paired=kind not in _CLOSED_FORM)
+    T, K, m = _checked_run(cs, x0, y0, i0, cfg,
+                           units=0 if kind in _CLOSED_FORM else 2)
     se = 0.0
     if kind == "never_extract":
         mean = -p.cost.value(y0)*(1.0 - math.exp(-p.rho*T))/p.rho
     elif kind == "extract_all_at_start":
         mean = (x0 - p.c)*y0
     else:
-        if not (isinstance(cfg.batch_pairs, numbers.Integral)
-                and cfg.batch_pairs >= 1):
-            raise OutOfRange(f"batch_pairs must be an integer >= 1, "
-                             f"got {cfg.batch_pairs!r}")
-        n_units = cfg.n_paths//m
-        batch = min(cfg.batch_pairs, n_units)
+        n_units, batch = cfg.n_paths//m, cfg.batch_pairs
         sizes = [min(batch, n_units - s) for s in range(0, n_units, batch)]
         pays = [_simulate_batch(cs, x0, y0, i0, policy, size, cfg.dt, K,
                                 cfg.base_seed, bidx, cfg.antithetic)
                 for bidx, size in enumerate(sizes)]
         samples = np.concatenate([pp.mean(axis=0) for pp in pays])
         mean = float(samples.mean())
-        se = (float(samples.std(ddof=1))/math.sqrt(samples.size)
-              if samples.size > 1 else float("inf"))
+        se = float(samples.std(ddof=1))/math.sqrt(samples.size)
     return SimOutcome(mean=float(mean), std_error=se, n_paths=cfg.n_paths,
                       tail_bound=tail_bound(cs, x0, y0, T), policy_id=kind,
                       dt=cfg.dt, horizon=T)
@@ -464,8 +465,12 @@ def skorokhod_check(cs: ControlSolution, trace: Trace) -> bool:
 
 def trace_to_csv(trace: Trace, path, path_index: int = 0) -> None:
     """Dump one traced path: columns t, regime, X, Y, dnu, discounted_increment,
-    to a file path or a writable text stream."""
+    to a file path or a writable text stream; path_index in [0, paths)."""
     import csv
+    n = trace.X.shape[1]
+    if not (isinstance(path_index, numbers.Integral) and 0 <= path_index < n):
+        raise OutOfRange(f"path_index must be an integer in [0, {n}), "
+                         f"got {path_index!r}")
     if not hasattr(path, "write"):
         with open(path, "w", newline="") as fh:
             return trace_to_csv(trace, fh, path_index)

@@ -220,10 +220,16 @@ def params_from_config(cfg: dict) -> ModelParams:
                     cfg["lambda1"], cfg["lambda2"], cfg["c"], cost)
 
 
+def _regime(i) -> int:
+    """i, checked: the integer 1 or 2 (numpy integers too), never a bool."""
+    if type(i) is bool or not hasattr(i, "__index__") or i not in (1, 2):
+        raise OutOfRange(f"regime must be the integer 1 or 2, got {i!r}")
+    return i
+
+
 def phi(params: ModelParams, i: int, alpha) -> float:
     """Phi_i(alpha) = -sigma_i^2 alpha^2 / 2 + rho + lambda_i."""
-    if i not in (1, 2):
-        raise OutOfRange(f"regime must be 1 or 2, got {i}")
+    i = _regime(i)
     return -0.5*params.sigma(i)**2*np.square(alpha) + params.rho + params.lam(i)
 
 

@@ -41,7 +41,7 @@ import numpy as np
 from ._numerics import bisect
 from .errors import (AssumptionViolated, DomainError, NoBracket, OutOfRange,
                      PreconditionViolated, VerificationFailed)
-from .model import ModelParams, chat, check_assumptions, finite_prices
+from .model import ModelParams, _regime, chat, check_assumptions, finite_prices
 from .roots import RootSet, solve_characteristic
 
 # solve_z brackets z2 in [eps, zhat2 (1 - ENDPOINT_EPS)], eps from
@@ -79,9 +79,7 @@ class StoppingSolution:
     m2_at_0: float
 
     def internal_regime(self, i: int) -> int:
-        if i not in (1, 2):
-            raise OutOfRange(f"regime must be 1 or 2, got {i}")
-        return 3 - i if self.relabeled else i
+        return 3 - _regime(i) if self.relabeled else _regime(i)
 
     def shift(self, i_internal: int) -> float:
         return self.z1 if i_internal == 1 else self.z1 + self.z2

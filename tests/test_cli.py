@@ -351,6 +351,50 @@ def test_simulate_trace_out(capsys, cfg_path, tmp_path):
         "t,regime,X,Y,dnu,discounted_increment"
 
 
+def test_simulate_trace_out_is_one_path(capsys, cfg_path, tmp_path):
+    # the CSV holds path 0 only, so only that path is simulated; it used
+    # to be one of max(2, min(--paths, 16)) paths
+    out = tmp_path/"tr.csv"
+    assert main(["simulate", "--config", cfg_path, "--x", "0.2", "--y", "0.9",
+                 "--regime", "2", "--paths", "8", "--dt", "0.01",
+                 "--horizon", "0.5", "--seed", "11",
+                 "--trace-out", str(out)]) == 0
+    cs = regime_extract.from_stopping(regime_extract.solve_z(
+        regime_extract.params_from_config(EXAMPLE)))
+    trace = regime_extract.simulate_traces(
+        cs, 0.2, 0.9, 2, regime_extract.Policy.reflect_optimal(),
+        regime_extract.SimConfig(dt=0.01, horizon=0.5, base_seed=11,
+                                 antithetic=False), n_paths=1)
+    text = io.StringIO()
+    regime_extract.trace_to_csv(trace, text)
+    assert out.read_bytes() == text.getvalue().encode()
+
+
+@pytest.mark.parametrize("extra", [["--paths", "2"],
+                                   ["--paths", "1", "--no-antithetic"]],
+                         ids=["one-pair", "one-path"])
+def test_simulate_one_sampling_unit_is_user_error(capsys, cfg_path, extra):
+    # one sampling unit gave std_error = inf, which the JSON writer refused
+    # with a ValueError traceback and exit 1
+    assert main(["simulate", "--config", cfg_path, "--x", "0", "--y", "0.5",
+                 "--regime", "1", "--dt", "0.1", "--horizon", "1.0"]
+                + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("policy", ["sell_on_tuesdays",
+                                    "reflect_at_custom_boundary"])
+def test_simulate_policy_is_user_error(capsys, cfg_path, policy):
+    assert main(["simulate", "--config", cfg_path, "--x", "0", "--y", "0.5",
+                 "--regime", "1", "--paths", "10", "--dt", "0.1",
+                 "--horizon", "1.0", "--policy", policy]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_scan_region_single_cell(capsys):
     code = main(["scan-region", "--rho", "0.03", "--lambda1", "0.017",
                  "--lambda2", "0.016", "--sigma1-range", "0.0245:0.0245",

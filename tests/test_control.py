@@ -53,6 +53,29 @@ def test_value_rejects_bad_reserve(cs_a):
         rx.U(cs_a, 0.0, 1.2, 1)
 
 
+# one regime rule (an integer 1 or 2, not a bool) for every entry point:
+# U_report, w and phi took 1.0 and True as regimes 1
+@pytest.mark.parametrize("regime", [1.0, True, np.float64(2.0), 3],
+                         ids=["float", "bool", "numpy-float", "three"])
+@pytest.mark.parametrize("call", [
+    lambda cs, i: rx.U_report(cs, 0.6, 0.5, i),
+    lambda cs, i: rx.U(cs, 0.6, 0.5, i),
+    lambda cs, i: rx.w(cs.stopping, 0.6, i, 0.5),
+    lambda cs, i: rx.x_star(cs.stopping, i, 0.5),
+    lambda cs, i: rx.b_star(cs, i, 0.6),
+    lambda cs, i: rx.phi(cs.params, i, 1.0),
+], ids=["U_report", "U", "w", "x_star", "b_star", "phi"])
+def test_regime_rule(cs_a, call, regime):
+    with pytest.raises(OutOfRange, match="regime"):
+        call(cs_a, regime)
+
+
+def test_regime_rule_takes_numpy_integers(cs_a):
+    assert rx.U_report(cs_a, 0.6, 0.5, np.int64(2)) == \
+        rx.U_report(cs_a, 0.6, 0.5, 2)
+    assert rx.phi(cs_a.params, np.int8(1), 1.0) == rx.phi(cs_a.params, 1, 1.0)
+
+
 def _exp_twin(cs):
     """cs with its exponential cost written as a custom cost."""
     cost = cs.params.cost

@@ -343,16 +343,12 @@ def test_simulator_rejects_invalid_states(cs_a, x0, y0, i0):
     ("batch_pairs", -5), ("batch_pairs", 2.5)])
 def test_sim_config_seed_and_batch_checked(cs_a, field, value):
     # batch_pairs 0 and -5 ran as 1-pair batches; a negative seed failed
-    # in SeedSequence with an untyped ValueError
-    cfg = dataclasses.replace(
-        rx.SimConfig(dt=1e-2, horizon=0.5, n_paths=8, base_seed=3),
-        **{field: value})
-    pol = rx.Policy.reflect_optimal()
+    # in SeedSequence with an untyped ValueError. SimConfig checks them
+    # when it is made, so no run can take them.
     with pytest.raises(OutOfRange, match=field):
-        rx.estimate_value(cs_a, 0.2, 0.5, 2, pol, cfg)
-    if field == "base_seed":
-        with pytest.raises(OutOfRange, match=field):
-            rx.simulate_traces(cs_a, 0.2, 0.5, 2, pol, cfg, 8)
+        dataclasses.replace(
+            rx.SimConfig(dt=1e-2, horizon=0.5, n_paths=8, base_seed=3),
+            **{field: value})
 
 
 @pytest.mark.parametrize("n_paths", [0, -2])
@@ -365,7 +361,7 @@ def test_simulate_traces_checks_its_path_count(cs_a, n_paths):
 
 
 def test_simulate_traces_ignores_cfg_n_paths(cs_a):
-    cfg = rx.SimConfig(dt=0.01, horizon=0.5, n_paths=0)
+    cfg = rx.SimConfig(dt=0.01, horizon=0.5, n_paths=4)
     tr = rx.simulate_traces(cs_a, 0.2, 0.5, 2, rx.Policy.reflect_optimal(),
                             cfg, 8)
     assert tr.X.shape == (51, 8)
@@ -394,6 +390,65 @@ def test_custom_boundary_output_checked(cs_a, bfun):
         rx.estimate_value(cs_a, 0.6, 0.5, 2, pol, cfg)
     with pytest.raises(PreconditionViolated):
         rx.simulate_traces(cs_a, 0.6, 0.5, 2, pol, cfg, 8)
+
+
+def _small_cfg(**kw):
+    return rx.SimConfig(**{**dict(dt=1e-2, horizon=0.5, n_paths=8,
+                                  base_seed=3), **kw})
+
+
+# each input is checked once, where it is made; these inputs used to fail
+# later with an untyped error or run on regardless
+@pytest.mark.parametrize("make, error", [
+    (lambda cs: rx.Policy.reflect_at_custom_boundary(None),
+     PreconditionViolated),
+    (lambda cs: rx.Policy("reflect_optimal", bfun=lambda i, x: x),
+     PreconditionViolated),
+    (lambda cs: _small_cfg(n_paths=8.0), OutOfRange),
+    (lambda cs: rx.simulate_traces(cs, 0.2, 0.5, 2,
+                                   rx.Policy.reflect_optimal(),
+                                   _small_cfg(), 8.0), OutOfRange),
+    (lambda cs: rx.estimate_value(cs, 0.2, 0.5, 1.0,
+                                  rx.Policy.reflect_optimal(), _small_cfg()),
+     OutOfRange),
+    (lambda cs: rx.estimate_value(cs, 0.2, 0.5, True,
+                                  rx.Policy.reflect_optimal(), _small_cfg()),
+     OutOfRange),
+    (lambda cs: _small_cfg(antithetic="no"), OutOfRange),
+    (lambda cs: rx.estimate_value(cs, 0.2, 0.5, 2,
+                                  rx.Policy.reflect_optimal(),
+                                  _small_cfg(n_paths=2)),
+     PreconditionViolated),
+    (lambda cs: rx.estimate_value(cs, 0.2, 0.5, 2,
+                                  rx.Policy.reflect_optimal(),
+                                  _small_cfg(n_paths=1, antithetic=False)),
+     PreconditionViolated),
+], ids=["custom-boundary-none", "bfun-on-optimal", "config-float-paths",
+        "traces-float-paths", "regime-float", "regime-bool",
+        "antithetic-str", "one-pair-estimate", "one-path-estimate"])
+def test_simulator_input_checked_where_made(cs_a, make, error):
+    with pytest.raises(error):
+        make(cs_a)
+
+
+def test_sim_config_takes_numpy_integers(cs_a):
+    cfg = _small_cfg(n_paths=np.int64(8), base_seed=np.uint32(3),
+                     batch_pairs=np.int32(2), antithetic=np.bool_(True))
+    out = rx.estimate_value(cs_a, 0.2, 0.5, np.int64(2),
+                            rx.Policy.reflect_optimal(), cfg)
+    assert out.mean == rx.estimate_value(
+        cs_a, 0.2, 0.5, 2, rx.Policy.reflect_optimal(),
+        _small_cfg(batch_pairs=2)).mean
+
+
+@pytest.mark.parametrize("path_index", [99, 8, -1, 1.0, None])
+def test_trace_to_csv_checks_path_index(cs_a, tmp_path, path_index):
+    tr = rx.simulate_traces(cs_a, 0.2, 0.5, 2, rx.Policy.reflect_optimal(),
+                            _small_cfg(), 8)
+    out = tmp_path/"t.csv"
+    with pytest.raises(OutOfRange, match="path_index"):
+        rx.trace_to_csv(tr, out, path_index)
+    assert not out.exists()
 
 
 def test_unknown_policy_rejected(cs_a):
