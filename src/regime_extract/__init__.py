@@ -8,10 +8,9 @@ from .errors import (AssumptionViolated, CostNotConvex, CrossCheckFailed,
                      NonPositiveParameter, OrderingViolated, OutOfRange,
                      PreconditionViolated, QuadratureNotConverged, SolverError,
                      SRPViolated, VerificationFailed)
-from .model import (AssumptionReport, CostFunction, ModelParams,
-                    check_assumptions, chat, feasibility_scan,
-                    params_from_config, phi, validate)
-from .roots import RootSet, check_sign_lemma, solve_characteristic
+from .model import (AssumptionReport, Characteristic, CostFunction,
+                    ModelParams, check_assumptions, chat, feasibility_scan,
+                    params_from_config, phi, solve_characteristic, validate)
 from .stopping import (StoppingSolution, g1, g2, m1, m2, solve_z, verify_fbp,
                        v, w, w_x, w_xx, x_star, zhat2)
 from .control import (ControlSolution, U, U_report, U_x, U_xx, ValueReport,

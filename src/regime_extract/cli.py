@@ -34,6 +34,7 @@ from .stopping import perturbed, solve_z, verify_fbp, x_star
 
 EXIT_OK, EXIT_MATH, EXIT_USER, EXIT_IO = 0, 1, 2, 3
 MAX_SCAN_STEPS = 1000   # scan-region builds its steps^2 CSV lines in memory
+MAX_BOUNDARY_GRID = 1 << 20   # boundary builds two grid-line CSVs in memory
 
 
 def _load_params(path):
@@ -113,7 +114,7 @@ def cmd_solve(args, params):
         "z1": sol.z1,
         "z2": sol.z2,
         "zhat2": sol.zhat2,
-        "alpha": [rt.alpha1, rt.alpha2, rt.alpha3, rt.alpha4, rt.alpha5],
+        "alpha": [-rt.alpha4, -rt.alpha3, rt.alpha3, rt.alpha4, rt.alpha5],
         "a": [rt.a1, rt.a2, rt.a3, rt.a4],
         "relabeled": sol.relabeled,
         "residuals": {"G1": sol.g1_residual, "G2": sol.g2_residual},
@@ -121,8 +122,8 @@ def cmd_solve(args, params):
 
 
 def cmd_boundary(args, params):
-    if args.grid < 2:
-        raise OutOfRange("--grid must be at least 2")
+    if not 2 <= args.grid <= MAX_BOUNDARY_GRID:
+        raise OutOfRange(f"--grid must be in [2, {MAX_BOUNDARY_GRID}]")
     cs = from_stopping(solve_z(params))
     sol = cs.stopping
     x_lo = x_star(sol, 2, 1.0) - 1.0

@@ -172,7 +172,9 @@ def tail_bound(cs: ControlSolution, x0, y0, T: float) -> float:
 
 def _checked_run(cs: ControlSolution, x0, y0, i0, cfg: SimConfig, units=1):
     """(T, K, m) of a checked run of cfg.n_paths paths from (x0, y0, i0):
-    at least units sampling units (pairs if antithetic; 0: a closed form)."""
+    at least units sampling units (pairs if antithetic; 0: a closed form).
+    T = K dt is the simulated horizon, K the resolved horizon's step count
+    rounded to the nearest integer."""
     _regime(i0)
     if not (math.isfinite(x0) and 0.0 <= y0 <= 1.0):
         raise OutOfRange("need a finite price and a reserve in [0, 1], "
@@ -184,7 +186,8 @@ def _checked_run(cs: ControlSolution, x0, y0, i0, cfg: SimConfig, units=1):
     if cfg.n_paths//m < units:
         raise PreconditionViolated("a simulated estimate needs at least "
                                    f"{units} sampling units")
-    return T, int(round(T/cfg.dt)), m
+    K = int(round(T/cfg.dt))
+    return K*cfg.dt, K, m
 
 
 def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,

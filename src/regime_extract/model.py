@@ -1,4 +1,5 @@
-"""Problem parameters, maintenance-cost families and feasibility conditions.
+"""Problem parameters, maintenance-cost families, the characteristic
+constants and the feasibility conditions.
 
 Price follows an arithmetic Brownian motion whose volatility is modulated
 by a two-state Markov chain (rates lambda1, lambda2 of leaving states 1, 2).
@@ -15,7 +16,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._numerics import bisect
-from .errors import CostNotConvex, NonPositiveParameter, OutOfRange
+from .errors import (CostNotConvex, CrossCheckFailed,
+                     DegenerateDiscriminant, NonPositiveParameter,
+                     OutOfRange)
 
 
 def _vectorized(fn: Callable) -> Callable:
@@ -323,6 +326,49 @@ def characteristic(rho, sigma1, sigma2, lambda1, lambda2) -> Characteristic:
                           a1, a2, a3, a4)
 
 
+RESIDUAL_TOL, CROSS_TOL = 1e-10, 1e-9   # solve_characteristic's gates
+
+
+def solve_characteristic(params: ModelParams) -> Characteristic:
+    """characteristic at params, as Python floats, with its invariants
+    enforced; the negative roots are -alpha4 < -alpha3.
+
+    Quartic residuals at +-alpha3 and +-alpha4 (relative to the terms
+    that cancel) and the Vieta sum must hold to RESIDUAL_TOL, else
+    DegenerateDiscriminant. a1 is cross-checked against the simplified
+    form -(sigma1^2 alpha3 alpha4 / 2 + rho + lambda1)/lambda1
+    + rho/(rho+lambda2), taking alpha3 alpha4 as the Vieta product
+    sqrt(c_o/a_o) straight from the parameters, so the two routes share
+    no root extraction; beyond CROSS_TOL they raise CrossCheckFailed.
+    """
+    rho, l1, l2 = params.rho, params.lambda1, params.lambda2
+    k = Characteristic(*map(float, characteristic(
+        rho, params.sigma1, params.sigma2, l1, l2)))
+    if not k.disc > 0.0:
+        raise DegenerateDiscriminant(
+            f"b_o^2 - 4 a_o c_o = {k.disc} <= 0 for valid parameters")
+    p1, p2 = rho + l1, rho + l2
+    for a in (k.alpha3, k.alpha4, -k.alpha3, -k.alpha4):
+        res = phi(params, 1, a)*phi(params, 2, a) - l1*l2
+        # relative to the size of the terms that cancel in Phi_1 Phi_2
+        scale = RESIDUAL_TOL*(0.5*params.sigma1**2*a*a + p1)*(
+            0.5*params.sigma2**2*a*a + p2)
+        if abs(res) > scale:
+            raise DegenerateDiscriminant(
+                f"quartic residual {res} at root {a} exceeds {scale}")
+    vieta = 2.0*(params.sigma1**2*p2 + params.sigma2**2*p1)/(
+        params.sigma1**2*params.sigma2**2)
+    if abs(k.beta1 + k.beta2 - vieta) > RESIDUAL_TOL*vieta:
+        raise DegenerateDiscriminant("Vieta sum check failed")
+    prod_vieta = 2.0*math.sqrt(
+        (p1*p2 - l1*l2)/(params.sigma1**2*params.sigma2**2))
+    a1_alt = -(0.5*params.sigma1**2*prod_vieta + p1)/l1 + rho/p2
+    if abs(k.a1 - a1_alt) > CROSS_TOL*max(abs(k.a1), abs(a1_alt)):
+        raise CrossCheckFailed(
+            f"a1 mismatch: ratio form {k.a1} vs simplified form {a1_alt}")
+    return k
+
+
 Conditions = namedtuple("Conditions", "k lhs2 lhs3 lhs4 a5_cap case_a case_b")
 
 
@@ -355,8 +401,12 @@ def check_assumptions(params: ModelParams, eps: float = 0.0
     """Evaluate every feasibility condition with exact inequality directions.
 
     eps > 0 tightens the strict inequalities so borderline inputs are
-    rejected deterministically. A report is always produced.
+    rejected deterministically; an eps that is negative or not finite,
+    which would loosen them, raises OutOfRange. Otherwise a report is
+    always produced.
     """
+    if not 0.0 <= eps < math.inf:   # NaN fails too
+        raise OutOfRange(f"eps must be finite and >= 0, got {eps}")
     cv = condition_values(params.rho, params.sigma1, params.sigma2,
                           params.lambda1, params.lambda2, eps)
     k = cv.k

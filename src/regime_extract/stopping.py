@@ -41,8 +41,8 @@ import numpy as np
 from ._numerics import bisect
 from .errors import (AssumptionViolated, DomainError, NoBracket, OutOfRange,
                      PreconditionViolated, VerificationFailed)
-from .model import ModelParams, _regime, chat, check_assumptions, finite_prices
-from .roots import RootSet, solve_characteristic
+from .model import (Characteristic, ModelParams, _regime, chat,
+                    check_assumptions, finite_prices, solve_characteristic)
 
 # solve_z brackets z2 in [eps, zhat2 (1 - ENDPOINT_EPS)], eps from
 # ENDPOINT_EPS down by factors of 100 until M1 - M2 changes sign there
@@ -63,6 +63,8 @@ class StoppingSolution:
     (possibly label-swapped) frame in which regime 1 is the one satisfying
     the feasibility conditions. z1 = x1* - chat, z2 = x2* - x1* in that
     frame. g1/g2 residuals are the reduced-system values at (z1, z2).
+    m1_at_0/m2_at_0 are the equal-volatility candidate shifts M1(0) and
+    M2(0); they coincide, at sigma/sqrt(2 rho), iff sigma1 = sigma2.
     """
 
     case: str                  # "A" | "B" | "C_relabeled"
@@ -72,7 +74,7 @@ class StoppingSolution:
     relabeled: bool
     params: ModelParams
     iparams: ModelParams
-    roots: RootSet
+    roots: Characteristic
     g1_residual: float
     g2_residual: float
     m1_at_0: float
@@ -85,7 +87,7 @@ class StoppingSolution:
         return self.z1 if i_internal == 1 else self.z1 + self.z2
 
 
-def _reduced(params: ModelParams, roots: RootSet, v):
+def _reduced(params: ModelParams, roots: Characteristic, v):
     """(A1, T1, A2, T2) of the reduced system at v: G1 = A1 u - T1 + a2 and
     G2 = A2 u - T2 + a4, so M1 = (T1 - a2)/A1 and M2 = (T2 - a4)/A2."""
     rho, l2 = params.rho, params.lambda2
@@ -96,17 +98,17 @@ def _reduced(params: ModelParams, roots: RootSet, v):
             roots.a3 - r*a5*sv, r*(a5*v*sv - cv))
 
 
-def g1(params: ModelParams, roots: RootSet, u, v):
+def g1(params: ModelParams, roots: Characteristic, u, v):
     A1, T1, _, _ = _reduced(params, roots, v)
     return A1*u - T1 + roots.a2
 
 
-def g2(params: ModelParams, roots: RootSet, u, v):
+def g2(params: ModelParams, roots: Characteristic, u, v):
     _, _, A2, T2 = _reduced(params, roots, v)
     return A2*u - T2 + roots.a4
 
 
-def zhat2(params: ModelParams, roots: RootSet) -> float:
+def zhat2(params: ModelParams, roots: Characteristic) -> float:
     """Endpoint where M1 diverges, in closed form: the positive zero of
     its denominator, cosh(a5 v) = (kappa (rho+l2) - l2)/rho.
 
@@ -123,7 +125,7 @@ def zhat2(params: ModelParams, roots: RootSet) -> float:
     return math.acosh(target)/roots.alpha5
 
 
-def m1(params: ModelParams, roots: RootSet, v):
+def m1(params: ModelParams, roots: Characteristic, v):
     """u-branch of the reduced system; increasing to +inf on [0, zhat2)."""
     zh = zhat2(params, roots)
     va = np.asarray(v, dtype=float)
@@ -134,7 +136,7 @@ def m1(params: ModelParams, roots: RootSet, v):
     return float(out) if out.ndim == 0 else out
 
 
-def m2(params: ModelParams, roots: RootSet, v):
+def m2(params: ModelParams, roots: Characteristic, v):
     """Second u-branch; decreasing on [0, zhat2] under the feasibility
     conditions (denominator a3 - ... stays negative since a3 < 0)."""
     zh = zhat2(params, roots)
@@ -144,12 +146,6 @@ def m2(params: ModelParams, roots: RootSet, v):
     _, _, A2, T2 = _reduced(params, roots, va)
     out = (T2 - roots.a4)/A2
     return float(out) if out.ndim == 0 else out
-
-
-def case_b_shift_candidates(params: ModelParams, roots: RootSet):
-    """The equal-volatility candidate shifts M1(0) and M2(0); they
-    coincide, at sigma/sqrt(2 rho), iff sigma1 = sigma2."""
-    return m1(params, roots, 0.0), m2(params, roots, 0.0)
 
 
 def solve_z(params: ModelParams) -> StoppingSolution:

@@ -133,8 +133,7 @@ def test_ac06_equal_volatility_consistency(params_b, sol_b):
         ok &= abs(rx.x_star(sol_b, 2, float(y)) - (xb + ch)) <= 1e-10
         ok &= abs(rx.single_regime_boundary(params_b, sigma, float(y))
                   - (xb + ch)) <= 1e-10
-    from regime_extract.stopping import case_b_shift_candidates
-    s_a, s_b = case_b_shift_candidates(params_b, sol_b.roots)
+    s_a, s_b = sol_b.m1_at_0, sol_b.m2_at_0
     ok &= abs(s_a - s_b) <= 1e-10
     _report("AC06 equal-volatility boundary and cross-check",
             ok and time.time() - t0 < 1.0,

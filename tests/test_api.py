@@ -12,6 +12,8 @@ PINNED_SIGNATURES = {
     "AssumptionReport": ("a5_le_1", "cond2", "cond3", "cond4", "assm2",
                          "lemma_signs", "all_ok", "case_b", "values"),
     "AssumptionViolated": ("message", "report", "swapped_report"),
+    "Characteristic": ("disc", "beta1", "beta2", "alpha3", "alpha4", "alpha5",
+                       "a1", "a2", "a3", "a4"),
     "ControlSolution": ("stopping",),
     "CostFunction": ("kind", "gamma", "alpha", "beta", "f", "fprime"),
     "ModelParams": ("rho", "sigma1", "sigma2", "lambda1", "lambda2", "c",
@@ -19,8 +21,6 @@ PINNED_SIGNATURES = {
     "NonPositiveParameter": ("field", "value"),
     "OrderingViolated": ("message", "x"),
     "Policy": ("kind", "bfun"),
-    "RootSet": ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "beta1",
-                "beta2", "a1", "a2", "a3", "a4"),
     "SRPViolated": ("message", "step", "path"),
     "SimConfig": ("dt", "horizon", "n_paths", "base_seed", "antithetic",
                   "batch_pairs"),
@@ -41,7 +41,6 @@ PINNED_SIGNATURES = {
     "b_star": ("cs", "i", "x"),
     "chat": ("params", "y"),
     "check_assumptions": ("params", "eps"),
-    "check_sign_lemma": ("roots",),
     "compare_boundaries": ("cs", "n", "x_range"),
     "estimate_value": ("cs", "x0", "y0", "i0", "policy", "cfg"),
     "feasibility_scan": ("rho", "lambda1", "lambda2", "sigma1_grid",

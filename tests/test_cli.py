@@ -435,6 +435,33 @@ def test_scan_region_steps_capped(capsys, steps):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("eps", ["-0.05", "nan", "inf"])
+def test_check_eps_must_be_finite_and_nonnegative(capsys, tmp_path, eps):
+    # lhs2 = +0.047 fails cond2; --eps -0.05 made check exit 0 with
+    # conditions_met on a set that solve refuses
+    path = tmp_path/"near.json"
+    path.write_text(json.dumps(dict(
+        rho=1.0377812932341557, sigma1=0.01501586294833012,
+        sigma2=1.9406950648487529, lambda1=1.104868957215787,
+        lambda2=0.13938151551701863, c=1.0,
+        cost={"type": "exp", "gamma": 1.0})))
+    code, rep = run_json(capsys, ["check", "--config", str(path)])
+    assert code == 1 and rep["case"] == "conditions_failed"
+    assert main(["check", "--config", str(path), f"--eps={eps}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: eps ")
+
+
+def test_boundary_grid_capped(capsys, cfg_path, tmp_path):
+    # two CSVs of --grid lines are built in memory: refused before any is
+    grid = str(cli.MAX_BOUNDARY_GRID + 1)
+    assert main(["boundary", "--config", cfg_path, "--grid", grid,
+                 "--out", str(tmp_path/"b.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --grid")
+    assert not (tmp_path/"b.csv").exists()
+
+
 def test_scan_region_file_and_svg(capsys, tmp_path):
     out = tmp_path/"scan.csv"
     code = main(["scan-region", "--rho", "0.03", "--lambda1", "0.017",

@@ -64,6 +64,21 @@ def test_never_extract_closed_form(cs_a):
     assert out.std_error == 0.0
 
 
+def test_reported_horizon_is_the_simulated_one(cs_a):
+    # dt 0.3 does not divide the horizon 1.0: the run takes 3 steps and
+    # ends at t = 0.9, so the closed form and the tail bound are taken
+    # there, not at 1.0 (the run's tail bound used to read 5.897, below
+    # the bound at 0.9, 6.061, and never_extract -0.1839 against -0.1681)
+    cfg = rx.SimConfig(dt=0.3, horizon=1.0, n_paths=8, base_seed=5)
+    policy = rx.Policy.never_extract()
+    tr = rx.simulate_traces(cs_a, 0.6, 0.5, 2, policy, cfg, 8)
+    out = rx.estimate_value(cs_a, 0.6, 0.5, 2, policy, cfg)
+    assert out.horizon == tr.t[-1] == 3*0.3
+    assert out.mean == pytest.approx(tr.payoffs().mean(), rel=0, abs=1e-12)
+    assert out.tail_bound == tail_bound(cs_a, 0.6, 0.5, tr.t[-1])
+    assert out.tail_bound > tail_bound(cs_a, 0.6, 0.5, 1.0)
+
+
 def test_extract_all_closed_form(cs_a):
     cfg = rx.SimConfig(dt=1e-2, horizon=1.0, n_paths=6, base_seed=5)
     pay = simulate_path(cs_a, 0.9, 0.4, 2,

@@ -11,8 +11,7 @@ from regime_extract.errors import (AssumptionViolated, DomainError,
                                    OutOfRange, PreconditionViolated,
                                    VerificationFailed)
 from regime_extract.model import chat
-from regime_extract.stopping import (FbpReport, _continuation,
-                                     case_b_shift_candidates, perturbed)
+from regime_extract.stopping import FbpReport, _continuation, perturbed
 
 from conftest import NEAR_EQUAL_KW, draw_from_boxes
 from fbp_oracle import fbp_table
@@ -39,14 +38,12 @@ def test_zhat2_bracketing_endpoint(params_a, roots_a):
 
 def test_zhat2_overflow_is_typed(params_a, roots_a):
     # the cosh target overflows to inf: no finite zhat2, a typed error
-    import dataclasses
     with pytest.raises(PreconditionViolated):
-        rx.zhat2(params_a, dataclasses.replace(roots_a, a1=-1e308))
+        rx.zhat2(params_a, roots_a._replace(a1=-1e308))
 
 
 def test_zhat2_requires_negative_denominator(params_a, roots_a):
-    import dataclasses
-    bad = dataclasses.replace(roots_a, a1=1.0)
+    bad = roots_a._replace(a1=1.0)
     with pytest.raises(PreconditionViolated):
         rx.zhat2(params_a, bad)
 
@@ -118,9 +115,8 @@ def test_case_b_closed_form(sol_b):
     assert sol_b.z1 == pytest.approx(1.0, abs=1e-14)  # sigma/sqrt(2 rho)
 
 
-def test_case_b_shift_candidates_agree_only_at_equal_vol(params_a, params_b,
-                                                         sol_a, sol_b):
-    s_a, s_b = case_b_shift_candidates(params_b, sol_b.roots)
+def test_equal_vol_shift_candidates_agree_only_there(sol_a, sol_b):
+    s_a, s_b = sol_b.m1_at_0, sol_b.m2_at_0
     assert abs(s_a - s_b) <= 1e-10
     assert abs(sol_a.m1_at_0 - sol_a.m2_at_0) > 1e-3
     assert s_a == pytest.approx(1.0, abs=1e-12)
