@@ -48,6 +48,10 @@ MAX_STEPS = 10_000_000   # grid steps per path; arrays of K + 1 are made
 # skorokhod_check's slack between reserve and boundary, and the least
 # step extraction it counts as one
 BARRIER_TOL, DNU_TOL = 1e-9, 1e-12
+# entries in one of skorokhod_check's row blocks (at least one row each)
+CHECK_BLOCK_ENTRIES = 2**15
+# bytes of a recorded Trace's grid arrays: t, regime, X, Y, dnu, disc_inc
+MAX_TRACE_BYTES = 2**31
 # policies whose payoff estimate_value writes in closed form
 _CLOSED_FORM = ("never_extract", "extract_all_at_start")
 _KINDS = ("reflect_optimal", "reflect_at_custom_boundary") + _CLOSED_FORM
@@ -378,11 +382,13 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
 
 def simulate_traces(cs: ControlSolution, x0, y0, i0, policy: Policy,
                     cfg: SimConfig, n_paths: int) -> Trace:
-    """Record full uniform-grid traces for n_paths paths (memory permitting)."""
+    """Record full uniform-grid traces for n_paths paths. Runs whose grid
+    arrays would pass MAX_TRACE_BYTES raise OutOfRange before anything is
+    allocated."""
     cfg = replace(cfg, n_paths=n_paths)
     T, K, m = _checked_run(cs, x0, y0, i0, cfg)
-    need = (K + 1)*cfg.n_paths*8*4
-    if need > 2**31:
+    need = (K + 1)*(8 + cfg.n_paths*(4*8 + 1))   # float64 but int8 regime
+    if need > MAX_TRACE_BYTES:
         raise OutOfRange(f"trace would need {need/2**30:.1f} GiB; "
                          "reduce n_paths, dt resolution or horizon")
     return _simulate_batch(cs, x0, y0, i0, policy, cfg.n_paths//m, cfg.dt, K,
@@ -426,44 +432,105 @@ def skorokhod_check(cs: ControlSolution, trace: Trace) -> bool:
     current regime/price; (2) extraction happens only when the pre-step
     reserve exceeded the boundary (allowing for within-step boundary
     motion, or the boundary of the new regime at the price of a switch
-    inside the step, where the engine reflects too). Raises SRPViolated
-    with the first offending step.
+    inside the step, where the engine reflects too); and the lump at
+    t = 0 starts at or above the boundary. Raises SRPViolated with the
+    first offending step of the first condition that fails, in that order.
+
+    The check is one pass over the trace in row blocks of about
+    CHECK_BLOCK_ENTRIES entries, so beyond the trace it holds O(block)
+    memory; each block carries the previous one's last boundary row for
+    the slack of the step across its edge. A malformed trace raises
+    OutOfRange naming the step and path: a non-finite X, Y or dnu, a
+    regime other than 1 or 2, or a switch entry outside the trace's steps
+    1..K and paths, or with a bad regime or price.
     """
-    shift = np.array([np.nan, external_shift(cs, 1), external_shift(cs, 2)])
-    b_rows = np.empty_like(trace.X)
-    for k in range(0, b_rows.shape[0], 256):
-        rows = slice(k, k + 256)
-        b_rows[rows] = _boundary_inverse(
-            cs.params, shift[trace.regime[rows]], trace.X[rows])
-    over = trace.Y > b_rows + BARRIER_TOL
-    if over.any():
-        k, j = np.unravel_index(int(np.argmax(over)), over.shape)
-        raise SRPViolated(
-            f"Y={trace.Y[k, j]} above boundary {b_rows[k, j]} "
-            f"at step {k}, path {j}", step=int(k), path=int(j))
-    moved = trace.dnu[1:] > DNU_TOL
-    slack = np.abs(b_rows[1:] - b_rows[:-1]) + BARRIER_TOL
-    low = trace.Y[:-1] <= b_rows[1:] - slack
-    bad = moved & low
-    if trace.switches:
-        s_k, s_j, s_i, s_x = trace.switches
-        b_sw = _boundary_inverse(cs.params, shift[s_i], s_x)
-        fine = trace.Y[s_k - 1, s_j] > b_sw - BARRIER_TOL
-        bad[s_k[fine] - 1, s_j[fine]] = False
-    if bad.any():
-        k, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        raise SRPViolated(
-            f"extraction {trace.dnu[k + 1, j]} at step {k + 1}, path {j} "
-            f"with reserve {trace.Y[k, j]} below boundary {b_rows[k + 1, j]}",
-            step=int(k + 1), path=int(j))
-    init_bad = (trace.dnu[0] > DNU_TOL) & (
-        trace.Y[0] + trace.dnu[0] <= b_rows[0] - BARRIER_TOL)
-    if init_bad.any():
-        j = int(np.argmax(init_bad))
-        raise SRPViolated(
-            f"initial lump {trace.dnu[0, j]} on path {j} started below "
-            f"the boundary {b_rows[0, j]}", step=0, path=j)
+    shifts = external_shift(cs, 1), external_shift(cs, 2)
+
+    def boundary(reg, x):
+        """b_reg(x) of regimes reg in {1, 2}, elementwise."""
+        return _boundary_inverse(cs.params, np.where(reg == 1, *shifts), x)
+
+    n_rows, n = trace.X.shape
+    ex_k, ex_j = _switch_exemptions(boundary, trace)
+    rows = max(1, CHECK_BLOCK_ENTRIES//max(n, 1))
+    extraction = lump = None   # the first violations of (2) and of the lump
+    b_last = np.empty((0, n))  # the boundary row before the block
+    for r0 in range(0, n_rows, rows):
+        r1 = min(r0 + rows, n_rows)
+        reg, X, Y, dnu = (a[r0:r1] for a in (trace.regime, trace.X, trace.Y,
+                                             trace.dnu))
+        ok = ((reg == 1) | (reg == 2)) & np.isfinite(X)
+        ok &= np.isfinite(Y) & np.isfinite(dnu)
+        if not ok.all():
+            k, j = _first(~ok)
+            raise OutOfRange(f"malformed trace at step {r0 + k}, path {j}: "
+                             f"regime {reg[k, j]}, X={X[k, j]}, Y={Y[k, j]}, "
+                             f"dnu={dnu[k, j]}")
+        b = boundary(reg, X)
+        over = Y > b + BARRIER_TOL
+        if over.any():
+            k, j = _first(over)
+            raise SRPViolated(f"Y={Y[k, j]} above boundary {b[k, j]} "
+                              f"at step {r0 + k}, path {j}",
+                              step=r0 + k, path=j)
+        if r0 == 0:
+            init_bad = (dnu[0] > DNU_TOL) & (
+                Y[0] + dnu[0] <= b[0] - BARRIER_TOL)
+            if init_bad.any():
+                j = int(np.argmax(init_bad))
+                lump = SRPViolated(
+                    f"initial lump {dnu[0, j]} on path {j} started below "
+                    f"the boundary {b[0, j]}", step=0, path=j)
+        if extraction is None:
+            # step s moves row s - 1 to row s; the block closes steps s0..
+            s0 = max(r0, 1)
+            b_post = b[s0 - r0:]
+            b_pre = np.concatenate((b_last, b[:-1]))
+            slack = np.abs(b_post - b_pre) + BARRIER_TOL
+            bad = (dnu[s0 - r0:] > DNU_TOL) & (
+                trace.Y[s0 - 1:r1 - 1] <= b_post - slack)
+            lo, hi = np.searchsorted(ex_k, (s0, r1))
+            bad[ex_k[lo:hi] - s0, ex_j[lo:hi]] = False
+            if bad.any():
+                k, j = _first(bad)
+                s = s0 + k
+                extraction = SRPViolated(
+                    f"extraction {trace.dnu[s, j]} at step {s}, path {j} "
+                    f"with reserve {trace.Y[s - 1, j]} below boundary "
+                    f"{b_post[k, j]}", step=s, path=j)
+        b_last = b[-1:]
+    for err in (extraction, lump):
+        if err is not None:
+            raise err
     return True
+
+
+def _first(mask):
+    """(row, column) of the first True of a 2-D mask in row order."""
+    k, j = np.unravel_index(int(np.argmax(mask)), mask.shape)
+    return int(k), int(j)
+
+
+def _switch_exemptions(boundary: Callable, trace: Trace):
+    """(steps, paths), sorted by step, of the in-step switches whose new
+    boundary(regime, price) lay at or below the pre-step reserve: the
+    engine reflects there, so condition (2) exempts them. A malformed
+    entry raises OutOfRange."""
+    if not trace.switches:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    s_k, s_j, s_i, s_x = trace.switches
+    n_rows, n = trace.X.shape
+    ok = (s_k >= 1) & (s_k < n_rows) & (s_j >= 0) & (s_j < n)
+    ok &= ((s_i == 1) | (s_i == 2)) & np.isfinite(s_x)
+    if not ok.all():
+        e = int(np.argmin(ok))
+        raise OutOfRange(
+            f"malformed switch at step {s_k[e]}, path {s_j[e]}: need a step "
+            f"in [1, {n_rows - 1}], a path in [0, {n}), regime 1 or 2 and a "
+            f"finite price, got regime {s_i[e]}, price {s_x[e]}")
+    fine = trace.Y[s_k - 1, s_j] > boundary(s_i, s_x) - BARRIER_TOL
+    order = np.argsort(s_k[fine], kind="stable")
+    return s_k[fine][order], s_j[fine][order]
 
 
 def trace_to_csv(trace: Trace, path, path_index: int = 0) -> None:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regime_extract as rx
+import skorokhod_oracle
+from regime_extract import mcsim
 from regime_extract.errors import OutOfRange, PreconditionViolated, SRPViolated
 from regime_extract.mcsim import _simulate_batch, tail_bound
 from scalar_oracle import simulate_chain, simulate_path
@@ -339,6 +342,205 @@ def test_skorokhod_check_accepts_lump_at_in_step_switch(cs_a):
     with pytest.raises(SRPViolated) as exc:
         rx.skorokhod_check(cs_a, tr)
     assert (exc.value.step, exc.value.path) == (164, 95)
+
+
+def _job_trace(cs, **kw):
+    """The lump test's set-up, 3,001 steps x 1,000 paths by default: a
+    reflect_optimal start on regime 2's boundary, dt 1e-3, horizon 3."""
+    kw = dict(dict(dt=1e-3, horizon=3.0, n_paths=1000, base_seed=12011,
+                   antithetic=False), **kw)
+    x0 = 0.16
+    return rx.simulate_traces(cs, x0, float(rx.b_star(cs, 2, x0)), 2,
+                              rx.Policy.reflect_optimal(), rx.SimConfig(**kw),
+                              kw["n_paths"])
+
+
+@pytest.fixture(scope="module")
+def job_trace(cs_a):
+    return _job_trace(cs_a)
+
+
+def _outcome(check, cs, tr):
+    try:
+        return check(cs, tr)
+    except SRPViolated as exc:
+        return type(exc), exc.step, exc.path, str(exc)
+
+
+def _agreed(cs, tr):
+    """The block check's pass or (type, step, path, message), asserted
+    equal to the whole-array oracle's."""
+    out = _outcome(rx.skorokhod_check, cs, tr)
+    assert out == _outcome(skorokhod_oracle.skorokhod_check, cs, tr)
+    return out
+
+
+def test_skorokhod_check_matches_oracle_on_the_job_trace(cs_a, job_trace):
+    assert job_trace.X.shape == (3001, 1000)
+    assert mcsim.CHECK_BLOCK_ENTRIES//1000 < 3001   # many blocks
+    assert _agreed(cs_a, job_trace) is True
+
+
+@pytest.mark.parametrize("kind, x0, y0, kw, passes", [
+    # antithetic, with a lump at t = 0 from above the boundary
+    ("reflect_optimal", 0.9, 0.9, dict(horizon=1.0, n_paths=400), True),
+    # fewer rows than one block
+    ("reflect_optimal", 0.16, 0.9, dict(horizon=0.02, n_paths=1000), True),
+    # more than 2^15 columns: each block is one row
+    ("reflect_optimal", 0.16, 0.9, dict(dt=1e-2, horizon=0.05,
+                                        n_paths=2**15 + 2), True),
+    ("never_extract", 1.5, 0.9, dict(horizon=0.2, n_paths=8), False),
+    ("extract_all_at_start", -1.0, 0.5, dict(horizon=0.2, n_paths=8), False),
+], ids=["antithetic", "short", "wide", "unreflected", "early_lump"])
+def test_skorokhod_check_matches_oracle(cs_a, kind, x0, y0, kw, passes):
+    cfg = rx.SimConfig(**dict(dict(dt=1e-3, base_seed=41), **kw))
+    tr = rx.simulate_traces(cs_a, x0, y0, 2, rx.Policy(kind), cfg, cfg.n_paths)
+    assert (_agreed(cs_a, tr) is True) == passes
+
+
+def _doctor(cs, tr, kind, step):
+    """A copy of tr with one entry changed at step, on the first path
+    where the boundary b leaves room for it, and that path: "reserve" puts
+    a reserve of 1 above b < 0.99; the rest extract 0.01 at step from a
+    pre-step reserve of 0 ("extraction", under b > 0.01 at both ends of
+    the step), or of b after the step less 0.5 ("in_slack") or 2
+    ("past_slack") times b's largest fall over the step."""
+    rows = slice(step - 1, step + 1)
+    b = np.where(tr.regime[rows] == 1, rx.b_star(cs, 1, tr.X[rows]),
+                 rx.b_star(cs, 2, tr.X[rows]))
+    Y, dnu = tr.Y.copy(), tr.dnu.copy()
+    if kind == "reserve":
+        j = int(np.argmax(b[1] < 0.99))
+        Y[step, j] = 1.0
+        return dataclasses.replace(tr, Y=Y), j
+    if kind == "extraction":
+        j = int(np.argmax(b.min(axis=0) > 0.01))
+        Y[step - 1, j] = 0.0
+    else:
+        fall = np.where(b[1] > 2*(b[0] - b[1]), b[0] - b[1], 0.0)
+        j = int(np.argmax(fall))
+        assert fall[j] > 1e-6
+        Y[step - 1, j] = b[1, j] - fall[j]*(0.5 if kind == "in_slack" else 2)
+    dnu[step, j] = 0.01
+    return dataclasses.replace(tr, Y=Y, dnu=dnu), j
+
+
+# with 1,000 paths a block has 32 rows: rows 63 and 64 are the last of
+# one block and the first of the next, and step 64 straddles them
+@pytest.mark.parametrize("kind, step", [
+    ("reserve", 63), ("reserve", 64), ("extraction", 63), ("extraction", 64),
+    ("extraction", 65), ("in_slack", 64), ("past_slack", 64),
+    ("in_slack", 96), ("past_slack", 96)])
+def test_skorokhod_check_matches_oracle_at_block_edges(cs_a, job_trace, kind,
+                                                       step):
+    assert mcsim.CHECK_BLOCK_ENTRIES//1000 == 32
+    tr, j = _doctor(cs_a, job_trace, kind, step)
+    out = _agreed(cs_a, tr)
+    assert out is True if kind == "in_slack" else out[1:3] == (step, j)
+
+
+def test_skorokhod_check_reserve_violation_outranks_earlier_extraction(
+        cs_a, job_trace):
+    tr, j2 = _doctor(cs_a, job_trace, "extraction", 10)
+    assert _agreed(cs_a, tr)[1:3] == (10, j2)
+    tr, j1 = _doctor(cs_a, tr, "reserve", 2000)
+    assert _agreed(cs_a, tr)[1:3] == (2000, j1)
+
+
+@pytest.mark.parametrize("rows", [1, 41, 164, 165])
+def test_skorokhod_check_switch_exemption_on_block_edges(cs_a, job_trace,
+                                                         monkeypatch, rows):
+    # the lump test's exempt switch closes step 164, which straddles a
+    # block edge for 1, 41 and 164 rows a block and ends a block for 165
+    monkeypatch.setattr(mcsim, "CHECK_BLOCK_ENTRIES", rows*1000)
+    assert _agreed(cs_a, job_trace) is True
+    s_k, s_j, s_i, s_x = job_trace.switches
+    doctored = np.where((s_k == 164) & (s_j == 95), -10.0, s_x)
+    tr = dataclasses.replace(job_trace, switches=(s_k, s_j, s_i, doctored))
+    assert _agreed(cs_a, tr)[1:3] == (164, 95)
+
+
+def _malformed_x(tr):
+    tr.X[5, 3] = np.nan
+
+
+def _malformed_y(tr):
+    tr.Y[5, 3] = np.nan
+
+
+def _malformed_dnu(tr):
+    tr.dnu[5, 3] = np.nan
+
+
+def _regime_0(tr):
+    # regime 0 would look up a NaN shift, so no comparison could fail
+    tr.regime[5:, 3] = 0
+    tr.Y[5:, 3] = 1.0
+
+
+def _regime_3(tr):
+    tr.regime[5, 3] = 3
+
+
+def _switch_at_step_0(tr):
+    s_k, s_j, s_i, s_x = (a.copy() for a in tr.switches)
+    s_k[0], s_j[0] = 0, 3
+    tr.switches = (s_k, s_j, s_i, s_x)
+
+
+@pytest.mark.parametrize("doctor", [_malformed_x, _malformed_y, _malformed_dnu,
+                                    _regime_0, _regime_3, _switch_at_step_0])
+def test_skorokhod_check_refuses_malformed_traces(cs_a, doctor):
+    tr = _job_trace(cs_a, dt=1e-2, horizon=1.0, n_paths=200)
+    assert tr.switches and rx.skorokhod_check(cs_a, tr)
+    doctor(tr)
+    step = 0 if doctor is _switch_at_step_0 else 5
+    with pytest.raises(OutOfRange, match=rf"at step {step}, path 3\b"):
+        rx.skorokhod_check(cs_a, tr)
+
+
+def test_skorokhod_check_memory_is_one_block(cs_a, job_trace):
+    """Beyond the trace, the check holds a few blocks, not whole-trace
+    temporaries: the whole-array oracle peaks near 77 MiB here."""
+    tracemalloc.start()
+    try:
+        assert rx.skorokhod_check(cs_a, job_trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8*2**20
+
+
+def test_trace_cap_counts_every_grid_array(cs_a, monkeypatch):
+    pol = rx.Policy.reflect_optimal()
+    cfg = rx.SimConfig(dt=1e-2, horizon=0.1, n_paths=6, base_seed=5)
+    tr = rx.simulate_traces(cs_a, 0.4, 0.5, 2, pol, cfg, 6)
+    size = sum(a.nbytes for a in (tr.t, tr.regime, tr.X, tr.Y, tr.dnu,
+                                  tr.disc_inc))
+    monkeypatch.setattr(mcsim, "MAX_TRACE_BYTES", size)
+    assert rx.simulate_traces(cs_a, 0.4, 0.5, 2, pol, cfg, 6).X.shape == (11, 6)
+    monkeypatch.setattr(mcsim, "MAX_TRACE_BYTES", size - 1)
+    with pytest.raises(OutOfRange, match="trace would need"):
+        rx.simulate_traces(cs_a, 0.4, 0.5, 2, pol, cfg, 6)
+
+
+def test_trace_one_step_over_the_cap_allocates_nothing(cs_a, monkeypatch):
+    def engine(*args, **kw):
+        raise AssertionError("the engine ran past the trace cap")
+
+    monkeypatch.setattr(mcsim, "_simulate_batch", engine)
+    n, dt = 1000, 2.0**-10
+    K = mcsim.MAX_TRACE_BYTES//(8 + 33*n)   # K + 1 rows pass the cap
+    cfg = rx.SimConfig(dt=dt, horizon=K*dt, n_paths=n, antithetic=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OutOfRange, match="trace would need 2.0 GiB"):
+            rx.simulate_traces(cs_a, 0.4, 0.5, 2, rx.Policy.reflect_optimal(),
+                               cfg, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("x0, y0, i0", [(0.2, 1.5, 2), (0.2, 0.5, 7),
