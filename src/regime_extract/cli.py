@@ -13,7 +13,6 @@ import functools
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -29,7 +28,8 @@ from .errors import (AssumptionViolated, OutOfRange, SolverError,
                      VerificationFailed)
 from .mcsim import (Policy, SimConfig, estimate_value, simulate_traces,
                     trace_to_csv)
-from .model import check_assumptions, feasibility_scan, params_from_config
+from .model import (_count, check_assumptions, feasibility_scan,
+                    params_from_config)
 from .stopping import perturbed, solve_z, verify_fbp, x_star
 
 EXIT_OK, EXIT_MATH, EXIT_USER, EXIT_IO = 0, 1, 2, 3
@@ -122,8 +122,7 @@ def cmd_solve(args, params):
 
 
 def cmd_boundary(args, params):
-    if not 2 <= args.grid <= MAX_BOUNDARY_GRID:
-        raise OutOfRange(f"--grid must be in [2, {MAX_BOUNDARY_GRID}]")
+    _count("--grid", args.grid, 2, MAX_BOUNDARY_GRID)
     cs = from_stopping(solve_z(params))
     sol = cs.stopping
     x_lo = x_star(sol, 2, 1.0) - 1.0
@@ -204,16 +203,17 @@ def cmd_scan_region(args):
         s2_lo, s2_hi = (float(t) for t in args.sigma2_range.split(":"))
     except ValueError:
         raise OutOfRange("ranges must look like LO:HI") from None
-    bounds = (s1_lo, s1_hi, s2_lo, s2_hi, args.rho, args.lambda1, args.lambda2)
-    if (not all(map(math.isfinite, bounds)) or args.steps < 1 or s1_hi < s1_lo
-            or s2_hi < s2_lo or min(s1_lo, s2_lo, *bounds[4:]) <= 0):
-        raise OutOfRange(
-            "need finite positive rates and nonempty positive ranges")
-    if args.steps > MAX_SCAN_STEPS:
-        raise OutOfRange(f"--steps must be at most {MAX_SCAN_STEPS}")
-    s1 = np.linspace(s1_lo, s1_hi, args.steps)
-    s2 = np.linspace(s2_lo, s2_hi, args.steps)
-    feas, caseb = feasibility_scan(args.rho, args.lambda1, args.lambda2, s1, s2)
+    if s1_hi < s1_lo or s2_hi < s2_lo:
+        raise OutOfRange("ranges must have LO <= HI")
+    _count("--steps", args.steps, 1, MAX_SCAN_STEPS)
+    with np.errstate(all="ignore"):   # feasibility_scan refuses NaN ends
+        s1 = np.linspace(s1_lo, s1_hi, args.steps)
+        s2 = np.linspace(s2_lo, s2_hi, args.steps)
+    try:
+        feas, caseb = feasibility_scan(args.rho, args.lambda1, args.lambda2,
+                                       s1, s2)
+    except SolverError as exc:
+        raise OutOfRange(f"invalid scan parameters: {exc}") from exc
     lines = ["sigma1,sigma2,feasible,case_b"]
     for j2, v2 in enumerate(s2):
         for j1, v1 in enumerate(s1):

@@ -18,7 +18,6 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,15 +25,13 @@ import numpy as np
 from ._numerics import adaptive_simpson, expi_scaled
 from .errors import OrderingViolated, OutOfRange, PreconditionViolated, \
     VerificationFailed
-from .model import ModelParams, chat, finite_prices
+from .model import ModelParams, _count, chat, finite_prices
 from .stopping import (StoppingSolution, _branch_form, solve_z,
                        v as v_stop, x_star)
 
 SIMPSON_TOL = 1e-9   # absolute, per branch term integral of a custom cost
 HJB_TAU = 1e-5   # verify_hjb's acceptance tolerance
-# verify_hjb's most grid states; it peaks near 470 B a state
-MAX_HJB_STATES = 1 << 20
-# U, U_x and U_xx's most states in one call; they peak near 450 B a state
+# most states of a U, U_x, U_xx call or verify_hjb grid; 450-470 B each
 MAX_U_STATES = 1 << 20
 
 
@@ -123,9 +120,7 @@ def _u_surface(cs: ControlSolution, x, y, series):
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape:
         x, y = np.broadcast_arrays(x, y)   # views: nothing is built yet
-    if x.size > MAX_U_STATES:
-        raise OutOfRange(f"at most {MAX_U_STATES} states in one call, got "
-                         f"{x.size}")
+    _count("the number of states", x.size, 0, MAX_U_STATES)
     if not (np.isfinite(x) & (y >= 0.0) & (y <= 1.0)).all():
         raise OutOfRange(f"need finite x and y in [0, 1], got x={x}, y={y}")
     shape, x, y = x.shape, x.reshape(-1), y.reshape(-1)
@@ -287,13 +282,11 @@ def verify_hjb(cs: ControlSolution, nx: int = 400, ny: int = 50,
     perturbation(x, y, i), if given, is added to U (test hook); it is
     called with (nx, ny) arrays of x and y and an integer regime i.
     Raises VerificationFailed on the first failing state; a NaN fails,
-    and OutOfRange, before anything is allocated, on non-integer sizes, an
-    empty grid or one of more than MAX_HJB_STATES states.
+    and OutOfRange, before anything is allocated, on sizes that are not
+    counts or a grid of more than MAX_U_STATES states, U's cap.
     """
-    if not (isinstance(nx, Integral) and isinstance(ny, Integral)
-            and nx >= 1 and ny >= 1 and nx*ny <= MAX_HJB_STATES):
-        raise OutOfRange(f"need integers nx, ny >= 1 with nx*ny <= "
-                         f"{MAX_HJB_STATES}, got nx={nx}, ny={ny}")
+    cap = MAX_U_STATES   # each count at most cap: numpy ints cannot wrap
+    _count("nx*ny", _count("nx", nx, 1, cap)*_count("ny", ny, 1, cap), 1, cap)
     sol, tau = cs.stopping, HJB_TAU
     x2_at_0 = sol.z1 + sol.z2 + chat(sol.params, 0.0)
     x_lo, x_hi = x2_at_0 - 5.0*sol.z1 - 5.0, x2_at_0 + 5.0
@@ -366,8 +359,7 @@ def compare_boundaries(cs: ControlSolution, n: int = 1000,
     at 1); in the equal-volatility case all four curves coincide. An n
     that is not an integer >= 1 or a non-finite price raises OutOfRange.
     """
-    if not (isinstance(n, Integral) and n >= 1):
-        raise OutOfRange(f"need an integer number of prices n >= 1, got {n}")
+    _count("n", n, 1)
     p = cs.params
     sol = cs.stopping
     if sol.relabeled:

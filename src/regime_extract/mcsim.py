@@ -33,7 +33,6 @@ so results are bit-reproducible for a given batch size.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -41,7 +40,7 @@ import numpy as np
 
 from .control import ControlSolution, _boundary_inverse, external_shift
 from .errors import OutOfRange, PreconditionViolated, SRPViolated
-from .model import ModelParams, _regime
+from .model import ModelParams, _count, _positive, _regime
 
 DEFAULT_BATCH_PAIRS = 25_000
 MAX_STEPS = 10_000_000   # grid steps per path; arrays of K + 1 are made
@@ -73,18 +72,16 @@ class SimConfig:
 
     def __post_init__(self):
         for name, least in dict(n_paths=1, base_seed=0, batch_pairs=1).items():
-            val = getattr(self, name)
-            if not (isinstance(val, numbers.Integral) and val >= least):
-                raise OutOfRange(f"{name} must be an integer >= {least}, "
-                                 f"got {val!r}")
+            _count(name, getattr(self, name), least)
         if not isinstance(self.antithetic, (bool, np.bool_)):
             raise OutOfRange(f"antithetic must be a bool: {self.antithetic!r}")
 
     def resolved_horizon(self, params: ModelParams) -> float:
         T = self.horizon if self.horizon is not None else 10.0/params.rho
-        if not (0 < self.dt <= T < math.inf and T/self.dt <= MAX_STEPS):
+        if not (_positive(self.dt, T) and np.ndim(self.dt) + np.ndim(T) == 0
+                and 1 <= T/self.dt <= MAX_STEPS):
             raise OutOfRange(f"need 0 < dt <= horizon < inf and at most "
-                             f"{MAX_STEPS} steps, got dt={self.dt}, T={T}")
+                             f"{MAX_STEPS} steps, got dt={self.dt!r}, T={T!r}")
         return T
 
 
@@ -538,9 +535,7 @@ def trace_to_csv(trace: Trace, path, path_index: int = 0) -> None:
     to a file path or a writable text stream; path_index in [0, paths)."""
     import csv
     n = trace.X.shape[1]
-    if not (isinstance(path_index, numbers.Integral) and 0 <= path_index < n):
-        raise OutOfRange(f"path_index must be an integer in [0, {n}), "
-                         f"got {path_index!r}")
+    _count("path_index", path_index, 0, n - 1)
     if not hasattr(path, "write"):
         with open(path, "w", newline="") as fh:
             return trace_to_csv(trace, fh, path_index)

@@ -38,10 +38,6 @@ def _vectorized(fn: Callable) -> Callable:
     return call
 
 
-def _positive(*vals) -> bool:
-    return all(v is not None and 0.0 < v < math.inf for v in vals)
-
-
 # grid over [0, 1] and slack of f'' on which a custom cost is checked
 CUSTOM_GRID, CUSTOM_CONVEX_TOL = 1001, 1e-9
 
@@ -152,13 +148,15 @@ class CostFunction:
         if self.value(0.0) != 0.0:
             raise CostNotConvex(f"f(0) must be exactly 0, got {self.value(0.0)}")
         ys = np.linspace(0.0, 1.0, CUSTOM_GRID)
-        if not np.all(self.derivative(ys) > 0):
+        fp = self.derivative(ys)
+        if not np.all(fp > 0):
             raise CostNotConvex("f' must be strictly positive on [0, 1]")
         # convexity from second differences of f' (f'' not required)
-        h = ys[1] - ys[0]
-        d2 = np.diff(self.derivative(ys))/h
+        d2 = np.diff(fp)/(ys[1] - ys[0])
         if not np.all(d2 > -CUSTOM_CONVEX_TOL):
             raise CostNotConvex("sampled f'' is negative on [0, 1]")
+        if not fp[-1] > fp[0]:   # linear: f' has no level to invert to
+            raise CostNotConvex("f is linear on [0, 1]: f'(1) <= f'(0)")
 
 
 @dataclass(frozen=True)
@@ -178,7 +176,7 @@ class ModelParams:
     def __post_init__(self):
         for name in ("rho", "sigma1", "sigma2", "lambda1", "lambda2", "c"):
             val = float(getattr(self, name))
-            if not math.isfinite(val) or val <= 0.0:
+            if not _positive(val):
                 raise NonPositiveParameter(name, val)
             object.__setattr__(self, name, val)
         if not isinstance(self.cost, CostFunction):
@@ -223,11 +221,27 @@ def params_from_config(cfg: dict) -> ModelParams:
                     cfg["lambda1"], cfg["lambda2"], cfg["c"], cost)
 
 
+def _count(name: str, value, least: int, most=math.inf):
+    """value, checked as a count: an integer (numpy integers count), never
+    a bool, in [least, most]; else OutOfRange naming it."""
+    if not (isinstance(value, (int, np.integer)) and type(value) is not bool
+            and least <= value <= most):
+        raise OutOfRange(f"{name} must be an integer in [{least}, {most}], "
+                         f"got {value!r}")
+    return value
+
+
 def _regime(i) -> int:
     """i, checked: the integer 1 or 2 (numpy integers too), never a bool."""
-    if type(i) is bool or not hasattr(i, "__index__") or i not in (1, 2):
-        raise OutOfRange(f"regime must be the integer 1 or 2, got {i!r}")
-    return i
+    return _count("regime", i, 1, 2)
+
+
+def _positive(*vals) -> bool:
+    """Whether every entry of vals (numbers or arrays) is a finite real
+    number > 0: numpy numbers count; bools, strings, NaN and None fail."""
+    return all(isinstance(v, (int, float)) and type(v) is not bool
+               and 0.0 < v < math.inf   # tolist made numpy numbers Python's
+               for val in vals for v in np.ravel(val).tolist())
 
 
 def phi(params: ModelParams, i: int, alpha) -> float:
@@ -426,9 +440,15 @@ def feasibility_scan(rho, lambda1, lambda2, sigma1_grid, sigma2_grid):
     Returns boolean arrays (feasible, case_b) of shape
     (len(sigma2_grid), len(sigma1_grid)). Equal-volatility cells are
     marked case_b and excluded from feasible/infeasible classification.
+    Every rate and volatility must be finite and > 0 (NonPositiveParameter).
     """
     s1 = np.asarray(sigma1_grid, dtype=float)[None, :]
     s2 = np.asarray(sigma2_grid, dtype=float)[:, None]
+    for name, val in dict(rho=rho, lambda1=lambda1, lambda2=lambda2,
+                          sigma1_grid=s1, sigma2_grid=s2).items():
+        if not _positive(val):   # named by its first entry that is not
+            raise NonPositiveParameter(name, next(
+                v for v in np.ravel(val).tolist() if not _positive(v)))
     cv = condition_values(rho, s1, s2, lambda1, lambda2)
     f1, f2, f3, f4 = cv.case_a
     return f1 & f2 & f3 & f4 & ~cv.case_b, cv.case_b

@@ -34,15 +34,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
 from ._numerics import bisect
 from .errors import (AssumptionViolated, DomainError, NoBracket, OutOfRange,
                      PreconditionViolated, VerificationFailed)
-from .model import (Characteristic, ModelParams, _regime, chat,
-                    check_assumptions, finite_prices, solve_characteristic)
+from .model import (Characteristic, ModelParams, _count, _positive, _regime,
+                    chat, check_assumptions, finite_prices,
+                    solve_characteristic)
 
 # solve_z brackets z2 in [eps, zhat2 (1 - ENDPOINT_EPS)], eps from
 # ENDPOINT_EPS down by factors of 100 until M1 - M2 changes sign there
@@ -358,9 +358,9 @@ def _worst(worst, vals, at):
 
 
 def _fbp_level(sol: StoppingSolution, n_points, y, ch, x1, x2, lo, hi,
-               h_cell):
-    """The worst offender and its x of the ODE, inequality and domination
-    checks at one level, on its grid of n_points prices from lo to hi.
+               h_cell, c1):
+    """The FbpReport of one level, given its C1 check c1: the worst offender
+    and x of the ODE, inequality and domination checks on its lo..hi grid.
 
     The grid ascends, so the regions are slices: both regimes continue on
     the first i1 points (x <= x*_1), regime 2 alone on its band up to i2,
@@ -399,12 +399,12 @@ def _fbp_level(sol: StoppingSolution, n_points, y, ch, x1, x2, lo, hi,
             if n_eq:
                 ode = _worst(ode, np.abs(op[:n_eq]), xs)
         dom = _worst(dom, pay - wk, xs)
-    return (*ode, *ineq, *dom)
+    return FbpReport(y, lo, hi, n_points, *ode, *ineq, *dom, *c1)
 
 
 def _fbp_table(sol: StoppingSolution, ys, n_points, grid):
-    """One row per level in ys: y, the grid ends, then the worst offender
-    and its x of the ODE, inequality, domination and C1 checks.
+    """The FbpReport of each level in ys, made as it is taken: the worst
+    offender and its x of the ODE, inequality, domination and C1 checks.
 
     Each level is checked on its own 1-D arrays (_fbp_level): at the
     default 10,000 points each is 80 KB, below glibc's 128 KB mmap
@@ -431,15 +431,12 @@ def _fbp_table(sol: StoppingSolution, ys, n_points, grid):
     d_hi = (-3.0*sw[..., 2] + 4.0*sw[..., 3] - sw[..., 4])/(2.0*h)
     gap = np.abs(d_hi - d_lo)   # gap[regime - 1, level, j]
 
-    rows = []
     levels = zip(*(v.tolist() for v in (ys, ch, x1, x2, lo, hi, h_cell)))
     for l, level in enumerate(levels):
         c1 = (0.0, level[2])
         for k, j in ((1, 0), (2, 1), (2, 2)):
             c1 = _worst(c1, gap[k - 1, l, j:j + 1], bs[l, j:j + 1])
-        rows.append([level[0], *level[4:6],
-                     *_fbp_level(sol, n_points, *level), *c1])
-    return np.array(rows, dtype=float).reshape(ys.size, 11)
+        yield _fbp_level(sol, n_points, *level, c1)
 
 
 def verify_fbp(sol: StoppingSolution, y, n_points: int = 10000, grid=None):
@@ -454,30 +451,25 @@ def verify_fbp(sol: StoppingSolution, y, n_points: int = 10000, grid=None):
     (iv) w is C^1 at the boundaries to C1_TOL, comparing second-order
     one-sided difference slopes with step C1_STEP. Raises
     VerificationFailed with the worst offender of the first failing
-    level; a NaN anywhere fails. OutOfRange, before any allocation, on
-    n_points not an integer in [2, MAX_FBP_POINTS], or on a grid whose
-    ends are not lo < hi with a finite width hi - lo.
+    level, before later levels are built; a NaN fails. OutOfRange, before
+    any allocation, on n_points not a count in [2, MAX_FBP_POINTS] or a
+    grid without a finite width hi - lo > 0.
     """
-    if not (isinstance(n_points, Integral)
-            and 2 <= n_points <= MAX_FBP_POINTS):
-        raise OutOfRange(f"n_points must be an integer in [2, "
-                         f"{MAX_FBP_POINTS}], got {n_points}")
+    _count("n_points", n_points, 2, MAX_FBP_POINTS)
     if grid is not None:
         grid = tuple(map(float, grid))
-        if not (len(grid) == 2 and grid[0] < grid[1]
-                and math.isfinite(grid[1] - grid[0])):
+        if not (len(grid) == 2 and _positive(grid[1] - grid[0])):
             raise OutOfRange("grid must be (lo, hi) with lo < hi and a "
                              f"finite width, got {grid}")
     ys = np.asarray(y, dtype=float).reshape(-1)
-    table = _fbp_table(sol, ys, n_points, grid)
-    tols = (ODE_TOL, INEQ_TOL, DOM_TOL, C1_TOL)
-    messages = ("ODE residual {} at x={}", "operator inequality {} at x={}",
-                "payoff domination violated by {} at x={}",
-                "C1 fit gap {} at boundary x={}")
+    checks = {"ode": (ODE_TOL, "ODE residual {} at x={}"),
+              "ineq": (INEQ_TOL, "operator inequality {} at x={}"),
+              "dom": (DOM_TOL, "payoff domination violated by {} at x={}"),
+              "c1": (C1_TOL, "C1 fit gap {} at boundary x={}")}
     reports = []
-    for row in table.tolist():
-        report = FbpReport(*row[:3], n_points, *row[3:])
-        for tol, msg, val, x in zip(tols, messages, row[3::2], row[4::2]):
+    for report in _fbp_table(sol, ys, n_points, grid):
+        for name, (tol, msg) in checks.items():
+            val, x = (getattr(report, f"worst_{name}{s}") for s in ("", "_x"))
             if not val <= tol:   # NaN fails
                 raise VerificationFailed(msg.format(val, x), report)
         reports.append(report)

@@ -1,11 +1,12 @@
 """Two-table reference for the free-boundary verifier's table: w over the
 grid at both one-sided limits of w_xx, and a separate table for the C1
-stencils, every level at once, scanned row-wise by its own _worse.
+stencils, every level at once, scanned row-wise by its own _worse, with
+each level's row made into its FbpReport.
 regime_extract.stopping._fbp_table must equal it bit for bit."""
 import numpy as np
 
 from regime_extract.model import chat
-from regime_extract.stopping import C1_STEP, _w_table
+from regime_extract.stopping import C1_STEP, FbpReport, _w_table
 
 
 def _worse(worst, vals, at):
@@ -55,4 +56,5 @@ def fbp_table(sol, ys, n_points, grid):
     gap, c1 = np.abs(d_hi - d_lo), (0.0, x1)   # gap[regime - 1, level, j]
     for k, j in ((1, 0), (2, 1), (2, 2)):
         c1 = _worse(c1, gap[k - 1, :, j:j + 1], bs[:, j:j + 1])
-    return np.stack([ys, lo, hi, *ode, *ineq, *dom, *c1], axis=1)
+    table = np.stack([ys, lo, hi, *ode, *ineq, *dom, *c1], axis=1)
+    return [FbpReport(*row[:3], n_points, *row[3:]) for row in table.tolist()]

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import re
@@ -115,9 +116,28 @@ def _readme_constants():
     return out
 
 
+# a module constant with such a name is a tolerance, cap or budget
+_NAMED = re.compile(r"MAX_\w+|\w+_(TOL|EPS|BUDGET|MAX_ITER)")
+
+
+def _module_constants():
+    """(name, module) of every name that a module of the package assigns
+    at its top level and that _NAMED marks."""
+    out = set()
+    for path in Path(rx.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            for target in getattr(node, "targets", []):
+                out |= {(n.id, path.stem) for n in ast.walk(target)
+                        if isinstance(n, ast.Name) and _NAMED.fullmatch(n.id)}
+    return out
+
+
 def test_readme_constants_match_the_code():
     pairs = _readme_constants()
     assert len(pairs) >= 16
     for name, value, module in pairs:
         mod = importlib.import_module(f"regime_extract.{module}")
         assert float(value) == getattr(mod, name), (name, module)
+    # and the other way: every such constant is listed, with its module
+    listed = {(name, module) for name, _, module in pairs}
+    assert _module_constants() - listed == set()

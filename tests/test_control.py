@@ -263,7 +263,7 @@ def test_verify_hjb_caps_its_states_before_allocating(cs_a, monkeypatch):
         raise AssertionError("verify_hjb went past its size check")
 
     monkeypatch.setattr(control, "chat", built)
-    cap = control.MAX_HJB_STATES
+    cap = control.MAX_U_STATES
     with pytest.raises(OutOfRange, match="nx\\*ny"):
         rx.verify_hjb(cs_a, nx=cap//64 + 1, ny=64)
     with pytest.raises(AssertionError):   # the cap itself is allowed

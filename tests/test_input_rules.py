@@ -1,0 +1,113 @@
+"""The input rules of regime_extract.model, each tested over every entry
+point that takes that kind of input: a count (_count), a finite positive
+number (_positive) and the one state cap of U's grids (MAX_U_STATES)."""
+import dataclasses
+import io
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+import regime_extract as rx
+from regime_extract import control
+from regime_extract.cli import main
+from regime_extract.errors import NonPositiveParameter, OutOfRange
+
+SMALL = rx.SimConfig(dt=1e-2, horizon=0.5, n_paths=8, base_seed=3)
+
+
+def _trace(cs):
+    return rx.simulate_traces(cs, 0.2, 0.5, 2, rx.Policy.reflect_optimal(),
+                              SMALL, 8)
+
+
+# every count field of the API, as a call that takes the value there
+COUNTS = {
+    "n_paths": lambda cs, v: dataclasses.replace(SMALL, n_paths=v),
+    "base_seed": lambda cs, v: dataclasses.replace(SMALL, base_seed=v),
+    "batch_pairs": lambda cs, v: dataclasses.replace(SMALL, batch_pairs=v),
+    "n_points": lambda cs, v: rx.verify_fbp(cs.stopping, 0.5, n_points=v),
+    "nx": lambda cs, v: rx.verify_hjb(cs, nx=v, ny=4),
+    "ny": lambda cs, v: rx.verify_hjb(cs, nx=4, ny=v),
+    "n": lambda cs, v: rx.compare_boundaries(cs, n=v),
+    "path_index": lambda cs, v: rx.trace_to_csv(_trace(cs), io.StringIO(),
+                                                v),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), 4.0,
+                                   np.float64(4.0)],
+                         ids=["True", "False", "np_True", "float", "np_float"])
+@pytest.mark.parametrize("field", list(COUNTS))
+def test_counts_refuse_bools_and_floats(cs_a, field, value):
+    # verify_hjb(cs, nx=True, ny=True) returned a report and
+    # SimConfig(n_paths=True) was accepted: only the regime refused bools
+    COUNTS[field](cs_a, 4)
+    COUNTS[field](cs_a, np.int64(4))
+    with pytest.raises(OutOfRange, match=f"^{field} must be an integer"):
+        COUNTS[field](cs_a, value)
+
+
+SCAN = dict(rho=0.0315, lambda1=0.016, lambda2=0.015,
+            sigma1_grid=[0.0245, 0.03], sigma2_grid=[0.78, 0.8])
+
+
+@pytest.mark.parametrize("bad", [-0.5, 0.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", list(SCAN))
+def test_feasibility_scan_refuses_nonpositive_inputs(field, bad):
+    # a negative volatility was marked feasible; a negative rho or a zero
+    # sigma gave numpy warnings and then False
+    kw = dict(SCAN)
+    kw[field] = [kw[field][0], bad] if field.endswith("grid") else bad
+    with pytest.raises(NonPositiveParameter) as exc:
+        rx.feasibility_scan(**kw)
+    assert exc.value.field == field
+    assert repr(exc.value.value) == repr(bad)   # the first entry refused
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--rho", "-0.03"), ("--rho", "0"), ("--lambda1", "-0.017"),
+    ("--lambda2", "0"), ("--sigma1-range", "0:0.06"),
+    ("--sigma2-range", "-1.2:-0.5"), ("--sigma1-range", "-inf:0.06"),
+    ("--sigma2-range", "-1e308:1e308")])
+def test_scan_region_refuses_nonpositive_inputs(capsys, flag, value):
+    argv = {"--rho": "0.03", "--lambda1": "0.017", "--lambda2": "0.016",
+            "--sigma1-range": "0.01:0.06", "--sigma2-range": "0.5:1.2"}
+    argv[flag] = value
+    with warnings.catch_warnings():   # and without a numpy warning
+        warnings.simplefilter("error")
+        code = main(["scan-region", "--steps", "3"]
+                    + [f"{k}={v}" for k, v in argv.items()])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("bad", ["0.1", 1j, True, np.bool_(True), -0.1,
+                                 math.nan, math.inf, [0.1], np.array([0.1])],
+                         ids=["str", "complex", "True", "np_True", "negative",
+                              "nan", "inf", "list", "array"])
+@pytest.mark.parametrize("field", ["dt", "horizon"])
+def test_resolved_horizon_refuses_nonpositive_numbers(params_a, field, bad):
+    # dt="0.1" raised an untyped TypeError, and an array dt a ValueError
+    cfg = dataclasses.replace(SMALL, **{field: bad})
+    with pytest.raises(OutOfRange, match="dt <= horizon"):
+        cfg.resolved_horizon(params_a)
+
+
+def test_hjb_grid_one_state_over_the_cap_is_refused_first(cs_a, monkeypatch):
+    # verify_hjb hands its grid to one U call, so U's cap is its cap; past
+    # it neither chat nor the meshgrid runs
+    def built(*args, **kw):
+        raise AssertionError("verify_hjb went past its size check")
+
+    monkeypatch.setattr(control, "chat", built)
+    monkeypatch.setattr(control.np, "meshgrid", built)
+    nx, ny = 17, 61681
+    assert nx*ny == control.MAX_U_STATES + 1
+    for size in ((nx, ny), (ny, nx), (np.int64(nx), np.int64(ny))):
+        with pytest.raises(OutOfRange, match="nx\\*ny"):
+            rx.verify_hjb(cs_a, *size)
+    with pytest.raises(OutOfRange, match="nx must"):   # not a wrapped product
+        rx.verify_hjb(cs_a, np.int64(2**62 + 1), 4)

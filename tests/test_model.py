@@ -44,6 +44,9 @@ def test_negative_quadratic_cost_not_convex():
 def test_custom_cost_checked_on_grid():
     ok = rx.CostFunction.custom(f=lambda y: y**4 + y, fprime=lambda y: 4*y**3 + 1)
     assert ok.value(0.0) == 0.0
+    # f' = 1 + y^6 is flat in floating point near 0: a sampled f'' > 0
+    # would refuse it, the slack and f'(1) > f'(0) do not
+    rx.CostFunction.custom(f=lambda y: y**7/7 + y, fprime=lambda y: 1 + y**6)
     with pytest.raises(CostNotConvex):
         rx.CostFunction.custom(f=lambda y: math.sin(y), fprime=math.cos)
     with pytest.raises(CostNotConvex):  # f(0) != 0
@@ -54,12 +57,14 @@ def test_custom_cost_checked_on_grid():
     dict(kind="custom", f=lambda y: y + 1.0, fprime=lambda y: 1.0 + 0.0*y),
     dict(kind="custom", f=lambda y: -y*y, fprime=lambda y: -2.0*y),
     dict(kind="custom", f=lambda y: y),
+    dict(kind="custom", f=lambda y: y, fprime=lambda y: 1.0 + 0.0*y),
+    dict(kind="custom", f=lambda y: 2.0*y, fprime=lambda y: 2.0 + 0.0*y),
     dict(kind="exponential", gamma=-1.0),
     dict(kind="exponential", gamma=math.inf),
     dict(kind="quadratic", alpha=1.0),
     dict(kind="cubic", gamma=1.0),
-], ids=["f0_nonzero", "fprime_negative", "no_fprime", "gamma_negative",
-        "gamma_inf", "beta_missing", "unknown_kind"])
+], ids=["f0_nonzero", "fprime_negative", "no_fprime", "linear", "linear_2y",
+        "gamma_negative", "gamma_inf", "beta_missing", "unknown_kind"])
 def test_directly_built_cost_checked(kw):
     # every construction path is checked, not only the factories
     with pytest.raises(CostNotConvex):
