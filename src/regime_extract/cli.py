@@ -21,8 +21,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .control import (U_report, b_sharp, b_star, from_stopping,
-                      single_regime_boundary, verify_hjb)
+from .control import (MAX_BOUNDARY_GRID, U_report, b_sharp, b_star,
+                      from_stopping, single_regime_boundary, verify_hjb)
 from .control import U as U_value
 from .errors import (AssumptionViolated, OutOfRange, SolverError,
                      VerificationFailed)
@@ -34,7 +34,6 @@ from .stopping import perturbed, solve_z, verify_fbp, x_star
 
 EXIT_OK, EXIT_MATH, EXIT_USER, EXIT_IO = 0, 1, 2, 3
 MAX_SCAN_STEPS = 1000   # scan-region builds its steps^2 CSV lines in memory
-MAX_BOUNDARY_GRID = 1 << 20   # boundary builds two grid-line CSVs in memory
 
 
 def _load_params(path):

@@ -33,6 +33,9 @@ SIMPSON_TOL = 1e-9   # absolute, per branch term integral of a custom cost
 HJB_TAU = 1e-5   # verify_hjb's acceptance tolerance
 # most states of a U, U_x, U_xx call or verify_hjb grid; 450-470 B each
 MAX_U_STATES = 1 << 20
+# most prices of a boundary grid: compare_boundaries' n, near 72 B each,
+# and the CLI boundary's --grid, whose two CSVs are built in memory
+MAX_BOUNDARY_GRID = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -357,9 +360,10 @@ def compare_boundaries(cs: ControlSolution, n: int = 1000,
 
     Equality is allowed only on the clamp plateaus (both curves at 0 or
     at 1); in the equal-volatility case all four curves coincide. An n
-    that is not an integer >= 1 or a non-finite price raises OutOfRange.
+    that is not an integer in [1, MAX_BOUNDARY_GRID], checked before
+    anything is allocated, or a non-finite price raises OutOfRange.
     """
-    _count("n", n, 1)
+    _count("n", n, 1, MAX_BOUNDARY_GRID)
     p = cs.params
     sol = cs.stopping
     if sol.relabeled:

@@ -440,15 +440,20 @@ def feasibility_scan(rho, lambda1, lambda2, sigma1_grid, sigma2_grid):
     Returns boolean arrays (feasible, case_b) of shape
     (len(sigma2_grid), len(sigma1_grid)). Equal-volatility cells are
     marked case_b and excluded from feasible/infeasible classification.
-    Every rate and volatility must be finite and > 0 (NonPositiveParameter).
+    Each rate must be one number and each grid 1-D (OutOfRange), and
+    every rate and volatility finite and > 0 (NonPositiveParameter).
     """
-    s1 = np.asarray(sigma1_grid, dtype=float)[None, :]
-    s2 = np.asarray(sigma2_grid, dtype=float)[:, None]
-    for name, val in dict(rho=rho, lambda1=lambda1, lambda2=lambda2,
-                          sigma1_grid=s1, sigma2_grid=s2).items():
+    s1, s2 = (np.asarray(g, dtype=float) for g in (sigma1_grid, sigma2_grid))
+    for name, val, ndim in (("rho", rho, 0), ("lambda1", lambda1, 0),
+                            ("lambda2", lambda2, 0), ("sigma1_grid", s1, 1),
+                            ("sigma2_grid", s2, 1)):
+        if np.ndim(val) != ndim:
+            raise OutOfRange(f"{name} must be "
+                             f"{('a number', 'a 1-D grid')[ndim]}, got "
+                             f"shape {np.shape(val)}")
         if not _positive(val):   # named by its first entry that is not
             raise NonPositiveParameter(name, next(
                 v for v in np.ravel(val).tolist() if not _positive(v)))
-    cv = condition_values(rho, s1, s2, lambda1, lambda2)
+    cv = condition_values(rho, s1[None, :], s2[:, None], lambda1, lambda2)
     f1, f2, f3, f4 = cv.case_a
     return f1 & f2 & f3 & f4 & ~cv.case_b, cv.case_b

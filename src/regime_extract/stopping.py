@@ -50,8 +50,9 @@ ENDPOINT_EPS = 1e-10
 # verify_fbp's acceptance tolerances (ODE residual, operator inequality,
 # payoff domination, C1 gap) and the step of its one-sided C1 slopes
 ODE_TOL, INEQ_TOL, DOM_TOL, C1_TOL, C1_STEP = 1e-7, 1e-7, 1e-9, 1e-6, 1e-6
-# verify_fbp's most points per level; a level peaks near 76 B a point
-# (tracemalloc at 100,000 points; tested at most 80), so about 320 MB
+# verify_fbp's most points per level; a level peaks near 88 B a point on a
+# grid wholly below x*_1 (tracemalloc at 100,000 points; tested at most 90),
+# so about 370 MB, and near 50 B on the default grid (tested at most 55)
 MAX_FBP_POINTS = 1 << 22
 
 
@@ -369,13 +370,22 @@ def _fbp_level(sol: StoppingSolution, n_points, y, ch, x1, x2, lo, hi,
     comparison fails, cuts where a mask would. w_xx's right limit differs
     from its left one only at grid points on a boundary, so only there is
     the operator evaluated again.
+
+    The rows end at the first point where both regimes stop, index
+    max(i1, i2) (not i2: with z2 < 0 regime 1 continues past x*_2). Past
+    it both w are the payoff and both w_xx 0, so the operator is -rho pay,
+    which never rises, and pay - w is 0: that point is each check's first
+    worst there, so the reports are those of the whole grid. A default
+    grid descends only if z2 < -21 z1, and then, as z1 > 0, lies wholly
+    below x*_1 and is not cut.
     """
     p = sol.iparams
-    xs = np.linspace(lo, hi, n_points)
-    pay = xs - ch   # w where stopped
+    xs = np.linspace(lo, hi, n_points)   # the whole grid sets the cuts
     i1 = np.count_nonzero(xs <= x1)
     i2 = n_points - np.count_nonzero(xs > x2)   # band empty if i2 <= i1
-    w = [pay.copy(), pay.copy(), np.zeros(n_points), np.zeros(n_points)]
+    xs = xs[:max(i1, i2) + 1]
+    pay = xs - ch   # w where stopped
+    w = [pay.copy(), pay.copy(), np.zeros(xs.size), np.zeros(xs.size)]
     for row, val in zip(w, _continuation(sol, xs[:i1], ch, _FBP_ROWS)):
         row[:i1] = val
     w[1][i1:i2], w[3][i1:i2] = _continuation(sol, xs[i1:i2], ch,
@@ -406,13 +416,11 @@ def _fbp_table(sol: StoppingSolution, ys, n_points, grid):
     """The FbpReport of each level in ys, made as it is taken: the worst
     offender and its x of the ODE, inequality, domination and C1 checks.
 
-    Each level is checked on its own 1-D arrays (_fbp_level): at the
-    default 10,000 points each is 80 KB, below glibc's 128 KB mmap
-    threshold, so the levels of a call reuse the same heap memory, and
-    that memory does not grow with the levels. The C1 stencils of all
-    levels are one small table. The per-level Python work costs about
-    0.1 ms, so below one or two thousand points per level one table over
-    all levels would be faster.
+    Each level is checked on its own 1-D arrays (_fbp_level), which end
+    just past x*_2 on the default grid, short of its last 10 z1. The C1
+    stencils of all levels are one small table. The per-level Python work
+    costs about 0.1 ms, so below one or two thousand points per level one
+    table over all levels would be faster.
     """
     ch = chat(sol.iparams, ys)
     x1 = sol.z1 + ch

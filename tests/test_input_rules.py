@@ -1,6 +1,7 @@
 """The input rules of regime_extract.model, each tested over every entry
 point that takes that kind of input: a count (_count), a finite positive
-number (_positive) and the one state cap of U's grids (MAX_U_STATES)."""
+number (_positive), the one state cap of U's grids (MAX_U_STATES) and
+the cap of compare_boundaries' grid (MAX_BOUNDARY_GRID)."""
 import dataclasses
 import io
 import math
@@ -66,6 +67,19 @@ def test_feasibility_scan_refuses_nonpositive_inputs(field, bad):
     assert repr(exc.value.value) == repr(bad)   # the first entry refused
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("rho", [0.0315]), ("lambda1", np.array([0.016])), ("lambda2", [[0.015]]),
+    ("sigma1_grid", [[0.0245, 0.03]]), ("sigma2_grid", 0.8),
+    ("sigma2_grid", [[0.78], [0.8]])])
+def test_feasibility_scan_takes_one_number_rates_and_1d_grids(field, bad):
+    # rho=[0.03] raised an untyped TypeError, and a 2-D sigma1 grid gave
+    # 3-D arrays
+    with pytest.raises(OutOfRange, match=f"^{field} must be a"):
+        rx.feasibility_scan(**dict(SCAN, **{field: bad}))
+    feas, caseb = rx.feasibility_scan(**SCAN)
+    assert feas.shape == caseb.shape == (2, 2)
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--rho", "-0.03"), ("--rho", "0"), ("--lambda1", "-0.017"),
     ("--lambda2", "0"), ("--sigma1-range", "0:0.06"),
@@ -111,3 +125,17 @@ def test_hjb_grid_one_state_over_the_cap_is_refused_first(cs_a, monkeypatch):
             rx.verify_hjb(cs_a, *size)
     with pytest.raises(OutOfRange, match="nx must"):   # not a wrapped product
         rx.verify_hjb(cs_a, np.int64(2**62 + 1), 4)
+
+
+def test_compare_boundaries_caps_n_before_allocating(cs_a, monkeypatch):
+    # n=2**40 asked numpy for 8 TiB and raised an untyped MemoryError
+    def built(*args, **kw):
+        raise AssertionError("compare_boundaries went past its size check")
+
+    monkeypatch.setattr(control.np, "linspace", built)
+    cap = control.MAX_BOUNDARY_GRID
+    for n in (cap + 1, 2**40, np.int64(2**40)):
+        with pytest.raises(OutOfRange, match="^n must be an integer"):
+            rx.compare_boundaries(cs_a, n=n)
+    with pytest.raises(AssertionError):   # the cap itself is allowed
+        rx.compare_boundaries(cs_a, n=cap)

@@ -466,6 +466,21 @@ def test_verify_fbp_on_one_region_grids_equals_oracle(any_sol, monkeypatch):
                                       grid=grid)
 
 
+def test_verify_fbp_cut_past_both_boundaries_equals_oracle(monkeypatch):
+    """The rows end at the first point where both regimes stop, which is
+    past x*_1, not x*_2, when z2 < 0: with regime 2's boundary 0.3 and 2.0
+    below x*_1, on 2- and 3-point and custom grids, drawn sets match the
+    two-table verifier, which fills the whole grid."""
+    levels = np.array([0.1, 0.5, 0.9])
+    for sol in map(rx.solve_z, draw_from_boxes(np.random.default_rng(7), 20)):
+        for dz2 in (0.0, -sol.z2 - 0.3, -sol.z2 - 2.0):
+            for kw in (dict(n_points=2), dict(n_points=3),
+                       dict(n_points=1001), dict(n_points=1001,
+                                                 grid=(-5.0, 5.0))):
+                _assert_fbp_equals_oracle(monkeypatch, perturbed(sol, dz2),
+                                          levels, **kw)
+
+
 @pytest.mark.parametrize("grid", [
     (1.0, -1.0), (0.5, 0.5), (math.nan, 1.0), (-1.0, math.nan),
     (-math.inf, 1.0), (-1.0, math.inf), (-1e308, 1e308)],
@@ -486,13 +501,17 @@ def test_verify_fbp_grid_must_ascend_with_finite_ends(sol_a, monkeypatch,
 
 def test_verify_fbp_memory_per_point(sol_a):
     # the memory that MAX_FBP_POINTS's comment and the README state: a
-    # level peaks near 76 B a point, at most 80
+    # level peaks near 88 B a point on a grid wholly below x*_1, where both
+    # regimes continue everywhere; the default grid, whose rows end just
+    # past x*_2, near 50 B
+    x1 = sol_a.z1 + chat(sol_a.iparams, 0.5)
     n = 100_000
     rx.verify_fbp(sol_a, 0.5, n_points=200)
-    tracemalloc.start()
-    try:
-        rx.verify_fbp(sol_a, 0.5, n_points=n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak/n <= 80.0
+    for grid, most in ((None, 55.0), ((x1 - 3.0, x1 - 1.0), 90.0)):
+        tracemalloc.start()
+        try:
+            rx.verify_fbp(sol_a, 0.5, n_points=n, grid=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak/n <= most, grid
