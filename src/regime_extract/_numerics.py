@@ -1,5 +1,5 @@
-"""Bracketed bisection, batched adaptive Simpson quadrature and the
-scaled exponential integral e^{-u} Ei(u)."""
+"""Bracketed bisection, adaptive Simpson quadrature batched over rows (one
+integrand each) and the scaled exponential integral e^{-u} Ei(u)."""
 import functools
 import math
 
@@ -41,37 +41,27 @@ def bisect(fun, lo, hi, xtol=1e-12):
 
 
 def adaptive_simpson(g, a, b, *row_data, tol=1e-9):
-    """Integrate g over [a, b] (scalars, or 1-D arrays of rows) by
-    composite Simpson from n = 8 panels, doubling n.
-
-    g(z, *row_data) gets a (rows, n + 1) node matrix and row_data as
-    columns, and returns (..., rows, n + 1) values, each leading index an
-    integrand. Each (integrand, row) keeps the Richardson-extrapolated
-    value of the first doubling that moves it by less than tol (absolute),
-    as if integrated alone. Returns (..., rows), or a float for scalar a, b
-    and one integrand. Raises QuadratureNotConverged past NODE_BUDGET
-    nodes.
-    """
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    a, b, *row_data = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(a, dtype=float)), np.asarray(b, dtype=float),
-        *(np.asarray(d, dtype=float) for d in row_data))
+    """Integrate g over [a, b], one integrand per row, by composite
+    Simpson from n = 8 panels, doubling n: a, b and row_data broadcast to
+    the rows' shape, and g(z, *row_data) maps a (rows, n + 1) node matrix
+    and row_data as columns to values of that shape. Each row keeps the
+    Richardson-extrapolated value of the first doubling that moves it by
+    less than tol (absolute), as if integrated alone; b <= a gives 0.
+    Scalars give a float. Raises QuadratureNotConverged past NODE_BUDGET
+    nodes."""
+    data = np.broadcast_arrays(
+        *(np.asarray(d, dtype=float) for d in (a, b, *row_data)))
+    a, b, *row_data = (d.reshape(-1) for d in data)
     rows, n = np.flatnonzero(b > a), 8
     s_prev = _composite(g, a, b, row_data, rows, n)
-    out = np.zeros(s_prev.shape[:-1] + a.shape)
-    pending = np.ones(s_prev.shape, dtype=bool)
+    out = np.zeros(a.shape)
     while rows.size:
         n *= 2
         s = _composite(g, a, b, row_data, rows, n)
-        hit = pending & (np.abs(s - s_prev) < tol)
-        if hit.any():
-            *series, at = hit.nonzero()
-            out[(*series, rows[at])] = s[hit] + (s[hit] - s_prev[hit])/15.0
-            pending[hit] = False
-            live = pending.any(axis=tuple(range(pending.ndim - 1)))
-            rows, s, pending = rows[live], s[..., live], pending[..., live]
-        s_prev = s
-    out = out[..., 0] if scalar else out
+        hit = np.abs(s - s_prev) < tol
+        out[rows[hit]] = s[hit] + (s[hit] - s_prev[hit])/15.0
+        rows, s_prev = rows[~hit], s[~hit]
+    out = out.reshape(data[0].shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -89,9 +79,9 @@ def _composite(g, a, b, row_data, rows, n):
         z[:, -1] = hi
         v = np.asarray(g(z, *(d[r, None] for d in row_data)), dtype=float)
         parts.append((hi - lo)/(3.0*n)*(
-            v[..., 0] + v[..., -1] + 4.0*v[..., 1:-1:2].sum(axis=-1)
-            + 2.0*v[..., 2:-2:2].sum(axis=-1)))
-    return np.concatenate(parts, axis=-1)
+            v[:, 0] + v[:, -1] + 4.0*v[:, 1:-1:2].sum(axis=-1)
+            + 2.0*v[:, 2:-2:2].sum(axis=-1)))
+    return np.concatenate(parts)
 
 
 EULER = 0.5772156649015329

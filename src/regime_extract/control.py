@@ -6,11 +6,11 @@ inverses b_1(x) <= b_2(x) (internal labels), so the integral is split
 into panels: the fully stopped one is exact for any cost. On the others
 w continues as a sum of exponential terms in x - x*_i(z) (the stopping
 module's _branch_form, anchored at the boundaries, so on its panel no
-exponential exceeds e^{alpha5 z2}) plus a linear term. For the built-in
-costs each term integrates over z in closed form (exponentials for the
-quadratic cost, the exponential integral Ei for the exponential one);
-a custom cost integrates the same terms by Simpson doubling batched over
-states. Every regime and x-derivative order weighs the same integrals.
+exponential exceeds e^{alpha5 z2}) plus a linear term. The cost
+integrates each term over z (CostFunction.exp_integral: in closed form
+for the built-in families, by Simpson for a custom cost), so this module
+never asks which family it has. Every regime and x-derivative order
+weighs the same integrals.
 """
 from __future__ import annotations
 
@@ -22,14 +22,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._numerics import adaptive_simpson, expi_scaled
 from .errors import OrderingViolated, OutOfRange, PreconditionViolated, \
     VerificationFailed
-from .model import ModelParams, _count, chat, finite_prices
+from .model import ModelParams, _count, _price_range, chat, finite_prices
 from .stopping import (StoppingSolution, _branch_form, solve_z,
                        v as v_stop, x_star)
 
-SIMPSON_TOL = 1e-9   # absolute, per branch term integral of a custom cost
 HJB_TAU = 1e-5   # verify_hjb's acceptance tolerance
 # most states of a U, U_x, U_xx call or verify_hjb grid; 450-470 B each
 MAX_U_STATES = 1 << 20
@@ -92,9 +90,8 @@ def external_shift(cs: ControlSolution, i: int) -> float:
 
 
 def _boundary_inverse(params: ModelParams, shift: float, x):
-    """Clamped inverse of y -> shift + c - f'(y)/rho: inverting f' (log
-    for the exponential family, linear for the quadratic one), clamped to
-    [0, 1]. Scalars give a float."""
+    """Clamped inverse of y -> shift + c - f'(y)/rho, in [0, 1], by the
+    cost's derivative_inverse. Scalars give a float."""
     out = params.cost.derivative_inverse(
         params.rho*(params.c + shift - np.asarray(x, dtype=float)))
     return float(out) if np.ndim(out) == 0 else out
@@ -102,7 +99,7 @@ def _boundary_inverse(params: ModelParams, shift: float, x):
 
 def b_star(cs: ControlSolution, i: int, x):
     """Reflecting reserve boundary: clamped inverse of y -> x*_i(y)
-    = shift_i + c - f'(y)/rho. A non-finite price raises OutOfRange."""
+    = shift_i + c - f'(y)/rho. Prices go through finite_prices."""
     return _boundary_inverse(cs.params, external_shift(cs, i),
                              finite_prices(x))
 
@@ -113,33 +110,34 @@ def _u_surface(cs: ControlSolution, x, y, series):
 
     Below b_1(x) both regimes continue, up to b_2(x) only regime 2 does
     (internal labels). There w's branches are sums of four exponential
-    terms (cs._terms), whose integrals over the level _exact_panels gives
-    in closed form for the built-in costs, _simpson_panels to SIMPSON_TOL
-    for a custom cost; every series weighs the same four. The stopped
-    panel is exact for any cost. Raises OutOfRange on non-finite states,
-    y outside [0, 1] or, before anything is allocated, more than
-    MAX_U_STATES states.
+    terms e^{a (x - s - c) + (a/rho) f'(z)} (cs._terms, prefactors
+    apart), whose integrals over the level z the cost gives
+    (exp_integral); every series weighs the same four. The stopped panel
+    is exact for any cost. Raises OutOfRange on prices that finite_prices
+    refuses, on y outside [0, 1] or, before anything of the broadcast
+    size is allocated, on more than MAX_U_STATES states.
     """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    x = np.asarray(finite_prices(x), dtype=float)   # unbroadcast: its size
+    y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         x, y = np.broadcast_arrays(x, y)   # views: nothing is built yet
     _count("the number of states", x.size, 0, MAX_U_STATES)
-    if not (np.isfinite(x) & (y >= 0.0) & (y <= 1.0)).all():
-        raise OutOfRange(f"need finite x and y in [0, 1], got x={x}, y={y}")
+    if not ((y >= 0.0) & (y <= 1.0)).all():   # NaN fails too
+        raise OutOfRange(f"need y in [0, 1], got y={y}")
     shape, x, y = x.shape, x.reshape(-1), y.reshape(-1)
     sol = cs.stopping
     series = [(sol.internal_regime(i), o) for i, o in series]
-    p = sol.iparams
-    bs = np.minimum(_boundary_inverse(p, cs._terms.shifts, x), y)
+    p, t = sol.iparams, cs._terms
+    bs = np.minimum(_boundary_inverse(p, t.shifts, x), y)
     # a perturbed z2 < 0 inverts the band: empty, regime 2 stops at b1
     np.maximum(bs[0], bs[1], out=bs[1])
     # stopped on [b_k, y]: u = x - c + f'(z)/rho; order 0 also carries
     # the -f(y)/rho of U, which leaves -f(b_k)/rho. Rows: (order, b_k).
     yb = y - bs
     stopped = np.concatenate([(x - p.c)*yb - p.cost.value(bs)/p.rho, yb])
-    ints = (_simpson_panels(cs, x, bs) if p.cost.kind == "custom"
-            else _exact_panels(cs, x, bs))
-    weights = np.array([cs._terms.weights[s] for s in series])
+    ints = p.cost.exp_integral(t.rate, x, t.anchor, t.a_rho,
+                               _panel_ends(x, bs), t.cap)
+    weights = np.array([t.weights[s] for s in series])
     # the parts' axis is summed last and contiguous: each state's sum is
     # the same whatever the array
     out = np.multiply(weights[:, None, :], np.concatenate([ints, stopped]).T,
@@ -147,50 +145,14 @@ def _u_surface(cs: ControlSolution, x, y, series):
     return out.reshape((len(series),) + shape)
 
 
-def _simpson_panels(cs: ControlSolution, x, bs):
-    """_exact_panels' four integrals by batched Simpson doubling, each to
-    SIMPSON_TOL: a custom cost has no closed form."""
-    t, fprime = cs._terms, cs.stopping.iparams.cost.derivative
-
-    def terms(j):   # the terms of panel j at nodes z, prices xr
-        rate, anchor, a_rho = (c[j, :, None] for c in (t.rate, t.anchor,
-                                                        t.a_rho))
-        return lambda z, xr: np.exp(rate*(xr - anchor) + a_rho*fprime(z))
-
-    return np.concatenate([
-        adaptive_simpson(terms(slice(0, 2)), 0.0, bs[0], x, tol=SIMPSON_TOL),
-        adaptive_simpson(terms(slice(2, 4)), bs[0], bs[1], x,
-                         tol=SIMPSON_TOL)])
-
-
-def _exact_panels(cs: ControlSolution, x, bs):
-    """The integrals over the level z of the four branch terms
-    e^{a (x - s - chat(z))} (cs._terms, prefactors apart): rates a3, a4
-    on [0, b1] and a5, -a5 on [b1, b2] (bs), in closed form for the
-    built-in costs.
-
-    With chat = c - f'(z)/rho the exponent is E(z) = a (x - s - c) + u(z),
-    u = a f'(z)/rho:
-    - quadratic cost: E is linear in z with slope 2 alpha a/rho, so the
-      integral is e^{E(end)} (1 - e^{-k (hi - lo)})/k, k = 2 alpha |a|/rho,
-      anchored at the end where E is largest;
-    - exponential cost: u = a gamma e^z/rho turns it into the integral of
-      e^{a (x - s - c)} e^u/u du, [e^{E(z)} e^{-u} Ei(u)] from lo to hi.
-    On its panel E is at most cap; the clip only keeps empty panels
-    (lo = hi) finite.
-    """
-    cost, t = cs.stopping.iparams.cost, cs._terms
-    ends = np.zeros((2, 4) + x.shape)   # (lo/hi, term, state)
+def _panel_ends(x, bs):
+    """(lo/hi, term, state) ends of the four branch terms' panels: [0, b1]
+    for a3, a4 and [b1, b2] for a5, -a5 (bs). Passed straight to
+    exp_integral, they are freed as soon as it is done with them."""
+    ends = np.zeros((2, 4) + x.shape)
     ends[0, 2:] = ends[1, :2] = bs[0]
     ends[1, 2:] = bs[1]
-    u = t.a_rho*cost.derivative(ends)
-    expo = np.minimum(t.rate*(x - t.anchor) + u, t.cap)
-    if cost.kind == "quadratic":
-        k = 2.0*cost.alpha*np.abs(t.a_rho)
-        return (np.exp(np.where(t.rate > 0.0, expo[1], expo[0]))
-                * np.expm1(-k*(ends[1] - ends[0]))/-k)
-    ends = np.exp(expo)*expi_scaled(u)
-    return ends[1] - ends[0]
+    return ends
 
 
 def _value(cs: ControlSolution, x, y, i: int, order: int):
@@ -201,7 +163,7 @@ def _value(cs: ControlSolution, x, y, i: int, order: int):
 def U(cs: ControlSolution, x, y, i: int):
     """Control value U(x,y,i) = integral_0^y v(x,i;z) dz: in closed form
     for the built-in costs; for a custom cost by Simpson doubling, each
-    branch term's integral to SIMPSON_TOL (absolute). x and y broadcast
+    branch term's integral to SIMPSON_TOL (model). x and y broadcast
     as arrays of at most MAX_U_STATES states; scalars give a float."""
     return _value(cs, x, y, i, 0)
 
@@ -339,8 +301,8 @@ def single_regime_boundary(params: ModelParams, sigma: float, y):
 
 
 def b_sharp(params: ModelParams, sigma: float, x):
-    """Clamped inverse of x#: the single-regime reflecting boundary. A
-    non-finite price raises OutOfRange."""
+    """Clamped inverse of x#: the single-regime reflecting boundary.
+    Prices go through finite_prices."""
     return _boundary_inverse(params, sigma/math.sqrt(2.0*params.rho),
                              finite_prices(x))
 
@@ -361,23 +323,19 @@ def compare_boundaries(cs: ControlSolution, n: int = 1000,
     Equality is allowed only on the clamp plateaus (both curves at 0 or
     at 1); in the equal-volatility case all four curves coincide. An n
     that is not an integer in [1, MAX_BOUNDARY_GRID], checked before
-    anything is allocated, or a non-finite price raises OutOfRange.
+    anything is allocated, or an x_range that is not a pair of numbers
+    (lo, hi) with lo < hi and a finite width raises OutOfRange.
     """
     _count("n", n, 1, MAX_BOUNDARY_GRID)
-    p = cs.params
-    sol = cs.stopping
+    p, sol = cs.params, cs.stopping
     if sol.relabeled:
         raise PreconditionViolated(
             "boundary comparison expects sigma1 < sigma2 labeling")
-    ch0, ch1 = chat(p, 0.0), chat(p, 1.0)
-    sh_lo = p.sigma1/math.sqrt(2.0*p.rho)
-    sh_hi = p.sigma2/math.sqrt(2.0*p.rho)
-    if x_range is None:
-        x_lo = min(sh_lo, external_shift(cs, 1)) + ch1 - 1.0
-        x_hi = max(sh_hi, external_shift(cs, 2)) + ch0 + 1.0
-    else:
-        x_lo, x_hi = finite_prices(x_range)
-    xs = np.linspace(x_lo, x_hi, n)
+    if x_range is None:   # past both single-regime boundaries by 1
+        r = math.sqrt(2.0*p.rho)
+        x_range = (min(p.sigma1/r, external_shift(cs, 1)) + chat(p, 1.0) - 1.0,
+                   max(p.sigma2/r, external_shift(cs, 2)) + chat(p, 0.0) + 1.0)
+    xs = np.linspace(*_price_range("x_range", x_range), n)
     curves = (b_sharp(p, p.sigma1, xs), b_star(cs, 1, xs),
               b_star(cs, 2, xs), b_sharp(p, p.sigma2, xs))
     names = ("b#(sigma1)", "b*1", "b*2", "b#(sigma2)")

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._numerics import bisect
+from ._numerics import adaptive_simpson, bisect, expi_scaled
 from .errors import (CostNotConvex, CrossCheckFailed,
                      DegenerateDiscriminant, NonPositiveParameter,
                      OutOfRange)
@@ -40,6 +40,7 @@ def _vectorized(fn: Callable) -> Callable:
 
 # grid over [0, 1] and slack of f'' on which a custom cost is checked
 CUSTOM_GRID, CUSTOM_CONVEX_TOL = 1001, 1e-9
+SIMPSON_TOL = 1e-9   # absolute, per integral of a custom cost
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,8 @@ class CostFunction:
     through `custom`; its derivative inverse then falls back to bisection.
     Every construction path is checked (CostNotConvex): finite positive
     family parameters; f(0) = 0, f' > 0 and convexity on a grid if custom.
+    The family is decided here only: other modules use f, f', its inverse
+    and exp_integral, never kind or the family parameters.
     """
 
     kind: str
@@ -126,6 +129,30 @@ class CostFunction:
         if self.kind == "quadratic":
             return y, (np.square(fp) - self.beta**2)/(4.0*self.alpha)
         return y, self.value(y)
+
+    def exp_integral(self, rate, x, anchor, kappa, ends, cap):
+        """The integrals over z in [lo, hi] = ends of e^E, E(z) = rate
+        (x - anchor) + kappa f'(z), kappa != 0, broadcast as arrays.
+        Quadratic: E is linear in z, so the integral is e^{E(end)} (1 -
+        e^{-k (hi - lo)})/k, k = 2 alpha |kappa|, at the end where E is
+        largest. Exponential: u = kappa gamma e^z makes it the integral of
+        e^{rate (x - anchor)} e^u/u du, [e^E e^{-u} Ei(u)] from lo to hi.
+        Custom: Simpson doubling, one row per entry, to SIMPSON_TOL. The
+        closed forms cap E at cap, the most it reaches on [lo, hi], to
+        keep empty intervals finite; Simpson takes E only inside."""
+        if self.kind == "custom":   # fp as a default: no closure cell per call
+            return adaptive_simpson(
+                lambda z, a, xr, s, k, fp=self.fprime:
+                    np.exp(a*(xr - s) + k*fp(z)),
+                *ends, rate, x, anchor, kappa, tol=SIMPSON_TOL)
+        u = kappa*self.derivative(ends)
+        expo = np.minimum(rate*(x - anchor) + u, cap)
+        if self.kind == "quadratic":
+            k = 2.0*self.alpha*np.abs(kappa)
+            return (np.exp(np.where(kappa > 0.0, expo[1], expo[0]))
+                    * np.expm1(-k*(ends[1] - ends[0]))/-k)
+        ends = np.exp(expo)*expi_scaled(u)
+        return ends[1] - ends[0]
 
     def _clipped(self, fp):
         lo, hi = self._fp_range   # f'(0), f'(1)
@@ -251,11 +278,32 @@ def phi(params: ModelParams, i: int, alpha) -> float:
 
 
 def finite_prices(x):
-    """x, after one check that every price in it is finite: OutOfRange
-    otherwise, NaN included, as for U's states."""
-    if not np.isfinite(x).all():
-        raise OutOfRange(f"prices must be finite, got {x}")
+    """x, after one check that it holds real numbers (numpy's integer and
+    float kinds: no strings, bools or ragged lists), each one finite:
+    OutOfRange otherwise, NaN included, as for U's states."""
+    try:
+        a = np.asarray(x)
+        ok = a.dtype.kind in "iuf" and np.isfinite(a).all()
+    except ValueError:   # ragged
+        ok = False
+    if not ok:
+        raise OutOfRange(f"prices must be finite real numbers, got {x!r}")
     return x
+
+
+def _price_range(name: str, value):
+    """(lo, hi) from value as floats: a pair of prices (finite_prices)
+    with lo < hi and a finite width hi - lo, else OutOfRange naming it,
+    before a caller makes its grid."""
+    try:
+        lo, hi = value
+        lo, hi = float(finite_prices(lo)), float(finite_prices(hi))
+    except (TypeError, ValueError, OutOfRange):   # not a pair of prices
+        lo = hi = math.nan
+    if not _positive(hi - lo):
+        raise OutOfRange(f"{name} must be (lo, hi) with lo < hi and a "
+                         f"finite width, got {value!r}")
+    return lo, hi
 
 
 def chat(params: ModelParams, y) -> float:
@@ -441,19 +489,24 @@ def feasibility_scan(rho, lambda1, lambda2, sigma1_grid, sigma2_grid):
     (len(sigma2_grid), len(sigma1_grid)). Equal-volatility cells are
     marked case_b and excluded from feasible/infeasible classification.
     Each rate must be one number and each grid 1-D (OutOfRange), and
-    every rate and volatility finite and > 0 (NonPositiveParameter).
+    every rate and volatility finite and > 0 (NonPositiveParameter), a
+    list's entries as given: a bool or a string is not a number.
     """
-    s1, s2 = (np.asarray(g, dtype=float) for g in (sigma1_grid, sigma2_grid))
     for name, val, ndim in (("rho", rho, 0), ("lambda1", lambda1, 0),
-                            ("lambda2", lambda2, 0), ("sigma1_grid", s1, 1),
-                            ("sigma2_grid", s2, 1)):
+                            ("lambda2", lambda2, 0),
+                            ("sigma1_grid", sigma1_grid, 1),
+                            ("sigma2_grid", sigma2_grid, 1)):
         if np.ndim(val) != ndim:
             raise OutOfRange(f"{name} must be "
                              f"{('a number', 'a 1-D grid')[ndim]}, got "
                              f"shape {np.shape(val)}")
-        if not _positive(val):   # named by its first entry that is not
-            raise NonPositiveParameter(name, next(
-                v for v in np.ravel(val).tolist() if not _positive(v)))
+        # a list's own entries, which numpy would coerce to one type
+        entries = (val if isinstance(val, (list, tuple))
+                   else np.ravel(val).tolist())
+        bad = [v for v in entries if not _positive(v)]
+        if bad:   # named by its first entry that is not
+            raise NonPositiveParameter(name, bad[0])
+    s1, s2 = (np.asarray(g, dtype=float) for g in (sigma1_grid, sigma2_grid))
     cv = condition_values(rho, s1[None, :], s2[:, None], lambda1, lambda2)
     f1, f2, f3, f4 = cv.case_a
     return f1 & f2 & f3 & f4 & ~cv.case_b, cv.case_b

@@ -40,8 +40,8 @@ import numpy as np
 from ._numerics import bisect
 from .errors import (AssumptionViolated, DomainError, NoBracket, OutOfRange,
                      PreconditionViolated, VerificationFailed)
-from .model import (Characteristic, ModelParams, _count, _positive, _regime,
-                    chat, check_assumptions, finite_prices,
+from .model import (Characteristic, ModelParams, _count, _price_range,
+                    _regime, chat, check_assumptions, finite_prices,
                     solve_characteristic)
 
 # solve_z brackets z2 in [eps, zhat2 (1 - ENDPOINT_EPS)], eps from
@@ -304,7 +304,8 @@ def _w_value(sol: StoppingSolution, x, i: int, y, order: int, side: int):
 def w(sol: StoppingSolution, x, i: int, y):
     """Stopping value w(x, i; y); equals the payoff x - chat(y) once x is
     at or above the regime boundary. x and y broadcast as arrays; OutOfRange
-    on a non-finite x or y outside [0, 1], as in w_x, w_xx and v."""
+    on an x that finite_prices refuses or y outside [0, 1], as in w_x,
+    w_xx and v."""
     return _w_value(sol, x, i, y, 0, -1)
 
 
@@ -461,14 +462,11 @@ def verify_fbp(sol: StoppingSolution, y, n_points: int = 10000, grid=None):
     VerificationFailed with the worst offender of the first failing
     level, before later levels are built; a NaN fails. OutOfRange, before
     any allocation, on n_points not a count in [2, MAX_FBP_POINTS] or a
-    grid without a finite width hi - lo > 0.
+    grid that is not a pair of numbers with a finite width hi - lo > 0.
     """
     _count("n_points", n_points, 2, MAX_FBP_POINTS)
     if grid is not None:
-        grid = tuple(map(float, grid))
-        if not (len(grid) == 2 and _positive(grid[1] - grid[0])):
-            raise OutOfRange("grid must be (lo, hi) with lo < hi and a "
-                             f"finite width, got {grid}")
+        grid = _price_range("grid", grid)
     ys = np.asarray(y, dtype=float).reshape(-1)
     checks = {"ode": (ODE_TOL, "ODE residual {} at x={}"),
               "ineq": (INEQ_TOL, "operator inequality {} at x={}"),

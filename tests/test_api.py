@@ -132,6 +132,22 @@ def _module_constants():
     return out
 
 
+def test_only_model_reads_the_cost_family():
+    """The cost family is decided in model alone: no other module reads a
+    cost's kind, alpha, beta or gamma. A Policy's kind (policy.kind, and
+    self.kind in Policy) is not a cost's."""
+    for path in Path(rx.__file__).parent.glob("*.py"):
+        if path.stem == "model":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("kind", "alpha", "beta", "gamma")):
+                owner = getattr(node.value, "attr",
+                                getattr(node.value, "id", None))
+                assert node.attr == "kind" and owner in ("policy", "self"), (
+                    f"{path.name}:{node.lineno} reads {owner}.{node.attr}")
+
+
 def test_readme_constants_match_the_code():
     pairs = _readme_constants()
     assert len(pairs) >= 16

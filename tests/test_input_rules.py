@@ -1,7 +1,8 @@
 """The input rules of regime_extract.model, each tested over every entry
 point that takes that kind of input: a count (_count), a finite positive
-number (_positive), the one state cap of U's grids (MAX_U_STATES) and
-the cap of compare_boundaries' grid (MAX_BOUNDARY_GRID)."""
+number (_positive), a price (finite_prices), a price range
+(_price_range), the one state cap of U's grids (MAX_U_STATES) and the
+cap of compare_boundaries' grid (MAX_BOUNDARY_GRID)."""
 import dataclasses
 import io
 import math
@@ -80,6 +81,21 @@ def test_feasibility_scan_takes_one_number_rates_and_1d_grids(field, bad):
     assert feas.shape == caseb.shape == (2, 2)
 
 
+@pytest.mark.parametrize("grid,bad", [
+    (["0.025"], "0.025"), ([True], True), ([0.0245, True], True),
+    (["x"], "x"), ([0.0245, "0.025"], "0.025"),
+    ((0.0245, np.bool_(True)), np.bool_(True))],
+    ids=["str", "True", "mixed_bool", "text", "mixed_str", "tuple_np_True"])
+@pytest.mark.parametrize("field", ["sigma1_grid", "sigma2_grid"])
+def test_feasibility_scan_grids_hold_numbers_as_given(field, grid, bad):
+    # ['0.025'] and [True] read as 0.025 and 1.0 and returned a raster, as
+    # did [0.0245, True]; ['x'] raised an untyped ValueError
+    with pytest.raises(NonPositiveParameter) as exc:
+        rx.feasibility_scan(**dict(SCAN, **{field: grid}))
+    assert exc.value.field == field
+    assert repr(exc.value.value) == repr(bad)
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--rho", "-0.03"), ("--rho", "0"), ("--lambda1", "-0.017"),
     ("--lambda2", "0"), ("--sigma1-range", "0:0.06"),
@@ -139,3 +155,67 @@ def test_compare_boundaries_caps_n_before_allocating(cs_a, monkeypatch):
             rx.compare_boundaries(cs_a, n=n)
     with pytest.raises(AssertionError):   # the cap itself is allowed
         rx.compare_boundaries(cs_a, n=cap)
+
+
+# every price input, as a call that takes the value there
+PRICES = {
+    "U": lambda cs, v: rx.U(cs, v, 0.5, 1),
+    "U_x": lambda cs, v: rx.U_x(cs, v, np.array([0.5, 0.7]), 2),
+    "U_xx": lambda cs, v: rx.U_xx(cs, v, 0.5, 2),
+    "w": lambda cs, v: rx.w(cs.stopping, v, 1, 0.5),
+    "w_x": lambda cs, v: rx.w_x(cs.stopping, v, 2, 0.5),
+    "v": lambda cs, v: rx.v(cs.stopping, v, 2, 0.3),
+    "b_star": lambda cs, v: rx.b_star(cs, 1, v),
+    "b_sharp": lambda cs, v: rx.b_sharp(cs.params, cs.params.sigma1, v),
+}
+
+
+@pytest.mark.parametrize("value", ["0.6", True, np.bool_(True), None, 1j,
+                                   [0.6, "a"], [[0.6], [0.6, 0.7]]],
+                         ids=["str", "True", "np_True", "None", "complex",
+                              "mixed_list", "ragged"])
+@pytest.mark.parametrize("field", list(PRICES))
+def test_prices_are_real_numbers(cs_a, field, value):
+    # w(sol, "0.6", 1, 0.5) and b_star(cs, 1, "0.6") raised an untyped
+    # TypeError, and U(cs, "0.6", 0.5, 1) read the string as 0.6
+    for good in (0.6, 1, np.float64(0.6), [0.6, 0.7], np.array([1, 2])):
+        PRICES[field](cs_a, good)
+    with pytest.raises(OutOfRange, match="^prices must be finite real"):
+        PRICES[field](cs_a, value)
+
+
+def test_integer_prices_give_the_float_values(cs_a):
+    for field, call in PRICES.items():
+        assert np.array_equal(call(cs_a, np.array([1, -2])),
+                              call(cs_a, np.array([1.0, -2.0]))), field
+
+
+# every price range, as a call that takes the value there
+RANGES = {
+    "grid": lambda cs, v: rx.verify_fbp(cs.stopping, 0.5, n_points=50,
+                                        grid=v),
+    "x_range": lambda cs, v: rx.compare_boundaries(cs, n=10, x_range=v),
+}
+
+
+@pytest.mark.parametrize("value", [
+    (0.0, 1.0, 2.0), (1.0,), "ab", "12", (1.0, 0.0), (0.5, 0.5),
+    (True, 2.0), ("0", "1"), 3.0, (math.nan, 1.0), (0.0, math.inf),
+    (-1e308, 1e308), (0, 10**400), np.array([[0.0, 1.0], [1.0, 2.0]])],
+    ids=["triple", "single", "text", "digits", "descending", "equal",
+         "bool_end", "str_ends", "number", "nan", "inf",
+         "overflowing_width", "huge_int", "rows"])
+@pytest.mark.parametrize("field", list(RANGES))
+def test_price_ranges_are_pairs_of_numbers(cs_a, monkeypatch, field, value):
+    # x_range=(0.0, 1.0, 2.0) and (1.0,) and grid="ab" raised an untyped
+    # ValueError, x_range="ab" a TypeError, and a descending x_range ran
+    def built(*args, **kw):
+        raise AssertionError(f"{field} went past its check")
+
+    monkeypatch.setattr(control.np, "linspace", built)
+    for good in ((-1.0, 1.0), [-1, 1], np.array([-1.0, 1.0]),
+                 (np.float64(-1.0), np.int64(1))):
+        with pytest.raises(AssertionError):
+            RANGES[field](cs_a, good)
+    with pytest.raises(OutOfRange, match=f"^{field} must be \\(lo, hi\\)"):
+        RANGES[field](cs_a, value)

@@ -44,23 +44,26 @@ def test_simpson_node_budget_stops_default_depth():
 
 
 def test_simpson_rows_match_one_row_calls():
-    """Each (integrand, row) of a batch equals its own one-row call."""
+    """Each row of a batch, one integrand per row, equals its own one-row
+    call bit for bit, in a flat batch and in a (4, 10) one."""
     rng = np.random.default_rng(3)
     a = rng.uniform(-1.0, 0.5, 40)
     b = a + rng.uniform(0.0, 1.5, 40)
     b[::7] = a[::7]  # empty intervals integrate to 0
-
-    def g(z, c):
-        return np.stack([np.exp(c*z), np.sin(7.0*z)*c])
-
     c = rng.uniform(-6.0, 12.0, 40)
-    batch = adaptive_simpson(g, a, b, c)
-    assert batch.shape == (2, 40)
-    rows = np.array([adaptive_simpson(g, lo, hi, ci)
-                     for lo, hi, ci in zip(a, b, c)]).T
-    assert np.array_equal(batch, rows)
-    assert np.all(batch[:, ::7] == 0.0)
-    assert batch[0, 1] == pytest.approx(
+    batches = {}
+    for name, g in (("exp", lambda z, c: np.exp(c*z)),
+                    ("sin", lambda z, c: np.sin(7.0*z)*c)):
+        batch = batches[name] = adaptive_simpson(g, a, b, c)
+        assert batch.shape == (40,)
+        rows = np.array([adaptive_simpson(g, lo, hi, ci)
+                         for lo, hi, ci in zip(a, b, c)])
+        assert np.array_equal(batch, rows)
+        assert np.array_equal(adaptive_simpson(
+            g, a.reshape(4, 10), b.reshape(4, 10), c.reshape(4, 10)),
+            batch.reshape(4, 10))
+        assert np.all(batch[::7] == 0.0)
+    assert batches["exp"][1] == pytest.approx(
         (math.exp(c[1]*b[1]) - math.exp(c[1]*a[1]))/c[1], rel=1e-9)
 
 
