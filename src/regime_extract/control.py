@@ -22,9 +22,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import OrderingViolated, OutOfRange, PreconditionViolated, \
-    VerificationFailed
-from .model import ModelParams, _count, _price_range, chat, finite_prices
+from .errors import (NonPositiveParameter, OrderingViolated,
+                     PreconditionViolated, VerificationFailed)
+from .model import (LEVELS, ModelParams, _count, _positive, _price_range,
+                    chat, finite_prices)
 from .stopping import (StoppingSolution, _branch_form, solve_z,
                        v as v_stop, x_star)
 
@@ -91,9 +92,8 @@ def external_shift(cs: ControlSolution, i: int) -> float:
 
 def _boundary_inverse(params: ModelParams, shift: float, x):
     """Clamped inverse of y -> shift + c - f'(y)/rho, in [0, 1], by the
-    cost's derivative_inverse. Scalars give a float."""
-    out = params.cost.derivative_inverse(
-        params.rho*(params.c + shift - np.asarray(x, dtype=float)))
+    cost's derivative_inverse, at float prices x. Scalars give a float."""
+    out = params.cost.derivative_inverse(params.rho*(params.c + shift - x))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -113,17 +113,15 @@ def _u_surface(cs: ControlSolution, x, y, series):
     terms e^{a (x - s - c) + (a/rho) f'(z)} (cs._terms, prefactors
     apart), whose integrals over the level z the cost gives
     (exp_integral); every series weighs the same four. The stopped panel
-    is exact for any cost. Raises OutOfRange on prices that finite_prices
-    refuses, on y outside [0, 1] or, before anything of the broadcast
-    size is allocated, on more than MAX_U_STATES states.
+    is exact for any cost. Raises OutOfRange on prices and reserve levels
+    that finite_prices refuses or, before anything of the broadcast size
+    is allocated, on more than MAX_U_STATES states.
     """
-    x = np.asarray(finite_prices(x), dtype=float)   # unbroadcast: its size
-    y = np.asarray(y, dtype=float)
+    x = finite_prices(x)   # unbroadcast: their sizes
+    y = finite_prices(y, *LEVELS)
     if x.shape != y.shape:
         x, y = np.broadcast_arrays(x, y)   # views: nothing is built yet
     _count("the number of states", x.size, 0, MAX_U_STATES)
-    if not ((y >= 0.0) & (y <= 1.0)).all():   # NaN fails too
-        raise OutOfRange(f"need y in [0, 1], got y={y}")
     shape, x, y = x.shape, x.reshape(-1), y.reshape(-1)
     sol = cs.stopping
     series = [(sol.internal_regime(i), o) for i, o in series]
@@ -205,8 +203,9 @@ def _branches(cs: ControlSolution, x, y, i: int, u: dict, uxx: dict, uy,
 
 
 def U_report(cs: ControlSolution, x: float, y: float, i: int) -> ValueReport:
-    """Value, derivatives and the HJB residual at one state. Uy is the
-    selling value v(x,i;y) (the exact derivative of the reserve integral)."""
+    """Value, derivatives and the HJB residual at one state (x, y). Uy is
+    the selling value v(x,i;y) (the exact derivative of the integral)."""
+    x, y = finite_prices(x, one=True), finite_prices(y, *LEVELS, one=True)
     vals = _u_surface(cs, x, y, [(1, 0), (2, 0), (1, 2), (2, 2), (i, 1)])
     u, uxx = {1: vals[0], 2: vals[1]}, {1: vals[2], 2: vals[3]}
     uy = v_stop(cs.stopping, x, i, y)
@@ -297,12 +296,16 @@ def verify_hjb(cs: ControlSolution, nx: int = 400, ny: int = 50,
 
 def single_regime_boundary(params: ModelParams, sigma: float, y):
     """No-switching stopping boundary x#(y) = sigma/sqrt(2 rho) + chat(y)."""
+    if not _positive(sigma):
+        raise NonPositiveParameter("sigma", sigma)
     return sigma/math.sqrt(2.0*params.rho) + chat(params, y)
 
 
 def b_sharp(params: ModelParams, sigma: float, x):
     """Clamped inverse of x#: the single-regime reflecting boundary.
     Prices go through finite_prices."""
+    if not _positive(sigma):
+        raise NonPositiveParameter("sigma", sigma)
     return _boundary_inverse(params, sigma/math.sqrt(2.0*params.rho),
                              finite_prices(x))
 

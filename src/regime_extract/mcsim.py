@@ -33,6 +33,7 @@ so results are bit-reproducible for a given batch size.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -40,7 +41,8 @@ import numpy as np
 
 from .control import ControlSolution, _boundary_inverse, external_shift
 from .errors import OutOfRange, PreconditionViolated, SRPViolated
-from .model import ModelParams, _count, _positive, _regime
+from .model import LEVELS, ModelParams, _count, _positive, _regime, \
+    finite_prices
 
 DEFAULT_BATCH_PAIRS = 25_000
 MAX_STEPS = 10_000_000   # grid steps per path; arrays of K + 1 are made
@@ -78,8 +80,7 @@ class SimConfig:
 
     def resolved_horizon(self, params: ModelParams) -> float:
         T = self.horizon if self.horizon is not None else 10.0/params.rho
-        if not (_positive(self.dt, T) and np.ndim(self.dt) + np.ndim(T) == 0
-                and 1 <= T/self.dt <= MAX_STEPS):
+        if not (_positive(self.dt, T) and 1 <= T/self.dt <= MAX_STEPS):
             raise OutOfRange(f"need 0 < dt <= horizon < inf and at most "
                              f"{MAX_STEPS} steps, got dt={self.dt!r}, T={T!r}")
         return T
@@ -172,14 +173,12 @@ def tail_bound(cs: ControlSolution, x0, y0, T: float) -> float:
 
 
 def _checked_run(cs: ControlSolution, x0, y0, i0, cfg: SimConfig, units=1):
-    """(T, K, m) of a checked run of cfg.n_paths paths from (x0, y0, i0):
-    at least units sampling units (pairs if antithetic; 0: a closed form).
-    T = K dt is the simulated horizon, K the resolved horizon's step count
-    rounded to the nearest integer."""
+    """(x0, y0, T, K, m) of a checked run of cfg.n_paths paths from (x0,
+    y0, i0), x0 and y0 as floats, of at least units sampling units (pairs
+    if antithetic; 0: a closed form). T = K dt is the simulated horizon, K
+    the resolved horizon's step count rounded to the nearest integer."""
     _regime(i0)
-    if not (math.isfinite(x0) and 0.0 <= y0 <= 1.0):
-        raise OutOfRange("need a finite price and a reserve in [0, 1], "
-                         f"got x={x0}, y={y0}")
+    x0, y0 = finite_prices(x0, one=True), finite_prices(y0, *LEVELS, one=True)
     T = cfg.resolved_horizon(cs.params)
     m = 2 if cfg.antithetic else 1
     if units and cfg.n_paths % m:
@@ -188,7 +187,7 @@ def _checked_run(cs: ControlSolution, x0, y0, i0, cfg: SimConfig, units=1):
         raise PreconditionViolated("a simulated estimate needs at least "
                                    f"{units} sampling units")
     K = int(round(T/cfg.dt))
-    return K*cfg.dt, K, m
+    return x0, y0, K*cfg.dt, K, m
 
 
 def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
@@ -383,7 +382,7 @@ def simulate_traces(cs: ControlSolution, x0, y0, i0, policy: Policy,
     arrays would pass MAX_TRACE_BYTES raise OutOfRange before anything is
     allocated."""
     cfg = replace(cfg, n_paths=n_paths)
-    T, K, m = _checked_run(cs, x0, y0, i0, cfg)
+    x0, y0, T, K, m = _checked_run(cs, x0, y0, i0, cfg)
     need = (K + 1)*(8 + cfg.n_paths*(4*8 + 1))   # float64 but int8 regime
     if need > MAX_TRACE_BYTES:
         raise OutOfRange(f"trace would need {need/2**30:.1f} GiB; "
@@ -401,8 +400,8 @@ def estimate_value(cs: ControlSolution, x0, y0, i0, policy: Policy,
     policies reduce to their closed-form payoff with zero error.
     """
     p, kind = cs.params, policy.kind
-    T, K, m = _checked_run(cs, x0, y0, i0, cfg,
-                           units=0 if kind in _CLOSED_FORM else 2)
+    x0, y0, T, K, m = _checked_run(cs, x0, y0, i0, cfg,
+                                   units=0 if kind in _CLOSED_FORM else 2)
     se = 0.0
     if kind == "never_extract":
         mean = -p.cost.value(y0)*(1.0 - math.exp(-p.rho*T))/p.rho
@@ -532,13 +531,16 @@ def _switch_exemptions(boundary: Callable, trace: Trace):
 
 def trace_to_csv(trace: Trace, path, path_index: int = 0) -> None:
     """Dump one traced path: columns t, regime, X, Y, dnu, discounted_increment,
-    to a file path or a writable text stream; path_index in [0, paths)."""
+    to a str or os.PathLike path or a writable text stream (else
+    OutOfRange, before anything is opened); path_index in [0, paths)."""
     import csv
     n = trace.X.shape[1]
     _count("path_index", path_index, 0, n - 1)
-    if not hasattr(path, "write"):
+    if isinstance(path, (str, os.PathLike)):
         with open(path, "w", newline="") as fh:
             return trace_to_csv(trace, fh, path_index)
+    if not hasattr(path, "write"):   # open would take an int for a descriptor
+        raise OutOfRange(f"path must be a file path or a stream, got {path!r}")
     wr = csv.writer(path)
     wr.writerow(["t", "regime", "X", "Y", "dnu", "discounted_increment"])
     for k in range(trace.t.size):

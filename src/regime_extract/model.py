@@ -64,24 +64,20 @@ class CostFunction:
     fprime: Optional[Callable] = None
 
     def __post_init__(self):
-        for name in ("gamma", "alpha", "beta"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, float(getattr(self, name)))
-        if self.kind == "exponential":
-            if not _positive(self.gamma):
+        family = {"exponential": ("gamma",), "quadratic": ("alpha", "beta")}
+        for name in family.get(self.kind, ()):
+            val = getattr(self, name)
+            if not _positive(num := _config_number(val)):
                 raise CostNotConvex(
-                    f"exponential cost needs gamma > 0, got {self.gamma}")
-        elif self.kind == "quadratic":
-            if not _positive(self.alpha, self.beta):
-                raise CostNotConvex("quadratic cost needs alpha, beta > 0, "
-                                    f"got {self.alpha}, {self.beta}")
-        elif self.kind == "custom":
+                    f"{self.kind} cost needs {name} > 0, got {val!r}")
+            object.__setattr__(self, name, float(num))
+        if self.kind == "custom":
             if not (callable(self.f) and callable(self.fprime)):
                 raise CostNotConvex("custom cost needs callable f and fprime")
             object.__setattr__(self, "f", _vectorized(self.f))
             object.__setattr__(self, "fprime", _vectorized(self.fprime))
             self._check_custom()
-        else:
+        elif self.kind not in family:
             raise CostNotConvex(f"unknown cost kind {self.kind!r}")
         object.__setattr__(self, "_fp_range",
                            (self.derivative(0.0), self.derivative(1.0)))
@@ -202,10 +198,10 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("rho", "sigma1", "sigma2", "lambda1", "lambda2", "c"):
-            val = float(getattr(self, name))
-            if not _positive(val):
+            val = getattr(self, name)
+            if not _positive(num := _config_number(val)):
                 raise NonPositiveParameter(name, val)
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name, float(num))
         if not isinstance(self.cost, CostFunction):
             raise CostNotConvex(
                 f"cost must be a CostFunction, got {type(self.cost)}")
@@ -264,31 +260,50 @@ def _regime(i) -> int:
 
 
 def _positive(*vals) -> bool:
-    """Whether every entry of vals (numbers or arrays) is a finite real
-    number > 0: numpy numbers count; bools, strings, NaN and None fail."""
+    """Whether every entry of vals is one finite real number > 0: numpy
+    numbers count; arrays, bools, strings, complex, NaN and None fail."""
+    nums = (v.item() if isinstance(v, (np.ndarray, np.generic)) and not v.ndim
+            else v for v in vals)   # numpy numbers as Python's
     return all(isinstance(v, (int, float)) and type(v) is not bool
-               and 0.0 < v < math.inf   # tolist made numpy numbers Python's
-               for val in vals for v in np.ravel(val).tolist())
+               and 0.0 < v < math.inf for v in nums)
+
+
+def _config_number(val):
+    """The float of text such as a config's "0.03"; any other val as is."""
+    try:
+        return float(val) if isinstance(val, str) else val
+    except ValueError:   # text that is not a number
+        return val
 
 
 def phi(params: ModelParams, i: int, alpha) -> float:
     """Phi_i(alpha) = -sigma_i^2 alpha^2 / 2 + rho + lambda_i."""
-    i = _regime(i)
+    i, alpha = _regime(i), finite_prices(alpha, "alpha")
     return -0.5*params.sigma(i)**2*np.square(alpha) + params.rho + params.lam(i)
 
 
-def finite_prices(x):
-    """x, after one check that it holds real numbers (numpy's integer and
-    float kinds: no strings, bools or ragged lists), each one finite:
-    OutOfRange otherwise, NaN included, as for U's states."""
+LEVELS = ("reserve levels", 0.0, 1.0)   # finite_prices' name, lo and hi
+
+
+def finite_prices(x, name="prices", lo=-math.inf, hi=math.inf, one=False):
+    """x as floats (an array; a numpy float if 0-d; a float if one, which
+    takes no array) after the one check of every real-valued input: numpy
+    integer or float values, each finite and in [lo, hi], else OutOfRange
+    naming it. Prices have no ends, reserve levels lie in [0, 1] (LEVELS)."""
     try:
         a = np.asarray(x)
-        ok = a.dtype.kind in "iuf" and np.isfinite(a).all()
+        ok = a.dtype.kind in "iuf" and not (one and a.ndim)
     except ValueError:   # ragged
         ok = False
+    if ok and a.size:   # NaN carries through min and max
+        least, most = (a.min(), a.max()) if a.ndim else (float(a),)*2
+        ok = (lo <= least and most <= hi
+              and math.isfinite(least) and math.isfinite(most))
     if not ok:
-        raise OutOfRange(f"prices must be finite real numbers, got {x!r}")
-    return x
+        what = "one finite real number" if one else "finite real numbers"
+        ends = "" if lo == -hi == -math.inf else f" in [{lo:g}, {hi:g}]"
+        raise OutOfRange(f"{name} must be {what}{ends}, got {x!r}")
+    return float(a) if one else a.astype(float, copy=False)[()]
 
 
 def _price_range(name: str, value):
@@ -297,7 +312,7 @@ def _price_range(name: str, value):
     before a caller makes its grid."""
     try:
         lo, hi = value
-        lo, hi = float(finite_prices(lo)), float(finite_prices(hi))
+        lo, hi = finite_prices(lo, one=True), finite_prices(hi, one=True)
     except (TypeError, ValueError, OutOfRange):   # not a pair of prices
         lo = hi = math.nan
     if not _positive(hi - lo):
@@ -308,9 +323,7 @@ def _price_range(name: str, value):
 
 def chat(params: ModelParams, y) -> float:
     """Effective selling cost c - f'(y)/rho, strictly decreasing in y."""
-    y = np.asarray(y, dtype=float)
-    if not ((y >= 0.0) & (y <= 1.0)).all():   # NaN fails too
-        raise OutOfRange(f"reserve level must lie in [0, 1], got {y}")
+    y = finite_prices(y, *LEVELS)
     out = params.c - params.cost.derivative(y)/params.rho
     return float(out) if out.ndim == 0 else out
 
@@ -467,8 +480,7 @@ def check_assumptions(params: ModelParams, eps: float = 0.0
     which would loosen them, raises OutOfRange. Otherwise a report is
     always produced.
     """
-    if not 0.0 <= eps < math.inf:   # NaN fails too
-        raise OutOfRange(f"eps must be finite and >= 0, got {eps}")
+    eps = finite_prices(eps, "eps", 0.0, one=True)
     cv = condition_values(params.rho, params.sigma1, params.sigma2,
                           params.lambda1, params.lambda2, eps)
     k = cv.k

@@ -40,9 +40,9 @@ import numpy as np
 from ._numerics import bisect
 from .errors import (AssumptionViolated, DomainError, NoBracket, OutOfRange,
                      PreconditionViolated, VerificationFailed)
-from .model import (Characteristic, ModelParams, _count, _price_range,
-                    _regime, chat, check_assumptions, finite_prices,
-                    solve_characteristic)
+from .model import (LEVELS, Characteristic, ModelParams, _count,
+                    _price_range, _regime, chat, check_assumptions,
+                    finite_prices, solve_characteristic)
 
 # solve_z brackets z2 in [eps, zhat2 (1 - ENDPOINT_EPS)], eps from
 # ENDPOINT_EPS down by factors of 100 until M1 - M2 changes sign there
@@ -100,13 +100,13 @@ def _reduced(params: ModelParams, roots: Characteristic, v):
 
 
 def g1(params: ModelParams, roots: Characteristic, u, v):
-    A1, T1, _, _ = _reduced(params, roots, v)
-    return A1*u - T1 + roots.a2
+    A1, T1, _, _ = _reduced(params, roots, finite_prices(v, "v"))
+    return A1*finite_prices(u, "u") - T1 + roots.a2
 
 
 def g2(params: ModelParams, roots: Characteristic, u, v):
-    _, _, A2, T2 = _reduced(params, roots, v)
-    return A2*u - T2 + roots.a4
+    _, _, A2, T2 = _reduced(params, roots, finite_prices(v, "v"))
+    return A2*finite_prices(u, "u") - T2 + roots.a4
 
 
 def zhat2(params: ModelParams, roots: Characteristic) -> float:
@@ -129,7 +129,7 @@ def zhat2(params: ModelParams, roots: Characteristic) -> float:
 def m1(params: ModelParams, roots: Characteristic, v):
     """u-branch of the reduced system; increasing to +inf on [0, zhat2)."""
     zh = zhat2(params, roots)
-    va = np.asarray(v, dtype=float)
+    va = finite_prices(v, "v")
     if np.any(va < 0.0) or np.any(va >= zh):
         raise DomainError(f"M1 domain is [0, zhat2={zh}), got {v}")
     A1, T1, _, _ = _reduced(params, roots, va)
@@ -141,7 +141,7 @@ def m2(params: ModelParams, roots: Characteristic, v):
     """Second u-branch; decreasing on [0, zhat2] under the feasibility
     conditions (denominator a3 - ... stays negative since a3 < 0)."""
     zh = zhat2(params, roots)
-    va = np.asarray(v, dtype=float)
+    va = finite_prices(v, "v")
     if np.any(va < 0.0) or np.any(va > zh*(1.0 + 1e-12)):
         raise DomainError(f"M2 domain is [0, zhat2={zh}], got {v}")
     _, _, A2, T2 = _reduced(params, roots, va)
@@ -272,7 +272,6 @@ def _w_table(sol: StoppingSolution, x, y, series, side: int = -1):
     x*_1 and regime 2's on the band [x*_1, x*_2) (empty when z2 = 0). At
     a boundary point side -1 takes the left limit, +1 the right one."""
     ch = chat(sol.iparams, y)
-    x = np.asarray(x, dtype=float)
     x1 = sol.z1 + ch
     x2 = x1 + sol.z2
     lower, upper = (x <= x1, x > x2) if side < 0 else (x < x1, x >= x2)
@@ -314,14 +313,20 @@ def w_x(sol: StoppingSolution, x, i: int, y):
 
 
 def w_xx(sol: StoppingSolution, x, i: int, y, side: int = -1):
-    """Second derivative; discontinuous at the boundaries, so the side
-    (-1 left limit, +1 right limit) picks the branch at boundary points."""
+    """Second derivative; discontinuous at the boundaries, where the side
+    picks the limit: -1 the left, +1 the right, else OutOfRange."""
+    try:
+        ok = _count("side", side, -1, 1) != 0
+    except OutOfRange:   # one message for every wrong side
+        ok = False
+    if not ok:
+        raise OutOfRange(f"side must be -1 or +1, got {side!r}")
     return _w_value(sol, x, i, y, 2, side)
 
 
 def v(sol: StoppingSolution, x, i: int, y):
     """Selling-problem value v = w - f'(y)/rho."""
-    p = sol.params
+    p, y = sol.params, finite_prices(y, *LEVELS)
     return w(sol, x, i, y) - p.cost.derivative(y)/p.rho
 
 
@@ -450,7 +455,7 @@ def _fbp_table(sol: StoppingSolution, ys, n_points, grid):
 
 def verify_fbp(sol: StoppingSolution, y, n_points: int = 10000, grid=None):
     """Grid check that w solves the free boundary problem at level y, or
-    at each level of a 1-D array y (then a list of reports).
+    at each level of a non-empty 1-D array y (then a list of reports).
 
     Each level is checked at n_points prices, evenly spaced on grid =
     (lo, hi), by default [chat - 10 z1, x*_2 + 10 z1] at that level:
@@ -461,25 +466,27 @@ def verify_fbp(sol: StoppingSolution, y, n_points: int = 10000, grid=None):
     one-sided difference slopes with step C1_STEP. Raises
     VerificationFailed with the worst offender of the first failing
     level, before later levels are built; a NaN fails. OutOfRange, before
-    any allocation, on n_points not a count in [2, MAX_FBP_POINTS] or a
-    grid that is not a pair of numbers with a finite width hi - lo > 0.
+    any allocation, on any other y, an n_points that is not a count in
+    [2, MAX_FBP_POINTS] or a grid that is not (lo, hi), 0 < hi - lo < inf.
     """
+    ys = finite_prices(y, *LEVELS)
+    if ys.ndim > 1 or not ys.size:
+        raise OutOfRange(f"y must be a level or a non-empty 1-D array: {y!r}")
     _count("n_points", n_points, 2, MAX_FBP_POINTS)
     if grid is not None:
         grid = _price_range("grid", grid)
-    ys = np.asarray(y, dtype=float).reshape(-1)
     checks = {"ode": (ODE_TOL, "ODE residual {} at x={}"),
               "ineq": (INEQ_TOL, "operator inequality {} at x={}"),
               "dom": (DOM_TOL, "payoff domination violated by {} at x={}"),
               "c1": (C1_TOL, "C1 fit gap {} at boundary x={}")}
     reports = []
-    for report in _fbp_table(sol, ys, n_points, grid):
+    for report in _fbp_table(sol, ys.reshape(-1), n_points, grid):
         for name, (tol, msg) in checks.items():
             val, x = (getattr(report, f"worst_{name}{s}") for s in ("", "_x"))
             if not val <= tol:   # NaN fails
                 raise VerificationFailed(msg.format(val, x), report)
         reports.append(report)
-    return reports[0] if np.ndim(y) == 0 else reports
+    return reports[0] if ys.ndim == 0 else reports
 
 
 def perturbed(sol: StoppingSolution, dz2: float) -> StoppingSolution:
