@@ -21,8 +21,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .control import (MAX_BOUNDARY_GRID, U_report, b_sharp, b_star,
-                      from_stopping, single_regime_boundary, verify_hjb)
+from .control import (MAX_BOUNDARY_GRID, U_report, _boundary_span, b_sharp,
+                      b_star, from_stopping, single_regime_boundary,
+                      verify_hjb)
 from .control import U as U_value
 from .errors import (AssumptionViolated, OutOfRange, SolverError,
                      VerificationFailed)
@@ -124,9 +125,7 @@ def cmd_boundary(args, params):
     _count("--grid", args.grid, 2, MAX_BOUNDARY_GRID)
     cs = from_stopping(solve_z(params))
     sol = cs.stopping
-    x_lo = x_star(sol, 2, 1.0) - 1.0
-    x_hi = x_star(sol, 1, 0.0) + 1.0
-    xs = np.linspace(x_lo, x_hi, args.grid)
+    xs = np.linspace(*_boundary_span(cs), args.grid)
     rows = np.column_stack([
         xs, b_star(cs, 1, xs), b_star(cs, 2, xs),
         b_sharp(params, params.sigma1, xs), b_sharp(params, params.sigma2, xs)])

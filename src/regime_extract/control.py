@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (NonPositiveParameter, OrderingViolated,
                      PreconditionViolated, VerificationFailed)
 from .model import (LEVELS, ModelParams, _count, _positive, _price_range,
-                    chat, finite_prices)
+                    _states, chat, finite_prices)
 from .stopping import (StoppingSolution, _branch_form, solve_z,
                        v as v_stop, x_star)
 
@@ -97,6 +97,16 @@ def _boundary_inverse(params: ModelParams, shift: float, x):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _boundary_span(cs: ControlSolution):
+    """Prices (lo, hi) past the four curves b#(sigma1), b*_1, b*_2 and
+    b#(sigma2) by 1, in either labeling: a curve of shift s is 1 up to
+    s + chat(1) and 0 from s + chat(0)."""
+    p, r = cs.params, math.sqrt(2.0*cs.params.rho)
+    shifts = (p.sigma1/r, p.sigma2/r, external_shift(cs, 1),
+              external_shift(cs, 2))
+    return min(shifts) + chat(p, 1.0) - 1.0, max(shifts) + chat(p, 0.0) + 1.0
+
+
 def b_star(cs: ControlSolution, i: int, x):
     """Reflecting reserve boundary: clamped inverse of y -> x*_i(y)
     = shift_i + c - f'(y)/rho. Prices go through finite_prices."""
@@ -115,10 +125,10 @@ def _u_surface(cs: ControlSolution, x, y, series):
     (exp_integral); every series weighs the same four. The stopped panel
     is exact for any cost. Raises OutOfRange on prices and reserve levels
     that finite_prices refuses or, before anything of the broadcast size
-    is allocated, on more than MAX_U_STATES states.
+    is allocated, on shapes that do not broadcast together or more than
+    MAX_U_STATES states.
     """
-    x = finite_prices(x)   # unbroadcast: their sizes
-    y = finite_prices(y, *LEVELS)
+    x, y = _states(x, y)   # unbroadcast: their sizes
     if x.shape != y.shape:
         x, y = np.broadcast_arrays(x, y)   # views: nothing is built yet
     _count("the number of states", x.size, 0, MAX_U_STATES)
@@ -334,11 +344,8 @@ def compare_boundaries(cs: ControlSolution, n: int = 1000,
     if sol.relabeled:
         raise PreconditionViolated(
             "boundary comparison expects sigma1 < sigma2 labeling")
-    if x_range is None:   # past both single-regime boundaries by 1
-        r = math.sqrt(2.0*p.rho)
-        x_range = (min(p.sigma1/r, external_shift(cs, 1)) + chat(p, 1.0) - 1.0,
-                   max(p.sigma2/r, external_shift(cs, 2)) + chat(p, 0.0) + 1.0)
-    xs = np.linspace(*_price_range("x_range", x_range), n)
+    span = _boundary_span(cs) if x_range is None else x_range
+    xs = np.linspace(*_price_range("x_range", span), n)
     curves = (b_sharp(p, p.sigma1, xs), b_star(cs, 1, xs),
               b_star(cs, 2, xs), b_sharp(p, p.sigma2, xs))
     names = ("b#(sigma1)", "b*1", "b*2", "b#(sigma2)")

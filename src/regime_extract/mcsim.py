@@ -4,10 +4,10 @@ The chain is simulated exactly (exponential holding times); the price is
 arithmetic Brownian, so conditional on the chain the Euler increments are
 exact as well. Jump instants refine the uniform grid: each step that
 contains jumps is split into sub-intervals and the policy is applied at
-every jump instant and at the step end. Reflection policies project the
-reserve onto the boundary, Delta nu = (Y - b(regime, X))^+, which places
-a lump at t = 0 and, because the regime-1 boundary lies below the
-regime-2 one, automatic lumps at 2 -> 1 switches.
+every jump instant and at the step end. Every policy reflects: it
+projects the reserve onto its boundary, Delta nu = (Y - b(regime, X))^+,
+which places a lump at t = 0 and, because the regime-1 boundary lies
+below the regime-2 one, automatic lumps at 2 -> 1 switches.
 
 One batch engine runs every policy. Its per-member state is flat and
 member-major: entry r*n + j is antithetic member r of path j, moving by
@@ -16,8 +16,9 @@ that jump splitting and reflection touch are 1-D gathers and scatters of
 both members at once, and one reflect step serves both. The jump rounds
 run on the paths still short of the step end, compressed once a round.
 The running cost f(Y) is accrued lazily, at each extraction and at the
-horizon, since Y is constant in between; reflect_optimal triggers on the
-price threshold x*_i(Y) and projects in f'-space. A custom boundary
+horizon, since Y is constant in between. The built-in policies trigger
+on a price threshold x*_i(Y), which is +inf for never_extract and -inf
+for extract_all_at_start, and project in f'-space; a custom boundary
 bfun(regime, x) is called with two 1-D arrays covering both members and
 must return one finite level per price (else PreconditionViolated); the
 level is clipped to [0, 1]. Pairs whose reserve is exhausted are
@@ -53,9 +54,15 @@ BARRIER_TOL, DNU_TOL = 1e-9, 1e-12
 CHECK_BLOCK_ENTRIES = 2**15
 # bytes of a recorded Trace's grid arrays: t, regime, X, Y, dnu, disc_inc
 MAX_TRACE_BYTES = 2**31
-# policies whose payoff estimate_value writes in closed form
-_CLOSED_FORM = ("never_extract", "extract_all_at_start")
-_KINDS = ("reflect_optimal", "reflect_at_custom_boundary") + _CLOSED_FORM
+# the baselines, (threshold shift, mean payoff of a run over [0, T]): at
+# +inf nothing triggers; at -inf all of the reserve does at t = 0, where
+# the projection onto f'(0) gives Y = 0 and f(Y) = 0 exactly
+_CLOSED_FORM = {
+    "never_extract": (math.inf, lambda p, x0, y0, T:
+                      -p.cost.value(y0)*(1.0 - math.exp(-p.rho*T))/p.rho),
+    "extract_all_at_start": (-math.inf, lambda p, x0, y0, T: (x0 - p.c)*y0),
+}
+_KINDS = ("reflect_optimal", "reflect_at_custom_boundary", *_CLOSED_FORM)
 
 
 @dataclass(frozen=True)
@@ -198,11 +205,11 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
     record=True the Trace of all m*n_pairs paths. The per-member state is
     flat and member-major: entry r*n + j is antithetic member r of path j,
     which moves by +1 (r = 0) or -1 (r = 1) times the shared increments."""
-    kind = policy.kind
-    reflecting, optimal = kind not in _CLOSED_FORM, kind == "reflect_optimal"
+    closed, custom = _CLOSED_FORM.get(policy.kind), policy.bfun is not None
     p = cs.params
     cost, rho, c = p.cost, p.rho, p.c
-    shift_tbl = np.array([np.nan, external_shift(cs, 1), external_shift(cs, 2)])
+    shift_tbl = np.array([np.nan] + [closed[0] if closed else
+                                     external_shift(cs, r) for r in (1, 2)])
     sig_tbl = np.array([np.nan, p.sigma1, p.sigma2])
     hold_tbl = np.array([np.nan, 1.0/p.lambda1, 1.0/p.lambda2])
 
@@ -222,7 +229,7 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
     fY = np.full(m*n, float(cost.value(y0)))
     pay = np.zeros(m*n)
     dlast = np.ones(m*n)  # discount factor up to which f(Y) is paid
-    xthr = np.empty(m*n)  # reflect_optimal's price trigger
+    xthr = np.empty(m*n)  # the price trigger; a custom boundary has none
     fp_lo, fp_hi = float(cost.derivative(0.0)), float(cost.derivative(1.0))
 
     def members(cols):
@@ -254,9 +261,7 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
         """Reflect both members of the paths cols (default all) at the
         discount factors d (one per path of cols, or a scalar for all)."""
         e = every if cols is None else members(cols)
-        if optimal:
-            trig = X[e] > xthr[e]
-        else:
+        if custom:
             x = X[e]
             b = np.asarray(policy.bfun(np.tile(i if cols is None else i[cols],
                                                m), x))
@@ -266,28 +271,30 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
                     f"price: {x.size} prices gave {b.shape}")
             b = np.clip(b, 0.0, 1.0)
             trig = b < Y[e]
+        else:
+            trig = X[e] > xthr[e]
         hits = trig.nonzero()[0]
         if not hits.size:
             return
         he = hits if cols is None else e[hits]
         if np.ndim(d):
             d = d[hits % cols.size]
-        if optimal:
+        if custom:
+            lower(he, d, b[hits], cost.value(b[hits]))
+        else:
             shift = shift_tbl[i[he % n]]
             fp = np.clip(rho*(c + shift - X[he]), fp_lo, fp_hi)
             fpY[he] = fp
             lower(he, d, *cost.from_derivative(fp))
             threshold(he, shift)
-        else:
-            lower(he, d, b[hits], cost.value(b[hits]))
 
     if record:
         compact_every = 0
         trace = Trace(t=dt*np.arange(K + 1),
                       regime=np.empty((K + 1, m*n), dtype=np.int8),
                       X=np.empty((K + 1, m*n)), Y=np.empty((K + 1, m*n)),
-                      dnu=np.zeros((K + 1, m*n)),
-                      disc_inc=np.zeros((K + 1, m*n)), dt=dt, policy_id=kind)
+                      dnu=np.zeros((K + 1, m*n)), policy_id=policy.kind,
+                      disc_inc=np.zeros((K + 1, m*n)), dt=dt)
         # pay and dnu_row are step k's rows of the trace
         pay, dnu_row = trace.disc_inc[0], trace.dnu[0]
         switches = []
@@ -297,12 +304,9 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
             trace.X[k] = X
             trace.Y[k] = Y
 
-    if optimal:
+    if not custom:
         threshold(every, shift_tbl[i0])
-    if kind == "extract_all_at_start":
-        lower(every, 1.0, 0.0, cost.value(0.0))
-    elif reflecting:
-        reflect(1.0)
+    reflect(1.0)
     if record:
         snapshot(0)
 
@@ -338,19 +342,17 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
                     Rj[hit] = gc.standard_exponential(hp.size)*hold_tbl[i[hp]]
                     s_cur[hp] = sig_tbl[i[hp]]*sqdt
                     e = members(hp)
-                    if optimal:
+                    if not custom:
                         threshold(e, shift_tbl[i[e % n]])
                     if record:
                         switches.append((np.full(e.size, k + 1), e,
                                          i[e % n], X[e]))
-                    if reflecting:
-                        reflect(disc[k]*np.exp(-rho*tloc[hit]), hp)
+                    reflect(disc[k]*np.exp(-rho*tloc[hit]), hp)
                 keep = rem > 1e-15
                 if not keep.all():
                     R[pp[~keep]] = Rj[~keep]
                     pp, rem, Rj, tloc = (a[keep] for a in (pp, rem, Rj, tloc))
-        if reflecting:
-            reflect(disc[k + 1])
+        reflect(disc[k + 1])
         if record:
             # settle the running cost so each row is one step's increment
             pay -= fY*(dlast - disc[k + 1])/rho
@@ -399,14 +401,12 @@ def estimate_value(cs: ControlSolution, x0, y0, i0, policy: Policy,
     pair; std_error = std(unit means)/sqrt(units) needs two units. Deterministic
     policies reduce to their closed-form payoff with zero error.
     """
-    p, kind = cs.params, policy.kind
+    kind, closed = policy.kind, _CLOSED_FORM.get(policy.kind)
     x0, y0, T, K, m = _checked_run(cs, x0, y0, i0, cfg,
-                                   units=0 if kind in _CLOSED_FORM else 2)
+                                   units=0 if closed else 2)
     se = 0.0
-    if kind == "never_extract":
-        mean = -p.cost.value(y0)*(1.0 - math.exp(-p.rho*T))/p.rho
-    elif kind == "extract_all_at_start":
-        mean = (x0 - p.c)*y0
+    if closed:
+        mean = closed[1](cs.params, x0, y0, T)
     else:
         n_units, batch = cfg.n_paths//m, cfg.batch_pairs
         sizes = [min(batch, n_units - s) for s in range(0, n_units, batch)]

@@ -306,6 +306,19 @@ def finite_prices(x, name="prices", lo=-math.inf, hi=math.inf, one=False):
     return float(a) if one else a.astype(float, copy=False)[()]
 
 
+def _states(x, y):
+    """Prices x and reserve levels y, each as finite_prices gives it and
+    unbroadcast, once their shapes are known to broadcast together; else
+    OutOfRange, before anything of the broadcast shape is made."""
+    x, y = finite_prices(x), finite_prices(y, *LEVELS)
+    try:
+        np.broadcast(x, y)   # an iterator: it allocates no array
+    except ValueError:
+        raise OutOfRange(f"prices of shape {x.shape} and reserve levels of "
+                         f"shape {y.shape} do not broadcast together") from None
+    return x, y
+
+
 def _price_range(name: str, value):
     """(lo, hi) from value as floats: a pair of prices (finite_prices)
     with lo < hi and a finite width hi - lo, else OutOfRange naming it,
@@ -508,10 +521,13 @@ def feasibility_scan(rho, lambda1, lambda2, sigma1_grid, sigma2_grid):
                             ("lambda2", lambda2, 0),
                             ("sigma1_grid", sigma1_grid, 1),
                             ("sigma2_grid", sigma2_grid, 1)):
-        if np.ndim(val) != ndim:
+        try:
+            got = f"shape {np.shape(val)}" if np.ndim(val) != ndim else ""
+        except ValueError:   # a ragged list has no shape
+            got = "a ragged list"
+        if got:
             raise OutOfRange(f"{name} must be "
-                             f"{('a number', 'a 1-D grid')[ndim]}, got "
-                             f"shape {np.shape(val)}")
+                             f"{('a number', 'a 1-D grid')[ndim]}, got {got}")
         # a list's own entries, which numpy would coerce to one type
         entries = (val if isinstance(val, (list, tuple))
                    else np.ravel(val).tolist())

@@ -41,7 +41,7 @@ from ._numerics import bisect
 from .errors import (AssumptionViolated, DomainError, NoBracket, OutOfRange,
                      PreconditionViolated, VerificationFailed)
 from .model import (LEVELS, Characteristic, ModelParams, _count,
-                    _price_range, _regime, chat, check_assumptions,
+                    _price_range, _regime, _states, chat, check_assumptions,
                     finite_prices, solve_characteristic)
 
 # solve_z brackets z2 in [eps, zhat2 (1 - ENDPOINT_EPS)], eps from
@@ -295,7 +295,7 @@ def _w_table(sol: StoppingSolution, x, y, series, side: int = -1):
 
 
 def _w_value(sol: StoppingSolution, x, i: int, y, order: int, side: int):
-    out = _w_table(sol, finite_prices(x), y,
+    out = _w_table(sol, *_states(x, y),
                    [(sol.internal_regime(i), order)], side)[0]
     return float(out) if out.ndim == 0 else out
 
@@ -303,8 +303,8 @@ def _w_value(sol: StoppingSolution, x, i: int, y, order: int, side: int):
 def w(sol: StoppingSolution, x, i: int, y):
     """Stopping value w(x, i; y); equals the payoff x - chat(y) once x is
     at or above the regime boundary. x and y broadcast as arrays; OutOfRange
-    on an x that finite_prices refuses or y outside [0, 1], as in w_x,
-    w_xx and v."""
+    on an x that finite_prices refuses, y outside [0, 1] or shapes that do
+    not broadcast together, as in w_x, w_xx and v."""
     return _w_value(sol, x, i, y, 0, -1)
 
 

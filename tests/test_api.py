@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import regime_extract as rx
+from regime_extract import mcsim
 
 # Parameter names of every public callable that has a signature. Each
 # tolerance is a module constant at its one place of use, not a keyword:
@@ -146,6 +147,41 @@ def test_only_model_reads_the_cost_family():
                                 getattr(node.value, "id", None))
                 assert node.attr == "kind" and owner in ("policy", "self"), (
                     f"{path.name}:{node.lineno} reads {owner}.{node.attr}")
+
+
+def test_engine_has_no_policy_kind_fork():
+    """Every built-in policy reflects at a price threshold, so
+    mcsim._simulate_batch compares no policy kind with a string: it reads
+    a kind only as the key of its _CLOSED_FORM entry or as a trace's
+    policy_id label."""
+    tree = ast.parse(Path(mcsim.__file__).read_text())
+    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "_simulate_batch")
+    allowed = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Compare):
+            strings = [n.value for side in (node.left, *node.comparators)
+                       for n in ast.walk(side) if isinstance(n, ast.Constant)
+                       and isinstance(n.value, str)]
+            assert not strings, f"mcsim.py:{node.lineno} compares {strings}"
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and getattr(node.func.value, "id", None) == "_CLOSED_FORM"):
+            allowed |= set(map(id, node.args))
+        elif (isinstance(node, ast.Subscript)
+              and getattr(node.value, "id", None) == "_CLOSED_FORM"):
+            allowed.add(id(node.slice))
+        elif isinstance(node, ast.keyword) and node.arg == "policy_id":
+            allowed.add(id(node.value))
+    reads = [node for node in ast.walk(fn)
+             if isinstance(node, (ast.Attribute, ast.Name))
+             and "kind" in (getattr(node, "attr", None),
+                            getattr(node, "id", None))]
+    assert reads, "_simulate_batch no longer reads the policy kind"
+    for node in reads:
+        assert id(node) in allowed, (
+            f"mcsim.py:{node.lineno} reads the policy kind outside "
+            "_CLOSED_FORM")
 
 
 def test_readme_constants_match_the_code():

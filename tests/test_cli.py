@@ -683,14 +683,16 @@ PINNED_SOLVE = {
         '  "relabeled": false,\n  "residuals": {\n'
         '    "G1": 2.220446049250313e-16,\n    "G2": 0.0\n  }\n}\n'),
 }
+# the x table was re-pinned when its grid grew from the span between the
+# optimal boundaries to the span past all four curves; the y table is as
+# it was
 PINNED_BOUNDARY = (
     "x,b1_star,b2_star,bhash_sigma1,bhash_sigma2\n"
-    "-1.0034238204685808,1.0,1.0,0.6774378687202702,1.0\n"
-    "-0.30061243460632114,0.7459455665823398,1.0,0.23587455566544002,1.0\n"
-    "0.4021989512559385,0.3404804584741754,0.8383979693297243,0.0,"
-    "0.8857557707524105\n"
-    "1.1050103371181983,0.0,0.47613956015509806,0.0,0.5434892622882316\n"
-    "1.8078217229804578,0.0,0.0,0.0,0.01901166031284381\n",
+    "-2.752878777330241,1.0,1.0,1.0,1.0\n"
+    "-1.357905269086676,1.0,1.0,0.8429921699985119,1.0\n"
+    "0.03706823915688906,0.5714051530779067,0.9849917411380059,0.0,1.0\n"
+    "1.4320417474004543,0.0,0.2490578646140318,0.0,0.33287542458660185\n"
+    "2.827015255644019,0.0,0.0,0.0,0.0\n",
     "y,x1_star,x2_star,xhash_sigma1,xhash_sigma2\n"
     "0.0,0.8078217229804578,1.7148580079904643,-0.03459694887119613,"
     "1.8270152556440191\n"
@@ -742,6 +744,24 @@ def test_boundary_csv_pinned(capsys, tmp_path):
                  "--grid", "5", "--out", str(out)]) == 0
     assert (out.read_text(), (tmp_path/"b_y.csv").read_text()) == \
         PINNED_BOUNDARY
+
+
+# README's scan-region box at its midpoint (z2 = 2.49), where the span
+# between the optimal boundaries cut b*_1 at 0.947 and b*_2 at 0.131
+SCAN_MIDPOINT = dict(EXAMPLE, rho=0.0315, sigma1=0.0245, sigma2=0.78,
+                     lambda1=0.016, lambda2=0.015)
+
+
+@pytest.mark.parametrize("cfg", [EXAMPLE, SCAN_MIDPOINT],
+                         ids=["example", "scan_midpoint"])
+def test_boundary_grid_spans_all_four_curves(tmp_path, cfg):
+    path, out = tmp_path/"cfg.json", tmp_path/"b.csv"
+    path.write_text(json.dumps(cfg))
+    assert main(["boundary", "--config", str(path), "--grid", "5",
+                 "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    first, last = (row.split(",")[1:] for row in (rows[1], rows[-1]))
+    assert first == ["1.0"]*4 and last == ["0.0"]*4
 
 
 @pytest.mark.parametrize("key", sorted(PINNED_SIMULATE),

@@ -80,10 +80,10 @@ def test_feasibility_scan_refuses_nonpositive_inputs(field, bad):
 @pytest.mark.parametrize("field,bad", [
     ("rho", [0.0315]), ("lambda1", np.array([0.016])), ("lambda2", [[0.015]]),
     ("sigma1_grid", [[0.0245, 0.03]]), ("sigma2_grid", 0.8),
-    ("sigma2_grid", [[0.78], [0.8]])])
+    ("sigma2_grid", [[0.78], [0.8]]), ("sigma1_grid", [[0.02], [0.03, 0.04]])])
 def test_feasibility_scan_takes_one_number_rates_and_1d_grids(field, bad):
-    # rho=[0.03] raised an untyped TypeError, and a 2-D sigma1 grid gave
-    # 3-D arrays
+    # rho=[0.03] raised an untyped TypeError, a 2-D sigma1 grid gave 3-D
+    # arrays and a ragged one an untyped ValueError from the shape check
     with pytest.raises(OutOfRange, match=f"^{field} must be a"):
         rx.feasibility_scan(**dict(SCAN, **{field: bad}))
     feas, caseb = rx.feasibility_scan(**SCAN)
@@ -197,6 +197,29 @@ def test_integer_prices_give_the_float_values(cs_a):
     for field, call in PRICES.items():
         assert np.array_equal(call(cs_a, np.array([1, -2])),
                               call(cs_a, np.array([1.0, -2.0]))), field
+
+
+# every call that takes prices and reserve levels together
+STATES = {
+    "U": lambda cs, x, y: rx.U(cs, x, y, 1),
+    "U_x": lambda cs, x, y: rx.U_x(cs, x, y, 2),
+    "U_xx": lambda cs, x, y: rx.U_xx(cs, x, y, 1),
+    "w": lambda cs, x, y: rx.w(cs.stopping, x, 1, y),
+    "w_x": lambda cs, x, y: rx.w_x(cs.stopping, x, 2, y),
+    "w_xx": lambda cs, x, y: rx.w_xx(cs.stopping, x, 1, y),
+    "v": lambda cs, x, y: rx.v(cs.stopping, x, 2, y),
+}
+
+
+@pytest.mark.parametrize("field", list(STATES))
+def test_prices_and_levels_must_broadcast(cs_a, field):
+    # U(cs, [0.1, 0.2, 0.3], [0.5, 0.6], 1) raised numpy's untyped
+    # ValueError, as did w and v
+    assert STATES[field](cs_a, [[0.1], [0.2], [0.3]], [0.5, 0.6]).shape == \
+        (3, 2)
+    with pytest.raises(OutOfRange, match=r"^prices of shape \(3,\) and "
+                                         r"reserve levels of shape \(2,\)"):
+        STATES[field](cs_a, [0.1, 0.2, 0.3], [0.5, 0.6])
 
 
 # every price range, as a call that takes the value there

@@ -780,6 +780,39 @@ def test_trace_pinned(cs_a, key):
                 *tr.switches) == PINNED_TRACES[key]
 
 
+@pytest.fixture(scope="module")
+def cs_cubic(params_a):
+    """example.json's market with the custom cost f(y) = y + y^3."""
+    cost = rx.CostFunction.custom(lambda y: y + y**3,
+                                  lambda y: 1.0 + 3.0*np.square(y))
+    return rx.from_stopping(rx.solve_z(dataclasses.replace(params_a,
+                                                           cost=cost)))
+
+
+@pytest.mark.parametrize("antithetic", [True, False],
+                         ids=["anti", "plain"])
+@pytest.mark.parametrize("family", ["quadratic", "custom"])
+def test_baselines_reflect_exactly_in_every_cost_family(cs_b, cs_cubic,
+                                                        family, antithetic):
+    # the baselines reflect at the thresholds -inf and +inf: the whole
+    # reserve goes at t = 0, projected onto f'(0), which must give Y = 0
+    # and f(Y) = 0 exactly; +inf never triggers, at a switch either
+    cs = cs_b if family == "quadratic" else cs_cubic
+    p, (x0, y0) = cs.params, (0.16, 0.9)
+    cfg = rx.SimConfig(dt=0.01, horizon=2.0, n_paths=16, base_seed=4242,
+                       antithetic=antithetic)
+    tr = rx.simulate_traces(cs, x0, y0, 2, rx.Policy.extract_all_at_start(),
+                            cfg, 16)
+    assert tr.switches and tr.switches[0].size > 0
+    assert np.all(tr.dnu[0] == y0) and np.all(tr.Y == 0.0)
+    assert np.all(tr.disc_inc[0] == (x0 - p.c)*y0)
+    assert np.all(tr.disc_inc[1:] == 0.0)
+    tr = rx.simulate_traces(cs, x0, y0, 2, rx.Policy.never_extract(), cfg, 16)
+    assert np.all(tr.dnu == 0.0) and np.all(tr.Y == y0)
+    closed = -p.cost.value(y0)*(1.0 - math.exp(-p.rho*tr.t[-1]))/p.rho
+    assert np.abs(tr.payoffs() - closed).max() <= 1e-12
+
+
 # sha256 of _simulate_batch's (m, n_pairs) payoffs with compaction every
 # 64 steps, recorded before the reflection step was written once; the
 # reflect_optimal ones were re-pinned when zhat2 became one closed form
