@@ -16,16 +16,18 @@ that jump splitting and reflection touch are 1-D gathers and scatters of
 both members at once, and one reflect step serves both. The jump rounds
 run on the paths still short of the step end, compressed once a round.
 The running cost f(Y) is accrued lazily, at each extraction and at the
-horizon, since Y is constant in between. The built-in policies trigger
-on a price threshold x*_i(Y), which is +inf for never_extract and -inf
-for extract_all_at_start, and project in f'-space; a custom boundary
-bfun(regime, x) is called with two 1-D arrays covering both members and
-must return one finite level per price (else PreconditionViolated); the
-level is clipped to [0, 1]. Pairs whose reserve is exhausted are
-compacted away, which changes the draws the survivors see but not their
-law; compaction compresses the (m, n) view of each state array, which
-stays C-contiguous, so its flat view is not a second copy. A recorded
-trace is never compacted and settles the running cost at every grid time.
+horizon, since Y is constant in between. Every policy triggers on a
+price threshold x*_i(Y): +inf for never_extract, -inf for
+extract_all_at_start and a custom boundary, +inf once the reserve is
+exhausted. The built-in policies project in f'-space; a custom boundary
+bfun(regime, x) gets 1-D copies of the triggered entries' regimes and
+prices and must return one finite level per price (else
+PreconditionViolated), clipped to [0, 1]. Pairs whose reserve is
+exhausted are compacted away, which changes the draws the survivors see
+but not their law; compaction compresses the (m, n) view of each state
+array, which stays C-contiguous, so its flat view is not a second copy.
+A recorded trace is never compacted and settles the running cost at
+every grid time.
 
 estimate_value runs path pairs in fixed-size batches whose generators are
 seeded from (base_seed, batch_index) and aggregates them in batch order,
@@ -208,8 +210,9 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
     closed, custom = _CLOSED_FORM.get(policy.kind), policy.bfun is not None
     p = cs.params
     cost, rho, c = p.cost, p.rho, p.c
-    shift_tbl = np.array([np.nan] + [closed[0] if closed else
-                                     external_shift(cs, r) for r in (1, 2)])
+    shift_tbl = np.array([np.nan] + [
+        closed[0] if closed else -math.inf if custom else external_shift(cs, r)
+        for r in (1, 2)])
     sig_tbl = np.array([np.nan, p.sigma1, p.sigma2])
     hold_tbl = np.array([np.nan, 1.0/p.lambda1, 1.0/p.lambda2])
 
@@ -229,7 +232,7 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
     fY = np.full(m*n, float(cost.value(y0)))
     pay = np.zeros(m*n)
     dlast = np.ones(m*n)  # discount factor up to which f(Y) is paid
-    xthr = np.empty(m*n)  # the price trigger; a custom boundary has none
+    xthr = np.empty(m*n)  # the price trigger, -inf for a custom boundary
     fp_lo, fp_hi = float(cost.derivative(0.0)), float(cost.derivative(1.0))
 
     def members(cols):
@@ -261,32 +264,28 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
         """Reflect both members of the paths cols (default all) at the
         discount factors d (one per path of cols, or a scalar for all)."""
         e = every if cols is None else members(cols)
-        if custom:
-            x = X[e]
-            b = np.asarray(policy.bfun(np.tile(i if cols is None else i[cols],
-                                               m), x))
-            if b.shape != x.shape or not np.isfinite(b).all():
-                raise PreconditionViolated(
-                    "a custom boundary must return one finite level per "
-                    f"price: {x.size} prices gave {b.shape}")
-            b = np.clip(b, 0.0, 1.0)
-            trig = b < Y[e]
-        else:
-            trig = X[e] > xthr[e]
-        hits = trig.nonzero()[0]
+        hits = (X[e] > xthr[e]).nonzero()[0]
         if not hits.size:
             return
         he = hits if cols is None else e[hits]
         if np.ndim(d):
             d = d[hits % cols.size]
+        shift = shift_tbl[i[he % n]]
         if custom:
-            lower(he, d, b[hits], cost.value(b[hits]))
+            b = np.asarray(policy.bfun(i[he % n], X[he]))
+            if b.shape != he.shape or not np.isfinite(b).all():
+                raise PreconditionViolated(
+                    "a custom boundary must return one finite level per "
+                    f"price: {he.size} prices gave {b.shape}")
+            b = np.clip(b, 0.0, 1.0)
+            low = b < Y[he]
+            lower(he[low], d[low] if np.ndim(d) else d, b[low],
+                  cost.value(b[low]))
         else:
-            shift = shift_tbl[i[he % n]]
             fp = np.clip(rho*(c + shift - X[he]), fp_lo, fp_hi)
             fpY[he] = fp
             lower(he, d, *cost.from_derivative(fp))
-            threshold(he, shift)
+        threshold(he, shift)
 
     if record:
         compact_every = 0
@@ -304,8 +303,7 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
             trace.X[k] = X
             trace.Y[k] = Y
 
-    if not custom:
-        threshold(every, shift_tbl[i0])
+    threshold(every, shift_tbl[i0])
     reflect(1.0)
     if record:
         snapshot(0)
@@ -342,8 +340,7 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
                     Rj[hit] = gc.standard_exponential(hp.size)*hold_tbl[i[hp]]
                     s_cur[hp] = sig_tbl[i[hp]]*sqdt
                     e = members(hp)
-                    if not custom:
-                        threshold(e, shift_tbl[i[e % n]])
+                    threshold(e, shift_tbl[i[e % n]])
                     if record:
                         switches.append((np.full(e.size, k + 1), e,
                                          i[e % n], X[e]))
@@ -399,23 +396,26 @@ def estimate_value(cs: ControlSolution, x0, y0, i0, policy: Policy,
 
     With antithetic pairing (default) the independent sampling unit is the
     pair; std_error = std(unit means)/sqrt(units) needs two units. Deterministic
-    policies reduce to their closed-form payoff with zero error.
+    policies reduce to their closed-form payoff with zero error. A mean or
+    standard error that overflows raises OutOfRange naming the start price.
     """
     kind, closed = policy.kind, _CLOSED_FORM.get(policy.kind)
     x0, y0, T, K, m = _checked_run(cs, x0, y0, i0, cfg,
                                    units=0 if closed else 2)
-    se = 0.0
     if closed:
-        mean = closed[1](cs.params, x0, y0, T)
+        mean, se = closed[1](cs.params, x0, y0, T), 0.0
     else:
         n_units, batch = cfg.n_paths//m, cfg.batch_pairs
         sizes = [min(batch, n_units - s) for s in range(0, n_units, batch)]
         pays = [_simulate_batch(cs, x0, y0, i0, policy, size, cfg.dt, K,
                                 cfg.base_seed, bidx, cfg.antithetic)
                 for bidx, size in enumerate(sizes)]
-        samples = np.concatenate([pp.mean(axis=0) for pp in pays])
-        mean = float(samples.mean())
-        se = float(samples.std(ddof=1))/math.sqrt(samples.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples = np.concatenate([pp.mean(axis=0) for pp in pays])
+            mean = float(samples.mean())
+            se = float(samples.std(ddof=1))/math.sqrt(samples.size)
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise OutOfRange(f"the payoff from start price {x0!r} overflows")
     return SimOutcome(mean=float(mean), std_error=se, n_paths=cfg.n_paths,
                       tail_bound=tail_bound(cs, x0, y0, T), policy_id=kind,
                       dt=cfg.dt, horizon=T)

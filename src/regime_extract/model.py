@@ -110,8 +110,8 @@ class CostFunction:
 
     def derivative_inverse(self, fp):
         """y in [0, 1] with f'(y) = fp; closed form for the built-in
-        families. Input is clipped to [f'(0), f'(1)], and the closed
-        forms' round-off (1 + 2^-52 at f'(1)) to [0, 1]."""
+        families. Input is clipped to [f'(0), f'(1)], the closed forms'
+        round-off to [0, 1], and f'(1) gives exactly 1."""
         return self._inverse(self._clipped(fp))
 
     def from_derivative(self, fp):
@@ -165,7 +165,8 @@ class CostFunction:
             y = np.log(fp/self.gamma)
         else:
             y = (fp - self.beta)/(2.0*self.alpha)
-        return np.minimum(np.maximum(y, 0.0), 1.0)
+        # the floor is 1 at f'(1), which the closed forms round a few ulps off
+        return np.minimum(np.maximum(y, fp == self._fp_range[1]), 1.0)
 
     def _check_custom(self) -> None:
         if self.value(0.0) != 0.0:

@@ -184,6 +184,40 @@ def test_engine_has_no_policy_kind_fork():
             "_CLOSED_FORM")
 
 
+def test_custom_boundary_forks_only_at_the_projection():
+    """A custom boundary reflects at the price threshold -inf, so the
+    trigger X > xthr and the threshold upkeep serve every policy. In
+    mcsim._simulate_batch each `if` statement that reads `custom` lies
+    inside reflect, and outside reflect `custom` is read only where
+    shift_tbl is built."""
+    tree = ast.parse(Path(mcsim.__file__).read_text())
+    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "_simulate_batch")
+    reflect = next(node for node in ast.walk(fn)
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "reflect")
+    shift_tbl = next(node for node in ast.walk(fn)
+                     if isinstance(node, ast.Assign)
+                     and [getattr(t, "id", None) for t in node.targets]
+                     == ["shift_tbl"])
+
+    def reads(root):
+        return [node for node in ast.walk(root) if isinstance(node, ast.Name)
+                and node.id == "custom" and isinstance(node.ctx, ast.Load)]
+
+    inside = set(map(id, ast.walk(reflect)))
+    for node in ast.walk(fn):
+        if isinstance(node, ast.If) and reads(node.test):
+            assert id(node) in inside, (
+                f"mcsim.py:{node.lineno} forks on custom outside reflect")
+    allowed = inside | set(map(id, ast.walk(shift_tbl)))
+    assert reads(shift_tbl) and reads(reflect)
+    for node in reads(fn):
+        assert id(node) in allowed, (
+            f"mcsim.py:{node.lineno} reads custom outside reflect and "
+            "shift_tbl")
+
+
 def test_readme_constants_match_the_code():
     pairs = _readme_constants()
     assert len(pairs) >= 16

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +384,20 @@ def test_simulate_one_sampling_unit_is_user_error(capsys, cfg_path, extra):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_simulate_overflowing_payoff_is_user_error(capsys, cfg_path):
+    # the infinite mean reached json.dumps(allow_nan=False): a ValueError
+    # traceback and exit 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg_path, "--x", "1.7e308",
+                     "--y", "0.5", "--regime", "1", "--paths", "8", "--dt",
+                     "0.1", "--horizon", "1.0", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "1.7e+308" in captured.err
     assert captured.err.count("\n") == 1
 
 

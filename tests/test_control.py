@@ -403,6 +403,21 @@ def test_boundary_ordering(cs_a):
     assert np.all(rep.b_star_2 <= rep.b_sharp_2 + 1e-12)
 
 
+def test_boundary_ordering_on_a_quadratic_plateau():
+    # set 19 of perfbench's draw_parameter_sets(3, 150): its b = 1 plateaus
+    # read an ulp or two below 1, so compare_boundaries took them for
+    # interior levels and raised OrderingViolated on the tied curves
+    p = rx.validate(0.031782619747378914, 0.02323511898856402,
+                    0.7801392516387015, 0.015057364327190098,
+                    0.01468239950585739, 0.5,
+                    rx.CostFunction.quadratic(0.14373588216540245, 1/3))
+    rep = rx.compare_boundaries(rx.from_stopping(rx.solve_z(p)), n=1000)
+    curves = (rep.b_sharp_1, rep.b_star_1, rep.b_star_2, rep.b_sharp_2)
+    for curve in curves:
+        assert curve[0] == 1.0
+    assert np.all(np.diff(np.array(curves), axis=0) >= 0.0)
+
+
 def test_boundary_ordering_collapses_in_equal_case(cs_b):
     rep = rx.compare_boundaries(cs_b, n=200)
     assert np.allclose(rep.b_sharp_1, rep.b_sharp_2, atol=1e-12)

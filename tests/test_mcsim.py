@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -607,6 +608,50 @@ def test_custom_boundary_output_checked(cs_a, bfun):
         rx.estimate_value(cs_a, 0.6, 0.5, 2, pol, cfg)
     with pytest.raises(PreconditionViolated):
         rx.simulate_traces(cs_a, 0.6, 0.5, 2, pol, cfg, 8)
+
+
+def test_custom_boundary_sees_only_paths_holding_reserve(cs_a):
+    # a boundary at 0 empties every path at t = 0; bfun was then called on
+    # every exhausted entry at every later step end and switch instant
+    calls = []
+
+    def bfun(i, x):
+        calls.append(x.size)
+        return np.zeros(x.shape)
+
+    pol = rx.Policy.reflect_at_custom_boundary(bfun)
+    pay = _simulate_batch(cs_a, 0.16, 0.9, 2, pol, 50, 0.01, 100, 7, 0, True)
+    assert calls == [100]
+    assert np.all(pay == (0.16 - cs_a.params.c)*0.9)
+
+
+def test_custom_boundary_gets_copies(cs_a):
+    # bfun may write to its regimes and prices: the engine's state is
+    # not touched
+    def scribble(i, x):
+        b = b_star_both(cs_a)(i, x)
+        i[:], x[:] = 1, np.nan
+        return b
+
+    run = (cs_a, 0.6, 0.5, 2)
+    args = (200, 0.01, 300, 11, 0, True)
+    pay = _simulate_batch(*run, rx.Policy.reflect_at_custom_boundary(
+        scribble), *args)
+    ref = _simulate_batch(*run, rx.Policy.reflect_at_custom_boundary(
+        b_star_both(cs_a)), *args)
+    assert np.array_equal(pay, ref)
+
+
+def test_overflowing_estimate_is_out_of_range(cs_a):
+    # each member's payoff, about 5e307, is finite, but the pairs' mean
+    # overflowed and came back as mean = std_error = inf
+    cfg = rx.SimConfig(dt=0.1, horizon=1.0, n_paths=8, base_seed=1)
+    for pol in (rx.Policy.reflect_optimal(),
+                rx.Policy.reflect_at_custom_boundary(b_star_both(cs_a))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match=r"start price 1e\+308"):
+                rx.estimate_value(cs_a, 1e308, 0.5, 1, pol, cfg)
 
 
 def _small_cfg(**kw):

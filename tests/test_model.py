@@ -117,6 +117,23 @@ def test_cost_inverse_stays_in_the_unit_interval():
     assert y == 1.0 and fy == pytest.approx(exp_cost.value(1.0), rel=1e-15)
 
 
+def test_cost_inverse_of_the_top_marginal_cost_is_exactly_one():
+    # f'(1) inverted to 0.9999999999999998 for exponential(0.81) and to
+    # 0.9999999999999999 for quadratic(0.25, 1/3), so the b = 1 plateau of
+    # b_star and b_sharp read below 1 and compare_boundaries took it for
+    # an interior level
+    rng = np.random.default_rng(5)
+    costs = ([rx.CostFunction.exponential(g) for g in np.arange(1, 500)/100]
+             + [rx.CostFunction.quadratic(a, 1/3)
+                for a in [0.25, *rng.uniform(0.1, 0.3, 500)]])
+    for cost in costs:
+        top = cost.derivative(1.0)
+        assert cost.derivative_inverse(top) == 1.0, cost
+        assert cost.from_derivative(top)[0] == 1.0, cost
+        assert cost.derivative_inverse(np.array([top, 2.0*top])).tolist() \
+            == [1.0, 1.0], cost
+
+
 @pytest.mark.parametrize("field,value", [("rho", -1.0), ("sigma2", 0.0),
                                          ("c", math.nan), ("lambda1", math.inf)])
 def test_model_params_checked_on_direct_construction(field, value):
