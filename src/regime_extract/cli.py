@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .control import (MAX_BOUNDARY_GRID, U_report, _boundary_span, b_sharp,
                       b_star, from_stopping, single_regime_boundary,
-                      verify_hjb)
+                      solve_control, verify_hjb)
 from .control import U as U_value
 from .errors import (AssumptionViolated, OutOfRange, SolverError,
                      VerificationFailed)
@@ -123,7 +123,7 @@ def cmd_solve(args, params):
 
 def cmd_boundary(args, params):
     _count("--grid", args.grid, 2, MAX_BOUNDARY_GRID)
-    cs = from_stopping(solve_z(params))
+    cs = solve_control(params)
     sol = cs.stopping
     xs = np.linspace(*_boundary_span(cs), args.grid)
     rows = np.column_stack([
@@ -148,7 +148,7 @@ def cmd_boundary(args, params):
 
 
 def cmd_value(args, params):
-    cs = from_stopping(solve_z(params))
+    cs = solve_control(params)
     return EXIT_OK, U_report(cs, args.x, args.y, args.regime).to_dict(), None
 
 
@@ -173,7 +173,7 @@ def cmd_verify(args, params):
 
 
 def cmd_simulate(args, params):
-    cs = from_stopping(solve_z(params))
+    cs = solve_control(params)
     try:
         policy = Policy(args.policy)
         sim = SimConfig(dt=args.dt, horizon=args.horizon, n_paths=args.paths,

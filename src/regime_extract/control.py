@@ -14,7 +14,6 @@ weighs the same integrals.
 """
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,10 +21,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (NonPositiveParameter, OrderingViolated,
-                     PreconditionViolated, VerificationFailed)
-from .model import (LEVELS, ModelParams, _count, _positive, _price_range,
-                    _states, chat, finite_prices)
+from .errors import (OrderingViolated, PreconditionViolated,
+                     VerificationFailed)
+from .model import (LEVELS, ModelParams, _count, _price_range,
+                    _single_shift, _states, chat, finite_prices)
 from .stopping import (StoppingSolution, _branch_form, solve_z,
                        v as v_stop, x_star)
 
@@ -63,7 +62,7 @@ class ControlSolution:
                                  for a, fk, pk in zip(rates, f.get(k, none),
                                                       pref)] + list(stops)
         return _Terms(*columns.T[:, :, None], weights,
-                      np.array([[sol.z1], [sol.z1 + sol.z2]]))
+                      np.array([[sol.shift(k)] for k in (1, 2)]))
 
 
 # Per branch term of w (stopping._branch_form: a3, a4 below x*_1, a5, -a5
@@ -101,9 +100,9 @@ def _boundary_span(cs: ControlSolution):
     """Prices (lo, hi) past the four curves b#(sigma1), b*_1, b*_2 and
     b#(sigma2) by 1, in either labeling: a curve of shift s is 1 up to
     s + chat(1) and 0 from s + chat(0)."""
-    p, r = cs.params, math.sqrt(2.0*cs.params.rho)
-    shifts = (p.sigma1/r, p.sigma2/r, external_shift(cs, 1),
-              external_shift(cs, 2))
+    p = cs.params
+    shifts = (_single_shift(p, p.sigma1), _single_shift(p, p.sigma2),
+              external_shift(cs, 1), external_shift(cs, 2))
     return min(shifts) + chat(p, 1.0) - 1.0, max(shifts) + chat(p, 0.0) + 1.0
 
 
@@ -262,7 +261,7 @@ def verify_hjb(cs: ControlSolution, nx: int = 400, ny: int = 50,
     cap = MAX_U_STATES   # each count at most cap: numpy ints cannot wrap
     _count("nx*ny", _count("nx", nx, 1, cap)*_count("ny", ny, 1, cap), 1, cap)
     sol, tau = cs.stopping, HJB_TAU
-    x2_at_0 = sol.z1 + sol.z2 + chat(sol.params, 0.0)
+    x2_at_0 = sol.shift(2) + chat(sol.params, 0.0)
     x_lo, x_hi = x2_at_0 - 5.0*sol.z1 - 5.0, x2_at_0 + 5.0
     xs = np.linspace(x_lo, x_hi, nx)
     ys = np.linspace(1.0/ny, 1.0, ny)
@@ -306,17 +305,13 @@ def verify_hjb(cs: ControlSolution, nx: int = 400, ny: int = 50,
 
 def single_regime_boundary(params: ModelParams, sigma: float, y):
     """No-switching stopping boundary x#(y) = sigma/sqrt(2 rho) + chat(y)."""
-    if not _positive(sigma):
-        raise NonPositiveParameter("sigma", sigma)
-    return sigma/math.sqrt(2.0*params.rho) + chat(params, y)
+    return _single_shift(params, sigma) + chat(params, y)
 
 
 def b_sharp(params: ModelParams, sigma: float, x):
     """Clamped inverse of x#: the single-regime reflecting boundary.
     Prices go through finite_prices."""
-    if not _positive(sigma):
-        raise NonPositiveParameter("sigma", sigma)
-    return _boundary_inverse(params, sigma/math.sqrt(2.0*params.rho),
+    return _boundary_inverse(params, _single_shift(params, sigma),
                              finite_prices(x))
 
 

@@ -233,7 +233,6 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
     pay = np.zeros(m*n)
     dlast = np.ones(m*n)  # discount factor up to which f(Y) is paid
     xthr = np.empty(m*n)  # the price trigger, -inf for a custom boundary
-    fp_lo, fp_hi = float(cost.derivative(0.0)), float(cost.derivative(1.0))
 
     def members(cols):
         """The flat entries of both members of the paths cols."""
@@ -277,14 +276,14 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
                 raise PreconditionViolated(
                     "a custom boundary must return one finite level per "
                     f"price: {he.size} prices gave {b.shape}")
-            b = np.clip(b, 0.0, 1.0)
+            b = np.minimum(np.maximum(b, 0.0), 1.0)
             low = b < Y[he]
             lower(he[low], d[low] if np.ndim(d) else d, b[low],
                   cost.value(b[low]))
         else:
-            fp = np.clip(rho*(c + shift - X[he]), fp_lo, fp_hi)
-            fpY[he] = fp
-            lower(he, d, *cost.from_derivative(fp))
+            y_new, f_new, fpY[he] = cost.from_derivative(
+                rho*(c + shift - X[he]))
+            lower(he, d, y_new, f_new)
         threshold(he, shift)
 
     if record:

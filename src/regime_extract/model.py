@@ -115,16 +115,16 @@ class CostFunction:
         return self._inverse(self._clipped(fp))
 
     def from_derivative(self, fp):
-        """(y, f(y)) at the y with f'(y) = fp, from one inversion of f'
-        (clipped as in derivative_inverse, f taken at the clipped f'); the
-        built-in families give f(y) without a transcendental call."""
+        """(y, f(y), f'(y)) at the y with f'(y) = fp clipped as in
+        derivative_inverse, from one inversion; f'(y) is the clipped fp and
+        the built-in families give f(y) without a transcendental call."""
         fp = self._clipped(fp)
         y = self._inverse(fp)
         if self.kind == "exponential":
-            return y, fp - self.gamma
+            return y, fp - self.gamma, fp
         if self.kind == "quadratic":
-            return y, (np.square(fp) - self.beta**2)/(4.0*self.alpha)
-        return y, self.value(y)
+            return y, (np.square(fp) - self.beta**2)/(4.0*self.alpha), fp
+        return y, self.value(y), fp
 
     def exp_integral(self, rate, x, anchor, kappa, ends, cap):
         """The integrals over z in [lo, hi] = ends of e^E, E(z) = rate
@@ -340,6 +340,14 @@ def chat(params: ModelParams, y) -> float:
     y = finite_prices(y, *LEVELS)
     out = params.c - params.cost.derivative(y)/params.rho
     return float(out) if out.ndim == 0 else out
+
+
+def _single_shift(params: ModelParams, sigma) -> float:
+    """sigma/sqrt(2 rho), the boundary shift of a regime that never switches
+    (case B's z1); NonPositiveParameter unless sigma is one number > 0."""
+    if not _positive(sigma):
+        raise NonPositiveParameter("sigma", sigma)
+    return sigma/math.sqrt(2.0*params.rho)
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,8 @@ from ._numerics import bisect
 from .errors import (AssumptionViolated, DomainError, NoBracket, OutOfRange,
                      PreconditionViolated, VerificationFailed)
 from .model import (LEVELS, Characteristic, ModelParams, _count,
-                    _price_range, _regime, _states, chat, check_assumptions,
-                    finite_prices, solve_characteristic)
+                    _price_range, _regime, _single_shift, _states, chat,
+                    check_assumptions, finite_prices, solve_characteristic)
 
 # solve_z brackets z2 in [eps, zhat2 (1 - ENDPOINT_EPS)], eps from
 # ENDPOINT_EPS down by factors of 100 until M1 - M2 changes sign there
@@ -85,6 +85,7 @@ class StoppingSolution:
         return 3 - _regime(i) if self.relabeled else _regime(i)
 
     def shift(self, i_internal: int) -> float:
+        """x*_i(y) - chat(y) for internal i; the one place of z1 + z2."""
         return self.z1 if i_internal == 1 else self.z1 + self.z2
 
 
@@ -174,7 +175,7 @@ def solve_z(params: ModelParams) -> StoppingSolution:
     zh = zhat2(iparams, roots)
     m1_0, m2_0 = m1(iparams, roots, 0.0), m2(iparams, roots, 0.0)
     if case == "B":   # both candidate shifts must agree with the closed form
-        z1, z2 = iparams.sigma1/math.sqrt(2.0*iparams.rho), 0.0
+        z1, z2 = _single_shift(iparams, iparams.sigma1), 0.0
         if abs(m1_0 - m2_0) > 1e-10*max(1.0, abs(m1_0)):
             raise NoBracket("equal-volatility shift candidates disagree: "
                             f"{m1_0} vs {m2_0}")
@@ -221,8 +222,8 @@ def _branch_form(sol: StoppingSolution, band: bool = False):
     """w's continuation branches below x*_1 (band: regime 2's on
     [x*_1, x*_2)) as data: the rates (a, b) and level-free prefactors
     (Pa, Pb) of two terms Pa e^{a (x - s - chat)}, Pb e^{b (x - s - chat)}
-    anchored at s = z1 (x*_1; band z1 + z2, x*_2), the slope lin of the
-    band's linear part lin (x - chat) (0 below x*_1), and each internal
+    anchored at s = shift(1) (x*_1; band shift(2), x*_2), the slope lin of
+    the band's linear part lin (x - chat) (0 below x*_1), and each internal
     regime's factors of the two terms.
 
     Below x*_1 both regimes continue: w_k = f_k3 P3 e^{a3 (x - x*_1)}
@@ -233,26 +234,24 @@ def _branch_form(sol: StoppingSolution, band: bool = False):
     (_continuation) and U (control, its integral over the level) both
     take their weights from here.
     """
-    p, rt = sol.iparams, sol.roots
+    p, rt, s = sol.iparams, sol.roots, sol.shift(2 if band else 1)
     a3, a4, a5 = rt.alpha3, rt.alpha4, rt.alpha5
     if band:
-        r, zsum = p.rho/(p.rho + p.lambda2), sol.z1 + sol.z2
-        return ((a5, -a5), (r*(1.0 + a5*zsum)/(2.0*a5),
-                            r*(a5*zsum - 1.0)/(2.0*a5)),
-                zsum, p.lambda2/(p.rho + p.lambda2), {2: (1.0, 1.0)})
+        r = p.rho/(p.rho + p.lambda2)
+        return ((a5, -a5), (r*(1.0 + a5*s)/(2.0*a5), r*(a5*s - 1.0)/(2.0*a5)),
+                s, p.lambda2/(p.rho + p.lambda2), {2: (1.0, 1.0)})
     phi13 = -0.5*p.sigma1**2*a3**2 + p.rho + p.lambda1
     phi14 = -0.5*p.sigma1**2*a4**2 + p.rho + p.lambda1
-    return ((a3, a4), ((a4*sol.z1 - 1.0)/(a4 - a3),
-                       (1.0 - a3*sol.z1)/(a4 - a3)), sol.z1, 0.0,
-            {1: (1.0, 1.0), 2: (phi13/p.lambda1, phi14/p.lambda1)})
+    return ((a3, a4), ((a4*s - 1.0)/(a4 - a3), (1.0 - a3*s)/(a4 - a3)), s,
+            0.0, {1: (1.0, 1.0), 2: (phi13/p.lambda1, phi14/p.lambda1)})
 
 
 def _continuation(sol: StoppingSolution, x, ch, series, band: bool = False):
     """w's continuation branches (_branch_form) at prices x whose reserve
     levels have chat = ch (broadcast), one row per (internal regime k,
     x-derivative order 0..2) in series, each made as it is taken, so a
-    caller that stores them holds one at a time. Anchored at the boundaries
-    x*_1 = z1 + chat <= x*_2 = z1 + z2 + chat, so on its branch's region
+    caller that stores them holds one at a time. Anchored at the boundary
+    x*_k = shift(k) + chat that closes its region (x*_1 <= x*_2), so there
     no exponential exceeds e^{a5 z2}."""
     (a, b), (pa, pb), shift, lin, f = _branch_form(sol, band)
     xa = shift + ch
@@ -272,8 +271,7 @@ def _w_table(sol: StoppingSolution, x, y, series, side: int = -1):
     x*_1 and regime 2's on the band [x*_1, x*_2) (empty when z2 = 0). At
     a boundary point side -1 takes the left limit, +1 the right one."""
     ch = chat(sol.iparams, y)
-    x1 = sol.z1 + ch
-    x2 = x1 + sol.z2
+    x1, x2 = (sol.shift(k) + ch for k in (1, 2))
     lower, upper = (x <= x1, x > x2) if side < 0 else (x < x1, x >= x2)
     shape = lower.shape
     xg, cg = (a if a.shape == shape else np.broadcast_to(a, shape)
@@ -429,8 +427,7 @@ def _fbp_table(sol: StoppingSolution, ys, n_points, grid):
     table over all levels would be faster.
     """
     ch = chat(sol.iparams, ys)
-    x1 = sol.z1 + ch
-    x2 = x1 + sol.z2
+    x1, x2 = (sol.shift(k) + ch for k in (1, 2))
     if grid is None:
         lo, hi = ch - 10.0*sol.z1, x2 + 10.0*sol.z1
     else:

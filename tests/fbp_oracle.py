@@ -24,7 +24,7 @@ def fbp_table(sol, ys, n_points, grid):
     p = sol.iparams
     ch = chat(p, ys)
     x1 = sol.z1 + ch
-    x2 = x1 + sol.z2
+    x2 = sol.shift(2) + ch
     if grid is None:
         lo, hi = ch - 10.0*sol.z1, x2 + 10.0*sol.z1
     else:

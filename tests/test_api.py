@@ -149,6 +149,35 @@ def test_only_model_reads_the_cost_family():
                     f"{path.name}:{node.lineno} reads {owner}.{node.attr}")
 
 
+def test_only_shift_adds_z2():
+    """Every boundary is read as StoppingSolution.shift(k) + chat(y), so
+    z1 + z2 is formed in one place: outside shift (and perturbed, which
+    moves z2 itself) no package code adds or subtracts a .z2."""
+    sites = []
+    for path in Path(rx.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        funcs = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp):
+                operands, op = (node.left, node.right), node.op
+            elif isinstance(node, ast.AugAssign):
+                operands, op = (node.target, node.value), node.op
+            else:
+                continue
+            if isinstance(op, (ast.Add, ast.Sub)) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "z2"
+                    for n in operands):
+                # the innermost function that holds it
+                owner = min((f for f in funcs if f.lineno <= node.lineno
+                             <= f.end_lineno),
+                            key=lambda f: f.end_lineno - f.lineno,
+                            default=None)
+                sites.append((path.stem, getattr(owner, "name", None)))
+    assert sorted(sites) == [("stopping", "perturbed"),
+                             ("stopping", "shift")]
+
+
 def test_engine_has_no_policy_kind_fork():
     """Every built-in policy reflects at a price threshold, so
     mcsim._simulate_batch compares no policy kind with a string: it reads

@@ -90,13 +90,14 @@ def test_from_derivative_inverts_custom_cost_once():
     y = cost.derivative_inverse(fp)
     one_inversion = calls[0]
     calls[0] = 0
-    y2, fy = cost.from_derivative(fp)
+    y2, fy, fp2 = cost.from_derivative(fp)
     assert calls[0] == one_inversion
     assert np.array_equal(y2, y) and np.array_equal(fy, cost.value(y))
+    assert np.array_equal(fp2, fp)   # inside [f'(0), f'(1)]: as given
     for built_in in (rx.CostFunction.exponential(0.4),
                      rx.CostFunction.quadratic(0.3, 0.5)):
         fp = built_in.derivative(np.array([0.0, 0.3, 1.0]))
-        y, fy = built_in.from_derivative(fp)
+        y, fy, _ = built_in.from_derivative(fp)
         assert np.allclose(y, [0.0, 0.3, 1.0], atol=1e-14)
         assert np.allclose(fy, built_in.value(y), rtol=1e-14, atol=1e-15)
 
@@ -110,11 +111,13 @@ def test_cost_inverse_stays_in_the_unit_interval():
         top = cost.derivative(1.0)
         assert 0.0 <= cost.derivative_inverse(top) <= 1.0
         assert cost.derivative_inverse(np.array([top, 2.0*top]))[1] <= 1.0
-    y, fy = rx.CostFunction.quadratic(0.2, 1/3).from_derivative(0.0)
-    assert (y, fy) == (0.0, 0.0)
+    # the f' returned is the clipped one, f'(0) and f'(1) here
+    y, fy, fp = rx.CostFunction.quadratic(0.2, 1/3).from_derivative(0.0)
+    assert (y, fy, fp) == (0.0, 0.0, 1/3)
     exp_cost = rx.CostFunction.exponential(1/3)
-    y, fy = exp_cost.from_derivative(10.0)
+    y, fy, fp = exp_cost.from_derivative(10.0)
     assert y == 1.0 and fy == pytest.approx(exp_cost.value(1.0), rel=1e-15)
+    assert fp == exp_cost.derivative(1.0)
 
 
 def test_cost_inverse_of_the_top_marginal_cost_is_exactly_one():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -259,6 +260,31 @@ def test_w_second_derivative_one_sided(sol_a):
     lo = rx.w_xx(sol_a, x1, 1, y, side=-1)
     hi = rx.w_xx(sol_a, x1, 1, y, side=+1)
     assert lo > 0.1 and hi == 0.0  # jump at the boundary
+
+
+def _assert_side_is_exact_at_x_star(sol):
+    """w_xx(x_star, side=s) is the limit from side s: it equals w_xx at
+    x_star + s 1e-9 to 1e-3 relative, per level as scalars and as one
+    array of 2,001 levels, in both regimes."""
+    levels = [np.linspace(0.0, 1.0, 2001), 0.0, 0.2, 0.5, 1.0]
+    for y, i, s in itertools.product(levels, (1, 2), (-1, 1)):
+        xb = rx.x_star(sol, i, y)
+        at = rx.w_xx(sol, xb, i, y, side=s)
+        np.testing.assert_allclose(at, rx.w_xx(sol, xb + s*1e-9, i, y, side=s),
+                                   rtol=1e-3, atol=0.0,
+                                   err_msg=f"regime {i}, side {s}")
+
+
+def test_w_xx_side_is_exact_at_x_star(any_sol):
+    # the cut of regime 2's band was (z1 + chat) + z2, an ulp off x_star's
+    # (z1 + z2) + chat on 75 of example.json's 101 levels, so at y = 0.2
+    # side=+1 gave the left limit 0.409 where the right one is 0
+    _assert_side_is_exact_at_x_star(any_sol)
+
+
+def test_w_xx_side_is_exact_at_x_star_on_drawn_sets():
+    for params in draw_from_boxes(np.random.default_rng(24), 4):
+        _assert_side_is_exact_at_x_star(rx.solve_z(params))
 
 
 def test_regime2_boundary_facts(sol_a):
