@@ -31,7 +31,7 @@ from .mcsim import (Policy, SimConfig, estimate_value, simulate_traces,
                     trace_to_csv)
 from .model import (_count, check_assumptions, feasibility_scan,
                     params_from_config)
-from .stopping import perturbed, solve_z, verify_fbp, x_star
+from .stopping import solve_z, verify_fbp, x_star
 
 EXIT_OK, EXIT_MATH, EXIT_USER, EXIT_IO = 0, 1, 2, 3
 MAX_SCAN_STEPS = 1000   # scan-region builds its steps^2 CSV lines in memory
@@ -154,8 +154,6 @@ def cmd_value(args, params):
 
 def cmd_verify(args, params):
     sol = solve_z(params)
-    if args.inject_z2_error:
-        sol = perturbed(sol, 1e-3)
     try:
         fbp = [rep.to_dict() for rep in verify_fbp(
             sol, [k/10.0 for k in range(1, 10)], n_points=args.fbp_points)]
@@ -330,8 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fbp-points", type=int, default=10000)
     p.add_argument("--hjb-nx", type=int, default=400)
     p.add_argument("--hjb-ny", type=int, default=50)
-    p.add_argument("--inject-z2-error", action="store_true",
-                   help="test hook: perturb z2 by 1e-3 after solving")
     p.set_defaults(func=cmd_verify)
 
     p = with_config(sub.add_parser("simulate", help="Monte Carlo policy value"))

@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -136,7 +135,7 @@ def _u_surface(cs: ControlSolution, x, y, series):
     series = [(sol.internal_regime(i), o) for i, o in series]
     p, t = sol.iparams, cs._terms
     bs = np.minimum(_boundary_inverse(p, t.shifts, x), y)
-    # a perturbed z2 < 0 inverts the band: empty, regime 2 stops at b1
+    # a z2 < 0 inverts the band: empty, regime 2 stops at b1
     np.maximum(bs[0], bs[1], out=bs[1])
     # stopped on [b_k, y]: u = x - c + f'(z)/rho; order 0 also carries
     # the -f(y)/rho of U, which leaves -f(b_k)/rho. Rows: (order, b_k).
@@ -198,14 +197,16 @@ class ValueReport:
         return vars(self).copy()   # shares the instance's keys
 
 
-def _branches(cs: ControlSolution, x, y, i: int, u: dict, uxx: dict, uy,
-              pert: Callable):
-    """The two HJB branches at regime i; u and uxx map each regime to U and
-    U_xx at the states (x, y), uy is U_y = v(x, i; y)."""
+# the _u_surface rows of the HJB branches: U_1, U_2, U_1xx, U_2xx
+_HJB_ROWS = [(1, 0), (2, 0), (1, 2), (2, 2)]
+
+
+def _branches(cs: ControlSolution, x, y, i: int, rows, uy):
+    """The two HJB branches at regime i; rows are _u_surface's _HJB_ROWS
+    at the states (x, y), uy is U_y = v(x, i; y)."""
     p = cs.params
-    ui = u[i] + pert(x, y, i)
-    uo = u[3 - i] + pert(x, y, 3 - i)
-    b1r = (0.5*p.sigma(i)**2*uxx[i] - p.rho*ui + p.lam(i)*(uo - ui)
+    ui, uo = rows[i - 1], rows[2 - i]
+    b1r = (0.5*p.sigma(i)**2*rows[i + 1] - p.rho*ui + p.lam(i)*(uo - ui)
            - p.cost.value(y))
     b2r = (x - p.c) - uy
     return b1r, b2r
@@ -215,12 +216,12 @@ def U_report(cs: ControlSolution, x: float, y: float, i: int) -> ValueReport:
     """Value, derivatives and the HJB residual at one state (x, y). Uy is
     the selling value v(x,i;y) (the exact derivative of the integral)."""
     x, y = finite_prices(x, one=True), finite_prices(y, *LEVELS, one=True)
-    vals = _u_surface(cs, x, y, [(1, 0), (2, 0), (1, 2), (2, 2), (i, 1)])
-    u, uxx = {1: vals[0], 2: vals[1]}, {1: vals[2], 2: vals[3]}
+    vals = _u_surface(cs, x, y, _HJB_ROWS + [(i, 1)])
     uy = v_stop(cs.stopping, x, i, y)
-    b1r, b2r = _branches(cs, x, y, i, u, uxx, uy, lambda *_: 0.0)
-    return ValueReport(U=float(u[i]), Uy=float(uy), Ux=float(vals[4]),
-                       Uxx=float(uxx[i]), hjb_residual=float(max(b1r, b2r)))
+    b1r, b2r = _branches(cs, x, y, i, vals, uy)
+    return ValueReport(U=float(vals[i - 1]), Uy=float(uy), Ux=float(vals[4]),
+                       Uxx=float(vals[i + 1]),
+                       hjb_residual=float(max(b1r, b2r)))
 
 
 @dataclass(frozen=True)
@@ -239,8 +240,7 @@ class HjbReport:
         return {**vars(self), "worst_state": list(self.worst_state)}
 
 
-def verify_hjb(cs: ControlSolution, nx: int = 400, ny: int = 50,
-               perturbation: Optional[Callable] = None) -> HjbReport:
+def verify_hjb(cs: ControlSolution, nx: int = 400, ny: int = 50) -> HjbReport:
     """Check the dynamic-programming equation on an nx x ny state grid
     over the prices [x*_2(0) - 5 z1 - 5, x*_2(0) + 5], with x*_2 the
     internal regime 2's boundary, and levels 1/ny, ..., 1.
@@ -252,8 +252,6 @@ def verify_hjb(cs: ControlSolution, nx: int = 400, ny: int = 50,
     the closed-form piecewise u_xx integrated per panel, so no
     differencing noise enters.
     U and U_xx come from one batched evaluation over the whole grid.
-    perturbation(x, y, i), if given, is added to U (test hook); it is
-    called with (nx, ny) arrays of x and y and an integer regime i.
     Raises VerificationFailed on the first failing state; a NaN fails,
     and OutOfRange, before anything is allocated, on sizes that are not
     counts or a grid of more than MAX_U_STATES states, U's cap.
@@ -266,13 +264,11 @@ def verify_hjb(cs: ControlSolution, nx: int = 400, ny: int = 50,
     xs = np.linspace(x_lo, x_hi, nx)
     ys = np.linspace(1.0/ny, 1.0, ny)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    vals = _u_surface(cs, X, Y, [(1, 0), (2, 0), (1, 2), (2, 2)])
-    u, uxx = {1: vals[0], 2: vals[1]}, {1: vals[2], 2: vals[3]}
-    pert = perturbation or (lambda *_: 0.0)
+    vals = _u_surface(cs, X, Y, _HJB_ROWS)
     branches, worst_regional = [], 0.0
     for i in (1, 2):
         uy = v_stop(sol, xs[:, None], i, ys)
-        r1, r2 = _branches(cs, X, Y, i, u, uxx, uy, pert)
+        r1, r2 = _branches(cs, X, Y, i, vals, uy)
         branches.append((r1, r2))
         # y >= b_i(x) marks the stopped region only off the b = 1
         # plateau; the price-side comparison covers the corner too

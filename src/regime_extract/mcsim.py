@@ -367,8 +367,7 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
                     for a in (X, Y, fpY, fY, pay, dlast, xthr))
                 n = int(keep.sum())
     if record:
-        if switches:
-            trace.switches = tuple(map(np.concatenate, zip(*switches)))
+        trace.switches = tuple(map(np.concatenate, zip(*switches)))
         return trace
     pay = (pay - fY*(dlast - disc[K])/rho).reshape(m, n)
     return np.concatenate(pay_done + [pay], axis=1) if pay_done else pay

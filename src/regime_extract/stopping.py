@@ -33,7 +33,7 @@ of w is a slice, which _continuation fills directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -372,8 +372,8 @@ def _fbp_level(sol: StoppingSolution, n_points, y, ch, x1, x2, lo, hi,
     and w is the payoff on the rest; the ODE must hold on a prefix. Each
     cut is a count of a comparison, so a NaN boundary or grid, which every
     comparison fails, cuts where a mask would. w_xx's right limit differs
-    from its left one only at grid points on a boundary, so only there is
-    the operator evaluated again.
+    from its left one only at grid points on a boundary, so only if there
+    are some is the operator evaluated again, on w_xx rows patched there.
 
     The rows end at the first point where both regimes stop, index
     max(i1, i2) (not i2: with z2 < 0 regime 1 continues past x*_2). Past
@@ -394,9 +394,11 @@ def _fbp_level(sol: StoppingSolution, n_points, y, ch, x1, x2, lo, hi,
         row[:i1] = val
     w[1][i1:i2], w[3][i1:i2] = _continuation(sol, xs[i1:i2], ch,
                                              _FBP_ROWS[1::2], True)
+    wxx = [w[2:]]   # the left limits, then a copy with the right ones
     on = np.flatnonzero((xs == x1) | (xs == x2))
     if on.size:
-        w_hi = _w_table(sol, xs[on], y, _FBP_ROWS[2:], 1)
+        wxx.append(np.array(w[2:]))
+        wxx[1][:, on] = _w_table(sol, xs[on], y, _FBP_ROWS[2:], 1)
 
     # scanned by internal regime, then side
     ode, ineq, dom = (0.0, lo), (-np.inf, lo), (-np.inf, lo)
@@ -404,11 +406,8 @@ def _fbp_level(sol: StoppingSolution, n_points, y, ch, x1, x2, lo, hi,
         wk, wo = w[k - 1], w[2 - k]
         sig, lam = p.sigma(k), p.lam(k)
         n_eq = np.count_nonzero(xs < (x1 if k == 1 else x2) - 0.5*h_cell)
-        op = 0.5*sig*sig*w[k + 1] - p.rho*wk + lam*(wo - wk)
-        for right in range(1 + (on.size > 0)):
-            if right:
-                op[on] = (0.5*sig*sig*w_hi[k - 1] - p.rho*wk[on]
-                          + lam*(wo[on] - wk[on]))
+        for rows in wxx:
+            op = 0.5*sig*sig*rows[k - 1] - p.rho*wk + lam*(wo - wk)
             ineq = _worst(ineq, op, xs)
             if n_eq:
                 ode = _worst(ode, np.abs(op[:n_eq]), xs)
@@ -484,8 +483,3 @@ def verify_fbp(sol: StoppingSolution, y, n_points: int = 10000, grid=None):
                 raise VerificationFailed(msg.format(val, x), report)
         reports.append(report)
     return reports[0] if ys.ndim == 0 else reports
-
-
-def perturbed(sol: StoppingSolution, dz2: float) -> StoppingSolution:
-    """Copy of sol with z2 shifted (verification-failure test hook)."""
-    return replace(sol, z2=sol.z2 + dz2)

@@ -65,7 +65,7 @@ PINNED_SIGNATURES = {
     "validate": ("rho", "sigma1", "sigma2", "lambda1", "lambda2", "c",
                  "cost"),
     "verify_fbp": ("sol", "y", "n_points", "grid"),
-    "verify_hjb": ("cs", "nx", "ny", "perturbation"),
+    "verify_hjb": ("cs", "nx", "ny"),
     "w": ("sol", "x", "i", "y"),
     "w_x": ("sol", "x", "i", "y"),
     "w_xx": ("sol", "x", "i", "y", "side"),
@@ -151,8 +151,8 @@ def test_only_model_reads_the_cost_family():
 
 def test_only_shift_adds_z2():
     """Every boundary is read as StoppingSolution.shift(k) + chat(y), so
-    z1 + z2 is formed in one place: outside shift (and perturbed, which
-    moves z2 itself) no package code adds or subtracts a .z2."""
+    z1 + z2 is formed in one place: outside shift no package code adds or
+    subtracts a .z2."""
     sites = []
     for path in Path(rx.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
@@ -174,8 +174,7 @@ def test_only_shift_adds_z2():
                             key=lambda f: f.end_lineno - f.lineno,
                             default=None)
                 sites.append((path.stem, getattr(owner, "name", None)))
-    assert sorted(sites) == [("stopping", "perturbed"),
-                             ("stopping", "shift")]
+    assert sorted(sites) == [("stopping", "shift")]
 
 
 def test_engine_has_no_policy_kind_fork():

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import dataclasses
@@ -20,6 +21,7 @@ from regime_extract import cli, control, mcsim, stopping
 from regime_extract.cli import main
 
 from conftest import draw_from_boxes, draw_valid
+from fault_hooks import shift_cli_z2
 
 EXAMPLE = {
     "rho": 1/3, "sigma1": 0.38, "sigma2": 1.9, "lambda1": 1.7,
@@ -87,6 +89,21 @@ def test_missing_config_is_user_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("raw,message", [
+    (b"[1, 2]", "error: malformed config: "),
+    (b"null", "error: malformed config: "),
+    (json.dumps({k: v for k, v in EXAMPLE.items() if k != "sigma1"}).encode(),
+     "error: malformed config: 'sigma1'"),
+    (b'{"rho": "\xff"}', "is not UTF-8 at byte offset 9"),
+], ids=["list", "null", "sigma1_missing", "not_utf8"])
+def test_unusable_config_is_user_error(capsys, tmp_path, raw, message):
+    path = tmp_path/"cfg.json"
+    path.write_bytes(raw)
+    assert main(["check", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_nonpositive_parameter_is_user_error(capsys, tmp_path):
     path = tmp_path/"neg.json"
     path.write_text(json.dumps(dict(EXAMPLE, rho=-1.0)))
@@ -150,6 +167,15 @@ def test_boundary_csv_contract(capsys, cfg_path, tmp_path):
     manifest = json.loads((tmp_path/"b.csv.manifest.json").read_text())
     assert manifest["subcommand"] == "boundary"
     assert str(out) in manifest["outputs"]
+
+
+def test_boundary_out_without_csv_suffix(capsys, cfg_path, tmp_path):
+    # the y table's name takes the suffix at the end when --out has no .csv
+    out = tmp_path/"bnd"
+    assert main(["boundary", "--config", cfg_path, "--grid", "2",
+                 "--out", str(out)]) == 0
+    assert out.read_text().startswith("x,b1_star,")
+    assert (tmp_path/"bnd_y").read_text().startswith("y,x1_star,")
 
 
 def test_boundary_case_b_columns_coincide(capsys, cfg_b_path, tmp_path):
@@ -281,12 +307,12 @@ def test_verify_empty_hjb_grid_is_user_error(capsys, cfg_path, flag):
 
 
 @pytest.mark.parametrize("name", ["example.json", "equal_vol.json"])
-def test_verify_injected_error_fails(capsys, name):
+def test_verify_injected_error_fails(capsys, monkeypatch, name):
     # with equal volatilities the shifted z2 opens regime 2's band too
+    shift_cli_z2(monkeypatch)
     code, out = run_json(capsys, ["verify", "--config", str(CONFIGS/name),
                                   "--fbp-points", "2000",
-                                  "--hjb-nx", "20", "--hjb-ny", "6",
-                                  "--inject-z2-error"])
+                                  "--hjb-nx", "20", "--hjb-ny", "6"])
     assert code == 1
     assert out["status"] == "fail"
 
@@ -426,6 +452,16 @@ def test_scan_region_bad_range(capsys):
     assert main(["scan-region", "--rho", "0.03", "--lambda1", "0.017",
                  "--lambda2", "0.016", "--sigma1-range", "0.06:0.01",
                  "--sigma2-range", "0.5:1.2", "--steps", "5"]) == 2
+
+
+@pytest.mark.parametrize("value", ["a:b", "0.01", "0.01:0.02:0.03"])
+def test_scan_region_range_must_be_lo_hi(capsys, value):
+    assert main(["scan-region", "--rho", "0.03", "--lambda1", "0.017",
+                 "--lambda2", "0.016", "--sigma1-range", value,
+                 "--sigma2-range", "0.5:1.2", "--steps", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ranges must look like LO:HI\n"
 
 
 @pytest.mark.parametrize("flag,value", [("--sigma1-range", "nan:nan"),
@@ -741,11 +777,14 @@ PINNED_VERIFY = {
 
 @pytest.mark.parametrize("key", sorted(PINNED_VERIFY),
                          ids=lambda k: k[0].split(".")[0] + "-inject"*k[1])
-def test_verify_stdout_pinned(capsys, key):
+def test_verify_stdout_pinned(capsys, monkeypatch, key):
+    # the injected run solves with z2 shifted by 1e-3 (shift_cli_z2)
     name, inject = key
+    if inject:
+        shift_cli_z2(monkeypatch)
     argv = ["verify", "--config", str(CONFIGS/name), "--fbp-points", "2000",
             "--hjb-nx", "40", "--hjb-ny", "10"]
-    assert main(argv + ["--inject-z2-error"]*inject) == int(inject)
+    assert main(argv) == int(inject)
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY[key], out
 
@@ -866,12 +905,40 @@ def test_scan_region_stdout_pinned(capsys):
     assert out.count("\n") == 1 + 7*7
 
 
+# Option strings of every subcommand, help apart, as the parser declares
+# them: a new CLI option has to be added here on purpose, as
+# tests/test_api.py's PINNED_SIGNATURES does for the Python API.
+PINNED_OPTIONS = {
+    "check": ("--config", "--eps"),
+    "solve": ("--config",),
+    "boundary": ("--config", "--grid", "--out", "--svg"),
+    "value": ("--config", "--x", "--y", "--regime"),
+    "verify": ("--config", "--fbp-points", "--hjb-nx", "--hjb-ny"),
+    "simulate": ("--config", "--x", "--y", "--regime", "--paths", "--dt",
+                 "--horizon", "--seed", "--policy", "--no-antithetic",
+                 "--trace-out"),
+    "scan-region": ("--rho", "--lambda1", "--lambda2", "--sigma1-range",
+                    "--sigma2-range", "--steps", "--out", "--svg"),
+}
+
+
+def test_cli_options_pinned():
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction))
+    options = {name: tuple(s for a in p._actions for s in a.option_strings
+                           if s not in ("-h", "--help"))
+               for name, p in sub.choices.items()}
+    assert options == PINNED_OPTIONS
+
+
 def test_parser_is_built_once(capsys):
     # the pinned commands, run again in one process on the one parser,
-    # with verify's hook on, then off, so no option carries over
+    # the injected verify first, each verify under its own substitutes
     assert cli.build_parser() is cli.build_parser()
     for key in sorted(PINNED_VERIFY, key=lambda k: not k[1]):
-        test_verify_stdout_pinned(capsys, key)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            test_verify_stdout_pinned(capsys, monkeypatch, key)
     for name in sorted(PINNED_SOLVE):
         test_solve_stdout_pinned(capsys, name)
     test_scan_region_stdout_pinned(capsys)

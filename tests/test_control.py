@@ -13,6 +13,7 @@ from regime_extract.errors import (OrderingViolated, OutOfRange,
 from regime_extract.model import chat
 
 from conftest import FEASIBLE_BOXES, box_midpoint, draw_from_boxes
+from fault_hooks import perturb_u, perturbed
 
 
 def test_b_star_clamps(cs_a, sol_a):
@@ -350,7 +351,7 @@ def _verify_hjb_loop(cs, nx, ny, tau=1e-5, perturbation=None):
 
 
 @pytest.mark.parametrize("case", ["A", "B"])
-def test_verify_hjb_matches_scalar_loop(case, cs_a, cs_b):
+def test_verify_hjb_matches_scalar_loop(monkeypatch, case, cs_a, cs_b):
     cs = {"A": cs_a, "B": cs_b}[case]
     (worst, state), excess, regional, _ = _verify_hjb_loop(cs, 13, 5)
     rep = rx.verify_hjb(cs, nx=13, ny=5)
@@ -359,16 +360,17 @@ def test_verify_hjb_matches_scalar_loop(case, cs_a, cs_b):
     assert rep.worst_regional == regional
     pert = lambda x, y, i: 0.01*x*y + 1e-3*i  # noqa: E731
     *_, fail = _verify_hjb_loop(cs, 9, 4, perturbation=pert)
+    perturb_u(monkeypatch, pert)   # after the loop, which adds pert itself
     with pytest.raises(VerificationFailed) as exc:
-        rx.verify_hjb(cs, nx=9, ny=4, perturbation=pert)
+        rx.verify_hjb(cs, nx=9, ny=4)
     assert str(exc.value).startswith(
         "HJB residual at (x={}, y={}, i={}):".format(*fail))
 
 
-def test_verify_hjb_detects_perturbation(cs_a):
+def test_verify_hjb_detects_perturbation(monkeypatch, cs_a):
+    perturb_u(monkeypatch, lambda x, y, i: 0.01*x)
     with pytest.raises(VerificationFailed):
-        rx.verify_hjb(cs_a, nx=25, ny=6,
-                      perturbation=lambda x, y, i: 0.01*x)
+        rx.verify_hjb(cs_a, nx=25, ny=6)
 
 
 def test_single_regime_boundary_examples(params_b, sol_b):
@@ -439,10 +441,17 @@ def test_boundary_ordering_rejects_relabeled(params_a):
 
 
 def test_ordering_violation_reported(sol_a):
-    from regime_extract.stopping import perturbed
     broken = rx.from_stopping(perturbed(sol_a, -1.0))  # pushes b*2 below b*1
     with pytest.raises(OrderingViolated) as exc:
         rx.compare_boundaries(broken, n=300)
+    assert exc.value.x is not None
+
+
+def test_tied_boundaries_reported(sol_a):
+    tied = rx.from_stopping(perturbed(sol_a, -sol_a.z2))  # b*2 on b*1
+    with pytest.raises(OrderingViolated, match=r"^b\*1 not strictly below "
+                       r"b\*2 off the plateaus at x=") as exc:
+        rx.compare_boundaries(tied, n=300)
     assert exc.value.x is not None
 
 
@@ -453,14 +462,27 @@ def test_chat_consistency_with_boundaries(cs_a, sol_a):
         sol_a.z1, abs=1e-12)
 
 
-def test_verify_hjb_fails_on_nan(cs_a):
-    def nan(x, y, i):
-        return np.full(np.shape(x), np.nan)
-
+def test_verify_hjb_fails_on_nan(monkeypatch, cs_a):
+    perturb_u(monkeypatch, lambda x, y, i: np.full(np.shape(x), np.nan))
     with pytest.raises(VerificationFailed) as exc:
-        rx.verify_hjb(cs_a, nx=10, ny=4, perturbation=nan)
+        rx.verify_hjb(cs_a, nx=10, ny=4)
     assert "nan" in str(exc.value)
     assert math.isnan(exc.value.report.worst_max_abs)
+
+
+def test_verify_hjb_fails_on_its_regional_check_alone(monkeypatch, cs_a):
+    # U = 0 and U_y = x - c: every branch maximum is 0, within tau, but
+    # where y <= b*_i(x) the continuation branch is -f(y)
+    monkeypatch.setattr(control, "_u_surface", lambda cs, x, y, series:
+                        np.zeros((len(series),) + np.shape(x)))
+    monkeypatch.setattr(control, "v_stop",
+                        lambda sol, x, i, y: x - sol.params.c)
+    with pytest.raises(VerificationFailed,
+                       match=r"^regional residual \S+ > 1e-05$") as exc:
+        rx.verify_hjb(cs_a, nx=9, ny=4)
+    rep = exc.value.report
+    assert rep.worst_max_abs == rep.worst_branch_excess == 0.0
+    assert rep.worst_regional == pytest.approx(cs_a.params.cost.value(1.0))
 
 
 def _quad_oracle(cs, x, y, i):

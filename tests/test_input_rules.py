@@ -313,8 +313,7 @@ KINDS = {
     "validate": _RATES,
     "verify_fbp": dict(sol="object", y="levels", n_points="count",
                        grid="price range"),
-    "verify_hjb": dict(cs="object", nx="count", ny="count",
-                       perturbation="object"),
+    "verify_hjb": dict(cs="object", nx="count", ny="count"),
     "w": _SELLING,
     "w_x": _SELLING,
     "w_xx": dict(_SELLING, side="count"),

@@ -12,9 +12,10 @@ from regime_extract.errors import (AssumptionViolated, DomainError,
                                    OutOfRange, PreconditionViolated,
                                    VerificationFailed)
 from regime_extract.model import chat
-from regime_extract.stopping import FbpReport, _continuation, perturbed
+from regime_extract.stopping import FbpReport, _continuation
 
 from conftest import NEAR_EQUAL_KW, draw_from_boxes
+from fault_hooks import perturbed
 from fbp_oracle import fbp_table
 
 # frozen solver outputs for the example set (grid-search oracle agrees
@@ -461,13 +462,29 @@ def test_verify_fbp_equals_two_table_oracle(any_sol, monkeypatch):
         _assert_fbp_equals_oracle(monkeypatch, sol, np.linspace(0.0, 1.0, 11))
 
 
+def _boundary_points(monkeypatch, sol):
+    """x*_1 and x*_2 at level 0.5, built as sol.shift(k) + chat, checked
+    to be the points where verify_fbp cuts that level's grid."""
+    cuts, level = [], stopping._fbp_level
+
+    def spy(sol, n_points, y, ch, x1, x2, *rest):
+        cuts.append((x1, x2))
+        return level(sol, n_points, y, ch, x1, x2, *rest)
+
+    points = tuple(sol.shift(k) + chat(sol.iparams, 0.5) for k in (1, 2))
+    with monkeypatch.context() as m:
+        m.setattr(stopping, "_fbp_level", spy)
+        list(stopping._fbp_table(sol, np.array([0.5]), 2, None))
+    assert np.array_equal(cuts, [points], equal_nan=True)
+    return points
+
+
 def test_verify_fbp_right_limits_at_boundary_grid_points(any_sol, monkeypatch):
     """Grids with a point exactly on x*_1 or x*_2, where w_xx's right
     limit differs from its left one, match the two-table verifier. Each
     grid ends or starts at the boundary, which linspace hits exactly."""
     for sol in (any_sol, perturbed(any_sol, 1e-3), perturbed(any_sol, -1e-3)):
-        x1 = sol.z1 + chat(sol.iparams, 0.5)
-        for xb in (x1, x1 + sol.z2):
+        for xb in _boundary_points(monkeypatch, sol):
             for grid in ((xb - 2.0, xb), (xb, xb + 2.0)):
                 assert xb in np.linspace(*grid, 2001)
                 _assert_fbp_equals_oracle(monkeypatch, sol, 0.5,
@@ -479,14 +496,13 @@ def test_verify_fbp_on_one_region_grids_equals_oracle(any_sol, monkeypatch):
     must hold) and starting exactly at x*_2 match the two-table verifier,
     for z2 +- 1e-3 and NaN too: the region cuts fall at 0, at n_points
     and on an empty band."""
-    x1 = any_sol.z1 + chat(any_sol.iparams, 0.5)
-    x2 = x1 + any_sol.z2
+    x1, x2 = _boundary_points(monkeypatch, any_sol)
     grids = [(x1 - 3.0, x1 - 1.0), (x2 + 1.0, x2 + 3.0), (x2, x2 + 2.0)]
     rep = rx.verify_fbp(any_sol, 0.5, n_points=501, grid=grids[1])
     assert (rep.worst_ode, rep.worst_ode_x) == (0.0, grids[1][0])
     for sol in (any_sol, perturbed(any_sol, 1e-3), perturbed(any_sol, -1e-3),
                 replace(any_sol, z2=math.nan)):
-        own_x2 = x1 + sol.z2
+        own_x2 = _boundary_points(monkeypatch, sol)[1]
         for grid in grids + [(own_x2, own_x2 + 2.0)]*math.isfinite(own_x2):
             _assert_fbp_equals_oracle(monkeypatch, sol, 0.5, n_points=501,
                                       grid=grid)

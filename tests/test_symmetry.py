@@ -7,9 +7,13 @@ transformed problem must have the same solution as the original.
   sqrt(k). This is the same problem on a clock k times as fast, so
   nothing moves either.
 
-Neither may change z1, z2, U, U_x, U_xx or b*_i. Price scale (x, c, sigma
-and f times s) is left out: the paper's feasibility flags are not
-invariant under it, and solve_z refuses most scaled sets.
+Neither may change z1, z2, U, U_x, U_xx or b*_i.
+
+- Price scale: x, c, sigma_i and f multiplied by s. This is the same
+  problem in another price unit: z1, z2 and U scale by s, U_x stays,
+  U_xx scales by 1/s and b*_i(s x) = b*_i(x). The paper's feasibility
+  flags are not invariant under it, and solve_z refuses most scaled sets:
+  example.json keeps them for s = 0.9 and 1.1, but not for 0.85 or 1.15.
 """
 import json
 import math
@@ -24,6 +28,10 @@ CONFIGS = Path(__file__).resolve().parents[1]/"configs"
 # worst measured on this grid: z 1.7e-15 relative; U 6.2e-16, U_x 7.8e-16
 # and U_xx 1.3e-14 of their largest magnitude; b* 2.2e-15
 TOL = 1e-13
+# the same under price scale s = 0.9 and 1.1, whose roots and z are
+# solved afresh in the new unit: z 7.5e-13; U 1.8e-13, U_x 4.3e-13 and
+# U_xx 5.9e-12; b* 1.5e-12
+SCALE_TOL = 1e-11
 XS = np.linspace(-3.0, 3.0, 61)
 YS = np.linspace(0.05, 1.0, 20)
 
@@ -49,18 +57,19 @@ def _off(got, ref):
     return np.abs(got - ref).max()/np.abs(ref).max()
 
 
-def _assert_same(cs, twin, shift=0.0):
-    """twin at prices x + shift has cs's solution at x"""
-    z = np.array([cs.stopping.z1, cs.stopping.z2])
-    assert _off(np.array([twin.stopping.z1, twin.stopping.z2]), z) <= TOL
+def _assert_same(cs, twin, shift=0.0, scale=1.0, tol=TOL):
+    """twin at prices scale x + shift has cs's solution at x, with z1, z2
+    and U times scale, U_x as it is and U_xx over scale"""
+    z = scale*np.array([cs.stopping.z1, cs.stopping.z2])
+    assert _off(np.array([twin.stopping.z1, twin.stopping.z2]), z) <= tol
     assert twin.stopping.case == cs.stopping.case
     x, y = np.meshgrid(XS, YS)
     for i in (1, 2):
-        for fn in (rx.U, rx.U_x, rx.U_xx):
-            assert _off(fn(twin, x + shift, y, i), fn(cs, x, y, i)) <= TOL, \
-                (fn.__name__, i)
+        for order, fn in enumerate((rx.U, rx.U_x, rx.U_xx)):
+            got = fn(twin, scale*x + shift, y, i)*scale**(order - 1)
+            assert _off(got, fn(cs, x, y, i)) <= tol, (fn.__name__, i)
         b = rx.b_star(cs, i, XS)
-        assert np.abs(rx.b_star(twin, i, XS + shift) - b).max() <= TOL, i
+        assert np.abs(rx.b_star(twin, i, scale*XS + shift) - b).max() <= tol, i
 
 
 @pytest.mark.parametrize("a", [0.25, 2.0])
@@ -77,3 +86,13 @@ def test_time_scale_leaves_the_solution_unchanged(base, k):
     twin = rx.validate(k*p.rho, r*p.sigma1, r*p.sigma2, k*p.lambda1,
                        k*p.lambda2, p.c, _scaled_cost(p.cost, k))
     _assert_same(_solved(p), _solved(twin))
+
+
+@pytest.mark.parametrize("s", [0.9, 1.1])
+def test_price_scale_scales_the_solution(s):
+    p = rx.params_from_config(json.loads((CONFIGS/"example.json").read_text()))
+    twin = rx.validate(p.rho, s*p.sigma1, s*p.sigma2, p.lambda1, p.lambda2,
+                       s*p.c, _scaled_cost(p.cost, s))
+    cs = _solved(p)
+    assert cs.stopping.case == "A"
+    _assert_same(cs, _solved(twin), scale=s, tol=SCALE_TOL)
