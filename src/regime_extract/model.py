@@ -229,20 +229,30 @@ def params_from_config(cfg: dict) -> ModelParams:
 
     Schema: {"rho","sigma1","sigma2","lambda1","lambda2","c",
              "cost": {"type":"exp","gamma":g} | {"type":"quad","alpha":a,"beta":b}}
+    ValueError names what is wrong with a config that does not follow it:
+    a config or cost section that is not an object, or a missing key.
     """
-    try:
-        cost_cfg = cfg["cost"]
-        ctype = cost_cfg["type"]
-    except (KeyError, TypeError) as exc:
-        raise KeyError(f"config missing cost section: {exc}") from exc
+    def entries(section, name, keys):
+        if not isinstance(section, dict):
+            raise ValueError(f"{name} must be a JSON object, got "
+                             f"{type(section).__name__}")
+        for key in keys:
+            if key not in section:
+                raise ValueError(f"missing key {key!r}")
+        return [section[key] for key in keys]
+
+    *rates, cost_cfg = entries(cfg, "config", ("rho", "sigma1", "sigma2",
+                                               "lambda1", "lambda2", "c",
+                                               "cost"))
+    ctype, = entries(cost_cfg, "cost", ("type",))
     if ctype in ("exp", "exponential"):
-        cost = CostFunction.exponential(cost_cfg.get("gamma"))
+        cost = CostFunction.exponential(*entries(cost_cfg, "cost", ("gamma",)))
     elif ctype in ("quad", "quadratic"):
-        cost = CostFunction.quadratic(cost_cfg.get("alpha"), cost_cfg.get("beta"))
+        cost = CostFunction.quadratic(*entries(cost_cfg, "cost",
+                                               ("alpha", "beta")))
     else:
         raise CostNotConvex(f"unknown cost type {ctype!r}")
-    return validate(cfg["rho"], cfg["sigma1"], cfg["sigma2"],
-                    cfg["lambda1"], cfg["lambda2"], cfg["c"], cost)
+    return validate(*rates, cost)
 
 
 def _count(name: str, value, least: int, most=math.inf):

@@ -25,10 +25,13 @@ regime 2's band between the boundaries). Their weights are written
 once, in _branch_form, anchored at x*_1(y) and x*_2(y) with prefactors
 that do not depend on y, so no exponential overflows where its branch
 applies; the control module integrates the same branches over y.
-_reduced writes G1, G2 once; _w_table evaluates w piecewise over (level
+_reduced writes G1, G2 once; _w_table evaluates w piecewise over (chat
 x price) arrays, and equal volatilities (case B) are its z2 = 0 case.
-verify_fbp checks one level at a time: its grid ascends, so each region
-of w is a slice, which _continuation fills directly.
+w(x, i; y) = W_i(x - chat(y)): every level's selling problem is one
+problem in u = x - chat(y). So verify_fbp checks its default grid once,
+in u, and moves that report to each level; an explicit grid, a range of
+x, is checked level by level. A grid ascends, so each region of w is a
+slice, which _continuation fills directly.
 """
 from __future__ import annotations
 
@@ -264,13 +267,14 @@ def _continuation(sol: StoppingSolution, x, ch, series, band: bool = False):
             for k, o in series)
 
 
-def _w_table(sol: StoppingSolution, x, y, series, side: int = -1):
-    """w and its x-derivatives at prices x and reserve levels y
-    (broadcast), one row per (internal regime k, order 0..2) in series:
-    the payoff x - chat(y) where stopped, each regime's continuation below
-    x*_1 and regime 2's on the band [x*_1, x*_2) (empty when z2 = 0). At
-    a boundary point side -1 takes the left limit, +1 the right one."""
-    ch = chat(sol.iparams, y)
+def _w_table(sol: StoppingSolution, x, ch, series, side: int = -1):
+    """w and its x-derivatives at prices x whose reserve levels have chat
+    = ch (broadcast), one row per (internal regime k, order 0..2) in
+    series: the payoff x - chat where stopped, each regime's continuation
+    below x*_1 and regime 2's on the band [x*_1, x*_2) (empty when z2 =
+    0). At a boundary point side -1 takes the left limit, +1 the right
+    one. With ch = 0 the prices are u = x - chat(y), the selling problem
+    that every level translates."""
     x1, x2 = (sol.shift(k) + ch for k in (1, 2))
     lower, upper = (x <= x1, x > x2) if side < 0 else (x < x1, x >= x2)
     shape = lower.shape
@@ -293,7 +297,8 @@ def _w_table(sol: StoppingSolution, x, y, series, side: int = -1):
 
 
 def _w_value(sol: StoppingSolution, x, i: int, y, order: int, side: int):
-    out = _w_table(sol, *_states(x, y),
+    x, y = _states(x, y)
+    out = _w_table(sol, x, chat(sol.iparams, y),
                    [(sol.internal_regime(i), order)], side)[0]
     return float(out) if out.ndim == 0 else out
 
@@ -362,10 +367,10 @@ def _worst(worst, vals, at):
     return (val, float(at[j])) if val > worst[0] or val != val else worst
 
 
-def _fbp_level(sol: StoppingSolution, n_points, y, ch, x1, x2, lo, hi,
-               h_cell, c1):
-    """The FbpReport of one level, given its C1 check c1: the worst offender
-    and x of the ODE, inequality and domination checks on its lo..hi grid.
+def _fbp_level(sol: StoppingSolution, n_points, ch, x1, x2, lo, hi):
+    """The worst offender and its x, as (value, x) pairs, of the ODE,
+    inequality, domination and C1 checks of the level with chat = ch and
+    boundaries x1, x2, on its grid of n_points prices from lo to hi.
 
     The grid ascends, so the regions are slices: both regimes continue on
     the first i1 points (x <= x*_1), regime 2 alone on its band up to i2,
@@ -385,6 +390,7 @@ def _fbp_level(sol: StoppingSolution, n_points, y, ch, x1, x2, lo, hi,
     """
     p = sol.iparams
     xs = np.linspace(lo, hi, n_points)   # the whole grid sets the cuts
+    h_cell = (hi - lo)/(n_points - 1)
     i1 = np.count_nonzero(xs <= x1)
     i2 = n_points - np.count_nonzero(xs > x2)   # band empty if i2 <= i1
     xs = xs[:max(i1, i2) + 1]
@@ -398,7 +404,7 @@ def _fbp_level(sol: StoppingSolution, n_points, y, ch, x1, x2, lo, hi,
     on = np.flatnonzero((xs == x1) | (xs == x2))
     if on.size:
         wxx.append(np.array(w[2:]))
-        wxx[1][:, on] = _w_table(sol, xs[on], y, _FBP_ROWS[2:], 1)
+        wxx[1][:, on] = _w_table(sol, xs[on], ch, _FBP_ROWS[2:], 1)
 
     # scanned by internal regime, then side
     ode, ineq, dom = (0.0, lo), (-np.inf, lo), (-np.inf, lo)
@@ -412,41 +418,43 @@ def _fbp_level(sol: StoppingSolution, n_points, y, ch, x1, x2, lo, hi,
             if n_eq:
                 ode = _worst(ode, np.abs(op[:n_eq]), xs)
         dom = _worst(dom, pay - wk, xs)
-    return FbpReport(y, lo, hi, n_points, *ode, *ineq, *dom, *c1)
+
+    # slopes either side of the junctions (1, x*_1), (2, x*_1), (2, x*_2)
+    h, bs = C1_STEP, np.array([x1, x1, x2])
+    sw = _w_table(sol, bs[:, None] + h*np.array([-2.0, -1.0, 0.0, 1.0, 2.0]),
+                  ch, _FBP_ROWS[:2], -1)
+    d_lo = (3.0*sw[..., 2] - 4.0*sw[..., 1] + sw[..., 0])/(2.0*h)
+    d_hi = (-3.0*sw[..., 2] + 4.0*sw[..., 3] - sw[..., 4])/(2.0*h)
+    gap, c1 = np.abs(d_hi - d_lo), (0.0, x1)   # gap[regime - 1, j]
+    for k, j in ((1, 0), (2, 1), (2, 2)):
+        c1 = _worst(c1, gap[k - 1, j:j + 1], bs[j:j + 1])
+    return ode, ineq, dom, c1
 
 
 def _fbp_table(sol: StoppingSolution, ys, n_points, grid):
-    """The FbpReport of each level in ys, made as it is taken: the worst
-    offender and its x of the ODE, inequality, domination and C1 checks.
+    """The FbpReport of each level in ys, made as it is taken.
 
-    Each level is checked on its own 1-D arrays (_fbp_level), which end
-    just past x*_2 on the default grid, short of its last 10 z1. The C1
-    stencils of all levels are one small table. The per-level Python work
-    costs about 0.1 ms, so below one or two thousand points per level one
-    table over all levels would be faster.
+    w(x, i; y) = W_i(x - chat(y)), so on the default grid every level's
+    check is one check in u = x - chat, on [-10 z1, shift(2) + 10 z1]: it
+    is made once, and each level's report is that one with its grid and
+    positions moved by chat(y). An explicit grid is a range of x, the same
+    at every level, so there each level is checked at its own chat.
     """
     ch = chat(sol.iparams, ys)
-    x1, x2 = (sol.shift(k) + ch for k in (1, 2))
-    if grid is None:
-        lo, hi = ch - 10.0*sol.z1, x2 + 10.0*sol.z1
-    else:
-        lo, hi = (np.full(ys.shape, g, dtype=float) for g in grid)
-    h_cell = (hi - lo)/(n_points - 1)
-    # slopes either side of the junctions (1, x*_1), (2, x*_1), (2, x*_2)
-    h = C1_STEP
-    bs = np.stack([x1, x1, x2], axis=-1)
-    sw = _w_table(sol, bs[..., None] + h*np.array([-2.0, -1.0, 0.0, 1.0, 2.0]),
-                  ys[:, None, None], _FBP_ROWS[:2], -1)
-    d_lo = (3.0*sw[..., 2] - 4.0*sw[..., 1] + sw[..., 0])/(2.0*h)
-    d_hi = (-3.0*sw[..., 2] + 4.0*sw[..., 3] - sw[..., 4])/(2.0*h)
-    gap = np.abs(d_hi - d_lo)   # gap[regime - 1, level, j]
-
-    levels = zip(*(v.tolist() for v in (ys, ch, x1, x2, lo, hi, h_cell)))
-    for l, level in enumerate(levels):
-        c1 = (0.0, level[2])
-        for k, j in ((1, 0), (2, 1), (2, 2)):
-            c1 = _worst(c1, gap[k - 1, l, j:j + 1], bs[l, j:j + 1])
-        yield _fbp_level(sol, n_points, *level, c1)
+    if grid is None:   # the one check in u, moved to each level
+        lo, hi = -10.0*sol.z1, sol.shift(2) + 10.0*sol.z1
+        worst = _fbp_level(sol, n_points, 0.0, sol.shift(1), sol.shift(2),
+                           lo, hi)
+        for y, c in zip(ys.tolist(), ch.tolist()):
+            yield FbpReport(y, lo + c, hi + c, n_points,
+                            *(f for val, u in worst for f in (val, u + c)))
+        return
+    lo, hi = grid
+    for y, c in zip(ys.tolist(), ch.tolist()):
+        worst = _fbp_level(sol, n_points, c, sol.shift(1) + c,
+                           sol.shift(2) + c, lo, hi)
+        yield FbpReport(y, lo, hi, n_points, *(f for pair in worst
+                                               for f in pair))
 
 
 def verify_fbp(sol: StoppingSolution, y, n_points: int = 10000, grid=None):
@@ -454,7 +462,8 @@ def verify_fbp(sol: StoppingSolution, y, n_points: int = 10000, grid=None):
     at each level of a non-empty 1-D array y (then a list of reports).
 
     Each level is checked at n_points prices, evenly spaced on grid =
-    (lo, hi), by default [chat - 10 z1, x*_2 + 10 z1] at that level:
+    (lo, hi), by default [chat - 10 z1, x*_2 + 10 z1] at that level, which
+    is one grid of u = x - chat, checked once for every level:
     (i) the coupled ODEs hold to ODE_TOL where equality is required,
     (ii) the operator inequality holds everywhere to INEQ_TOL (one-sided
     at the boundaries), (iii) w dominates the payoff to DOM_TOL, and

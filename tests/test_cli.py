@@ -90,12 +90,19 @@ def test_missing_config_is_user_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("raw,message", [
-    (b"[1, 2]", "error: malformed config: "),
-    (b"null", "error: malformed config: "),
+    (b"[1, 2]", "error: malformed config: config must be a JSON object, "
+                "got list\n"),
+    (b"null", "error: malformed config: config must be a JSON object, "
+              "got NoneType\n"),
     (json.dumps({k: v for k, v in EXAMPLE.items() if k != "sigma1"}).encode(),
-     "error: malformed config: 'sigma1'"),
+     "error: malformed config: missing key 'sigma1'\n"),
+    (json.dumps(dict(EXAMPLE, cost={"type": "quad", "alpha": 1.0})).encode(),
+     "error: malformed config: missing key 'beta'\n"),
+    (json.dumps(dict(EXAMPLE, cost=[1])).encode(),
+     "error: malformed config: cost must be a JSON object, got list\n"),
     (b'{"rho": "\xff"}', "is not UTF-8 at byte offset 9"),
-], ids=["list", "null", "sigma1_missing", "not_utf8"])
+], ids=["list", "null", "sigma1_missing", "beta_missing", "cost_list",
+        "not_utf8"])
 def test_unusable_config_is_user_error(capsys, tmp_path, raw, message):
     path = tmp_path/"cfg.json"
     path.write_bytes(raw)
@@ -764,14 +771,19 @@ PINNED_BOUNDARY = (
 # z1 and z2 by about 1e-13, and again when the free-boundary check cut
 # regime 2's band at x_star's x*_2 = (z1 + z2) + chat, where it took
 # (z1 + chat) + z2, which moved C1 fields by round-off (worst_c1 at
-# y = 0.2: 5.55e-10 -> 1.78e-09, at x_star) and the injected grid_hi
+# y = 0.2: 5.55e-10 -> 1.78e-09, at x_star) and the injected grid_hi, and
+# all three when the default grid became one check in u = x - chat,
+# translated to each level, which moved the fbp reports' worst values,
+# their positions and grid_hi by round-off (example.json's worst_fbp_ode
+# 6.1e-16 -> 4.4e-16, worst_fbp_c1 1.78e-09 -> 9.99e-10; the injected C1
+# gap 590.2666671634415 -> 590.2666671624423 at the same x)
 PINNED_VERIFY = {
     ("example.json", False):
-        "2ea05c871a304eeb1690073a5debcd318610e32619b73912b4993a9b5ae08bd3",
+        "27741859d4c09844aee56533ba20d97642b1f886eaae5dd26eb7485a44dee161",
     ("equal_vol.json", False):
-        "263d6b567973977bc5593a5a10722e676389056875440b066f0f856e4610798d",
+        "cdebbf9e587ec757131c7620eda68571e11f96a6e69914638fc1e3aa30364e0e",
     ("example.json", True):
-        "cbd6a5b4da687c6af702f3d620c1effb646cf6f89ac01ad21c8f659ec2ebc2dd",
+        "8ffa9068c38ec5215a8014dd22a5710bf350fc035ed9dd90cf327a9f6a923458",
 }
 
 

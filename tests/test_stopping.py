@@ -394,6 +394,60 @@ def test_verify_fbp_levels_equal_per_level_calls(any_sol):
     assert isinstance(rx.verify_fbp(any_sol, 0.5), FbpReport)
 
 
+LEVELS9 = np.arange(1, 10)/10.0
+
+
+def test_verify_fbp_default_grid_is_checked_once(any_sol, monkeypatch):
+    """On the default grid nine levels are one check in u = x - chat, so
+    their reports share every worst value; an explicit grid, a range of
+    x, is checked at each level."""
+    calls, level = [], stopping._fbp_level
+
+    def spy(*args):
+        calls.append(args)
+        return level(*args)
+
+    monkeypatch.setattr(stopping, "_fbp_level", spy)
+    reps = rx.verify_fbp(any_sol, LEVELS9, n_points=500)
+    assert len(calls) == 1
+    worst = {tuple(getattr(r, f"worst_{n}") for n in ("ode", "ineq", "dom",
+                                                      "c1")) for r in reps}
+    assert len(worst) == 1
+    rx.verify_fbp(any_sol, LEVELS9, n_points=500, grid=(-5.0, 5.0))
+    assert len(calls) == 10
+
+
+def test_verify_fbp_default_grid_agrees_with_its_x_grid(any_sol):
+    """Each level's report from the check in u agrees with the same grid
+    checked in x at that level's chat. Worst measured over the nine
+    levels of cases A, B and C at 10,000 points (and 20 drawn sets at 3,
+    2,000 and 10,000 points): ODE residual and inequality 2.2e-16 apart,
+    domination equal, C1 gap 7.8e-10 (drawn 2.4e-9) apart; grid_lo equal,
+    grid_hi 1 ulp apart, and every ODE, inequality and domination position
+    within 2 ulps of a point of the x grid (the ulp of its largest end).
+    Rounding noise, not the grid, picks which point is worst, so the
+    positions sit on the same grid, not at the same index; the C1 position
+    is x*_1 or x*_2 exactly."""
+    sol = any_sol
+    for y in LEVELS9.tolist():
+        ch = chat(sol.iparams, y)
+        x2 = rx.x_star(sol, sol.internal_regime(2), y)
+        got = rx.verify_fbp(sol, y)
+        ref = rx.verify_fbp(sol, y, grid=(ch - 10.0*sol.z1, x2 + 10.0*sol.z1))
+        ulp = np.spacing(max(abs(ref.grid_lo), abs(ref.grid_hi)))
+        xs = np.linspace(ref.grid_lo, ref.grid_hi, ref.n_points)
+        assert got.grid_lo == ref.grid_lo
+        assert abs(got.grid_hi - ref.grid_hi) <= 4*ulp
+        assert got.worst_dom == ref.worst_dom
+        for name, tol in (("ode", 1e-15), ("ineq", 1e-15), ("c1", 1e-8)):
+            assert abs(getattr(got, f"worst_{name}")
+                       - getattr(ref, f"worst_{name}")) <= tol, (name, y)
+        for name in ("ode", "ineq", "dom"):
+            at = getattr(got, f"worst_{name}_x")
+            assert np.abs(xs - at).min() <= 4*ulp, (name, y)
+        assert got.worst_c1_x in (rx.x_star(sol, 1, y), rx.x_star(sol, 2, y))
+
+
 def test_verify_fbp_levels_raise_first_failing_level(sol_a):
     bad = perturbed(sol_a, 1e-3)
     with pytest.raises(VerificationFailed) as first:
@@ -464,17 +518,17 @@ def test_verify_fbp_equals_two_table_oracle(any_sol, monkeypatch):
 
 def _boundary_points(monkeypatch, sol):
     """x*_1 and x*_2 at level 0.5, built as sol.shift(k) + chat, checked
-    to be the points where verify_fbp cuts that level's grid."""
+    to be the points where verify_fbp cuts that level's explicit grid."""
     cuts, level = [], stopping._fbp_level
 
-    def spy(sol, n_points, y, ch, x1, x2, *rest):
+    def spy(sol, n_points, ch, x1, x2, *rest):
         cuts.append((x1, x2))
-        return level(sol, n_points, y, ch, x1, x2, *rest)
+        return level(sol, n_points, ch, x1, x2, *rest)
 
     points = tuple(sol.shift(k) + chat(sol.iparams, 0.5) for k in (1, 2))
     with monkeypatch.context() as m:
         m.setattr(stopping, "_fbp_level", spy)
-        list(stopping._fbp_table(sol, np.array([0.5]), 2, None))
+        list(stopping._fbp_table(sol, np.array([0.5]), 2, (-1.0, 1.0)))
     assert np.array_equal(cuts, [points], equal_nan=True)
     return points
 

@@ -14,6 +14,9 @@ Neither may change z1, z2, U, U_x, U_xx or b*_i.
   U_xx scales by 1/s and b*_i(s x) = b*_i(x). The paper's feasibility
   flags are not invariant under it, and solve_z refuses most scaled sets:
   example.json keeps them for s = 0.9 and 1.1, but not for 0.85 or 1.15.
+- Reserve level: w(x, i; y) = W_i(x - chat(y)). Every level's selling
+  problem is one problem in u = x - chat(y), so w, w_x and w_xx at
+  (u + chat(y), y) may not depend on y.
 """
 import json
 import math
@@ -32,6 +35,10 @@ TOL = 1e-13
 # solved afresh in the new unit: z 7.5e-13; U 1.8e-13, U_x 4.3e-13 and
 # U_xx 5.9e-12; b* 1.5e-12
 SCALE_TOL = 1e-11
+# worst measured over the u and y below, cases A, B and C: 3.7e-16 of the
+# largest magnitude (case B's w_xx); 22-32 of 315 values per case differ
+# at all, all of them where the selling problem continues
+LEVEL_TOL = 1e-15
 XS = np.linspace(-3.0, 3.0, 61)
 YS = np.linspace(0.05, 1.0, 20)
 
@@ -96,3 +103,25 @@ def test_price_scale_scales_the_solution(s):
     cs = _solved(p)
     assert cs.stopping.case == "A"
     _assert_same(cs, _solved(twin), scale=s, tol=SCALE_TOL)
+
+
+@pytest.mark.parametrize("case", ["A", "B", "C"])
+def test_reserve_level_is_a_translation(case):
+    cfg = json.loads((CONFIGS/("equal_vol.json" if case == "B" else
+                               "example.json")).read_text())
+    p = rx.params_from_config(cfg)
+    sol = rx.solve_z(p.swapped() if case == "C" else p)
+    # the shifts put points exactly on x*_1 and x*_2, where w_xx's sides differ
+    u = np.concatenate([np.linspace(-3.0, 3.0, 61), [sol.shift(1),
+                                                     sol.shift(2)]])
+    stopped = u >= max(sol.shift(1), sol.shift(2))
+    for i in (1, 2):
+        for fn in (rx.w, rx.w_x, lambda *a: rx.w_xx(*a, side=-1),
+                   lambda *a: rx.w_xx(*a, side=1)):
+            got = np.array([fn(sol, u + rx.chat(p, y), i, y)
+                            for y in (0.0, 0.1, 0.5, 0.9, 1.0)])
+            assert _off(got, got[2]) <= LEVEL_TOL, (fn, i)
+            # exact where stopped (1 and 0) and at x*_2 itself, where the left
+            # limit reads its branch at x - x*_2 = 0: the cuts move exactly
+            if fn is not rx.w:
+                assert (got[:, stopped] == got[2, stopped]).all(), (fn, i)
