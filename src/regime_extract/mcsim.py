@@ -56,6 +56,9 @@ BARRIER_TOL, DNU_TOL = 1e-9, 1e-12
 CHECK_BLOCK_ENTRIES = 2**15
 # bytes of a recorded Trace's grid arrays: t, regime, X, Y, dnu, disc_inc
 MAX_TRACE_BYTES = 2**31
+# every COMPACT_EVERY steps an estimate drops its exhausted path pairs, if
+# more than a quarter are (a recorded trace is never compacted)
+COMPACT_EVERY = 256
 # the baselines, (threshold shift, mean payoff of a run over [0, T]): at
 # +inf nothing triggers; at -inf all of the reserve does at t = 0, where
 # the projection onto f'(0) gives Y = 0 and f(Y) = 0 exactly
@@ -200,8 +203,7 @@ def _checked_run(cs: ControlSolution, x0, y0, i0, cfg: SimConfig, units=1):
 
 
 def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
-                    dt, K, seed, batch_idx, antithetic, record=False,
-                    compact_every=256):
+                    dt, K, seed, batch_idx, antithetic, record=False):
     """n_pairs path pairs (single paths without antithetics) seeded from
     (seed, batch_idx): the (m, n_pairs) discounted payoffs, or with
     record=True the Trace of all m*n_pairs paths. The per-member state is
@@ -287,7 +289,6 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
         threshold(he, shift)
 
     if record:
-        compact_every = 0
         trace = Trace(t=dt*np.arange(K + 1),
                       regime=np.empty((K + 1, m*n), dtype=np.int8),
                       X=np.empty((K + 1, m*n)), Y=np.empty((K + 1, m*n)),
@@ -354,7 +355,7 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
             pay -= fY*(dlast - disc[k + 1])/rho
             dlast[:] = disc[k + 1]
             snapshot(k + 1)
-        if compact_every and (k + 1) % compact_every == 0 and n > 64:
+        if not record and (k + 1) % COMPACT_EVERY == 0 and n > 64:
             done = (Y.reshape(m, n) == 0.0).all(axis=0)
             if done.mean() > 0.25:
                 # compress, unlike a boolean index, keeps the (m, n) view

@@ -28,10 +28,9 @@ applies; the control module integrates the same branches over y.
 _reduced writes G1, G2 once; _w_table evaluates w piecewise over (chat
 x price) arrays, and equal volatilities (case B) are its z2 = 0 case.
 w(x, i; y) = W_i(x - chat(y)): every level's selling problem is one
-problem in u = x - chat(y). So verify_fbp checks its default grid once,
-in u, and moves that report to each level; an explicit grid, a range of
-x, is checked level by level. A grid ascends, so each region of w is a
-slice, which _continuation fills directly.
+problem in u = x - chat(y). So verify_fbp checks one grid of u, once,
+and moves that report to each level. The grid ascends, so each region of
+w is a slice, which _continuation fills directly.
 """
 from __future__ import annotations
 
@@ -43,9 +42,9 @@ import numpy as np
 from ._numerics import bisect
 from .errors import (AssumptionViolated, DomainError, NoBracket, OutOfRange,
                      PreconditionViolated, VerificationFailed)
-from .model import (LEVELS, Characteristic, ModelParams, _count,
-                    _price_range, _regime, _single_shift, _states, chat,
-                    check_assumptions, finite_prices, solve_characteristic)
+from .model import (LEVELS, Characteristic, ModelParams, _count, _regime,
+                    _single_shift, _states, chat, check_assumptions,
+                    finite_prices, solve_characteristic)
 
 # solve_z brackets z2 in [eps, zhat2 (1 - ENDPOINT_EPS)], eps from
 # ENDPOINT_EPS down by factors of 100 until M1 - M2 changes sign there
@@ -53,9 +52,9 @@ ENDPOINT_EPS = 1e-10
 # verify_fbp's acceptance tolerances (ODE residual, operator inequality,
 # payoff domination, C1 gap) and the step of its one-sided C1 slopes
 ODE_TOL, INEQ_TOL, DOM_TOL, C1_TOL, C1_STEP = 1e-7, 1e-7, 1e-9, 1e-6, 1e-6
-# verify_fbp's most points per level; a level peaks near 88 B a point on a
-# grid wholly below x*_1 (tracemalloc at 100,000 points; tested at most 90),
-# so about 370 MB, and near 50 B on the default grid (tested at most 55)
+# verify_fbp's most points; its check peaks near 50 B a point (tracemalloc
+# at 100,000 points; tested at most 55), and near 88 B, so about 370 MB, if
+# its grid lies wholly below x*_1, as when z2 < -21 z1 (tested at most 90)
 MAX_FBP_POINTS = 1 << 22
 
 
@@ -130,14 +129,19 @@ def zhat2(params: ModelParams, roots: Characteristic) -> float:
     return math.acosh(target)/roots.alpha5
 
 
+def _branches(params: ModelParams, roots: Characteristic, v):
+    """(M1, M2) at v, the reduced system's two u-branches (_reduced)."""
+    A1, T1, A2, T2 = _reduced(params, roots, v)
+    return (T1 - roots.a2)/A1, (T2 - roots.a4)/A2
+
+
 def m1(params: ModelParams, roots: Characteristic, v):
     """u-branch of the reduced system; increasing to +inf on [0, zhat2)."""
     zh = zhat2(params, roots)
     va = finite_prices(v, "v")
     if np.any(va < 0.0) or np.any(va >= zh):
         raise DomainError(f"M1 domain is [0, zhat2={zh}), got {v}")
-    A1, T1, _, _ = _reduced(params, roots, va)
-    out = (T1 - roots.a2)/A1
+    out = _branches(params, roots, va)[0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -148,8 +152,8 @@ def m2(params: ModelParams, roots: Characteristic, v):
     va = finite_prices(v, "v")
     if np.any(va < 0.0) or np.any(va > zh*(1.0 + 1e-12)):
         raise DomainError(f"M2 domain is [0, zhat2={zh}], got {v}")
-    _, _, A2, T2 = _reduced(params, roots, va)
-    out = (T2 - roots.a4)/A2
+    with np.errstate(divide="ignore", invalid="ignore"):   # M1 1/0 at zhat2
+        out = _branches(params, roots, va)[1]
     return float(out) if out.ndim == 0 else out
 
 
@@ -187,8 +191,8 @@ def solve_z(params: ModelParams) -> StoppingSolution:
                             f"sigma/sqrt(2 rho)={z1}")
     else:
         def diff(v):   # M1 - M2 on (0, zhat2)
-            A1, T1, A2, T2 = _reduced(iparams, roots, v)
-            return (T1 - roots.a2)/A1 - (T2 - roots.a4)/A2
+            b1, b2 = _branches(iparams, roots, v)
+            return b1 - b2
 
         eps = ENDPOINT_EPS
         lo, hi = eps, zh*(1.0 - ENDPOINT_EPS)
@@ -367,128 +371,103 @@ def _worst(worst, vals, at):
     return (val, float(at[j])) if val > worst[0] or val != val else worst
 
 
-def _fbp_level(sol: StoppingSolution, n_points, ch, x1, x2, lo, hi):
-    """The worst offender and its x, as (value, x) pairs, of the ODE,
-    inequality, domination and C1 checks of the level with chat = ch and
-    boundaries x1, x2, on its grid of n_points prices from lo to hi.
+def _fbp_level(sol: StoppingSolution, n_points, lo, hi):
+    """The worst offender and its u, as (value, u) pairs, of the ODE,
+    inequality, domination and C1 checks of the selling problem in u = x -
+    chat (boundaries shift(1), shift(2); payoff u) at n_points from lo to hi.
 
     The grid ascends, so the regions are slices: both regimes continue on
-    the first i1 points (x <= x*_1), regime 2 alone on its band up to i2,
-    and w is the payoff on the rest; the ODE must hold on a prefix. Each
-    cut is a count of a comparison, so a NaN boundary or grid, which every
-    comparison fails, cuts where a mask would. w_xx's right limit differs
-    from its left one only at grid points on a boundary, so only if there
-    are some is the operator evaluated again, on w_xx rows patched there.
+    the first i1 points (u <= shift(1)), regime 2 alone on its band up to
+    i2, and w is the payoff on the rest; the ODE must hold on a prefix.
+    Each cut is a count of a comparison, so a NaN boundary or grid, which
+    every comparison fails, cuts where a mask would. w_xx's right limit
+    differs from its left one only at grid points on a boundary, so only
+    if there are some is the operator evaluated again, on w_xx rows
+    patched there.
 
     The rows end at the first point where both regimes stop, index
-    max(i1, i2) (not i2: with z2 < 0 regime 1 continues past x*_2). Past
-    it both w are the payoff and both w_xx 0, so the operator is -rho pay,
-    which never rises, and pay - w is 0: that point is each check's first
-    worst there, so the reports are those of the whole grid. A default
-    grid descends only if z2 < -21 z1, and then, as z1 > 0, lies wholly
-    below x*_1 and is not cut.
+    max(i1, i2) (not i2: with z2 < 0 regime 1 continues past shift(2)).
+    Past it both w are the payoff and both w_xx 0, so the operator is -rho
+    u, which never rises, and u - w is 0: that point is each check's first
+    worst there, so the reports are those of the whole grid. verify_fbp's
+    window descends only if z2 < -21 z1, and then, as z1 > 0, lies wholly
+    below shift(1) and is not cut.
     """
     p = sol.iparams
-    xs = np.linspace(lo, hi, n_points)   # the whole grid sets the cuts
+    u1, u2 = sol.shift(1), sol.shift(2)
+    us = np.linspace(lo, hi, n_points)   # the whole grid sets the cuts
     h_cell = (hi - lo)/(n_points - 1)
-    i1 = np.count_nonzero(xs <= x1)
-    i2 = n_points - np.count_nonzero(xs > x2)   # band empty if i2 <= i1
-    xs = xs[:max(i1, i2) + 1]
-    pay = xs - ch   # w where stopped
-    w = [pay.copy(), pay.copy(), np.zeros(xs.size), np.zeros(xs.size)]
-    for row, val in zip(w, _continuation(sol, xs[:i1], ch, _FBP_ROWS)):
+    i1 = np.count_nonzero(us <= u1)
+    i2 = n_points - np.count_nonzero(us > u2)   # band empty if i2 <= i1
+    us = us[:max(i1, i2) + 1]
+    w = [us.copy(), us.copy(), np.zeros(us.size), np.zeros(us.size)]
+    for row, val in zip(w, _continuation(sol, us[:i1], 0.0, _FBP_ROWS)):
         row[:i1] = val
-    w[1][i1:i2], w[3][i1:i2] = _continuation(sol, xs[i1:i2], ch,
+    w[1][i1:i2], w[3][i1:i2] = _continuation(sol, us[i1:i2], 0.0,
                                              _FBP_ROWS[1::2], True)
     wxx = [w[2:]]   # the left limits, then a copy with the right ones
-    on = np.flatnonzero((xs == x1) | (xs == x2))
+    on = np.flatnonzero((us == u1) | (us == u2))
     if on.size:
         wxx.append(np.array(w[2:]))
-        wxx[1][:, on] = _w_table(sol, xs[on], ch, _FBP_ROWS[2:], 1)
+        wxx[1][:, on] = _w_table(sol, us[on], 0.0, _FBP_ROWS[2:], 1)
 
     # scanned by internal regime, then side
     ode, ineq, dom = (0.0, lo), (-np.inf, lo), (-np.inf, lo)
     for k in (1, 2):
         wk, wo = w[k - 1], w[2 - k]
         sig, lam = p.sigma(k), p.lam(k)
-        n_eq = np.count_nonzero(xs < (x1 if k == 1 else x2) - 0.5*h_cell)
+        n_eq = np.count_nonzero(us < (u1 if k == 1 else u2) - 0.5*h_cell)
         for rows in wxx:
             op = 0.5*sig*sig*rows[k - 1] - p.rho*wk + lam*(wo - wk)
-            ineq = _worst(ineq, op, xs)
+            ineq = _worst(ineq, op, us)
             if n_eq:
-                ode = _worst(ode, np.abs(op[:n_eq]), xs)
-        dom = _worst(dom, pay - wk, xs)
+                ode = _worst(ode, np.abs(op[:n_eq]), us)
+        dom = _worst(dom, us - wk, us)
 
-    # slopes either side of the junctions (1, x*_1), (2, x*_1), (2, x*_2)
-    h, bs = C1_STEP, np.array([x1, x1, x2])
+    # slopes either side of the junctions (1, u1), (2, u1), (2, u2)
+    h, bs = C1_STEP, np.array([u1, u1, u2])
     sw = _w_table(sol, bs[:, None] + h*np.array([-2.0, -1.0, 0.0, 1.0, 2.0]),
-                  ch, _FBP_ROWS[:2], -1)
+                  0.0, _FBP_ROWS[:2], -1)
     d_lo = (3.0*sw[..., 2] - 4.0*sw[..., 1] + sw[..., 0])/(2.0*h)
     d_hi = (-3.0*sw[..., 2] + 4.0*sw[..., 3] - sw[..., 4])/(2.0*h)
-    gap, c1 = np.abs(d_hi - d_lo), (0.0, x1)   # gap[regime - 1, j]
+    gap, c1 = np.abs(d_hi - d_lo), (0.0, u1)   # gap[regime - 1, j]
     for k, j in ((1, 0), (2, 1), (2, 2)):
         c1 = _worst(c1, gap[k - 1, j:j + 1], bs[j:j + 1])
     return ode, ineq, dom, c1
 
 
-def _fbp_table(sol: StoppingSolution, ys, n_points, grid):
-    """The FbpReport of each level in ys, made as it is taken.
-
-    w(x, i; y) = W_i(x - chat(y)), so on the default grid every level's
-    check is one check in u = x - chat, on [-10 z1, shift(2) + 10 z1]: it
-    is made once, and each level's report is that one with its grid and
-    positions moved by chat(y). An explicit grid is a range of x, the same
-    at every level, so there each level is checked at its own chat.
-    """
-    ch = chat(sol.iparams, ys)
-    if grid is None:   # the one check in u, moved to each level
-        lo, hi = -10.0*sol.z1, sol.shift(2) + 10.0*sol.z1
-        worst = _fbp_level(sol, n_points, 0.0, sol.shift(1), sol.shift(2),
-                           lo, hi)
-        for y, c in zip(ys.tolist(), ch.tolist()):
-            yield FbpReport(y, lo + c, hi + c, n_points,
-                            *(f for val, u in worst for f in (val, u + c)))
-        return
-    lo, hi = grid
-    for y, c in zip(ys.tolist(), ch.tolist()):
-        worst = _fbp_level(sol, n_points, c, sol.shift(1) + c,
-                           sol.shift(2) + c, lo, hi)
-        yield FbpReport(y, lo, hi, n_points, *(f for pair in worst
-                                               for f in pair))
-
-
-def verify_fbp(sol: StoppingSolution, y, n_points: int = 10000, grid=None):
+def verify_fbp(sol: StoppingSolution, y, n_points: int = 10000):
     """Grid check that w solves the free boundary problem at level y, or
     at each level of a non-empty 1-D array y (then a list of reports).
 
-    Each level is checked at n_points prices, evenly spaced on grid =
-    (lo, hi), by default [chat - 10 z1, x*_2 + 10 z1] at that level, which
-    is one grid of u = x - chat, checked once for every level:
-    (i) the coupled ODEs hold to ODE_TOL where equality is required,
-    (ii) the operator inequality holds everywhere to INEQ_TOL (one-sided
-    at the boundaries), (iii) w dominates the payoff to DOM_TOL, and
-    (iv) w is C^1 at the boundaries to C1_TOL, comparing second-order
-    one-sided difference slopes with step C1_STEP. Raises
-    VerificationFailed with the worst offender of the first failing
-    level, before later levels are built; a NaN fails. OutOfRange, before
-    any allocation, on any other y, an n_points that is not a count in
-    [2, MAX_FBP_POINTS] or a grid that is not (lo, hi), 0 < hi - lo < inf.
+    w(x, i; y) = W_i(x - chat(y)), so all levels are one check in u = x -
+    chat, at n_points evenly spaced u on [-10 z1, shift(2) + 10 z1], and
+    each level's report is that check's with its grid ends and worst
+    positions moved by chat(y): (i) the coupled ODEs hold to ODE_TOL where
+    equality is required, (ii) the operator inequality holds everywhere
+    to INEQ_TOL (one-sided at the boundaries), (iii) w dominates the
+    payoff to DOM_TOL, and (iv) w is C^1 at the boundaries to C1_TOL,
+    comparing second-order one-sided difference slopes with step C1_STEP.
+    Raises VerificationFailed with the worst offender of the first level;
+    a NaN fails. OutOfRange, before any allocation, on any other y or an
+    n_points that is not a count in [2, MAX_FBP_POINTS].
     """
     ys = finite_prices(y, *LEVELS)
     if ys.ndim > 1 or not ys.size:
         raise OutOfRange(f"y must be a level or a non-empty 1-D array: {y!r}")
     _count("n_points", n_points, 2, MAX_FBP_POINTS)
-    if grid is not None:
-        grid = _price_range("grid", grid)
+    lo, hi = -10.0*sol.z1, sol.shift(2) + 10.0*sol.z1
+    worst = _fbp_level(sol, n_points, lo, hi)
+    flat = ys.reshape(-1)
+    reports = [FbpReport(y, lo + c, hi + c, n_points,
+                         *(f for val, u in worst for f in (val, u + c)))
+               for y, c in zip(flat.tolist(), chat(sol.iparams, flat).tolist())]
     checks = {"ode": (ODE_TOL, "ODE residual {} at x={}"),
               "ineq": (INEQ_TOL, "operator inequality {} at x={}"),
               "dom": (DOM_TOL, "payoff domination violated by {} at x={}"),
               "c1": (C1_TOL, "C1 fit gap {} at boundary x={}")}
-    reports = []
-    for report in _fbp_table(sol, ys.reshape(-1), n_points, grid):
-        for name, (tol, msg) in checks.items():
-            val, x = (getattr(report, f"worst_{name}{s}") for s in ("", "_x"))
-            if not val <= tol:   # NaN fails
-                raise VerificationFailed(msg.format(val, x), report)
-        reports.append(report)
+    for name, (tol, msg) in checks.items():
+        val, x = (getattr(reports[0], f"worst_{name}{s}") for s in ("", "_x"))
+        if not val <= tol:   # NaN fails
+            raise VerificationFailed(msg.format(val, x), reports[0])
     return reports[0] if ys.ndim == 0 else reports

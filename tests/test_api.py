@@ -64,7 +64,7 @@ PINNED_SIGNATURES = {
     "v": ("sol", "x", "i", "y"),
     "validate": ("rho", "sigma1", "sigma2", "lambda1", "lambda2", "c",
                  "cost"),
-    "verify_fbp": ("sol", "y", "n_points", "grid"),
+    "verify_fbp": ("sol", "y", "n_points"),
     "verify_hjb": ("cs", "nx", "ny"),
     "w": ("sol", "x", "i", "y"),
     "w_x": ("sol", "x", "i", "y"),

@@ -663,7 +663,7 @@ def test_closed_stdout_pipe_in_a_child():
 
 
 @pytest.mark.parametrize("argv,module,first_step", [
-    (["--fbp-points", "100000000"], stopping, "_fbp_table"),
+    (["--fbp-points", "100000000"], stopping, "_fbp_level"),
     (["--fbp-points", "200", "--hjb-nx", "5000", "--hjb-ny", "5000"],
      control, "chat"),
 ], ids=["fbp", "hjb"])

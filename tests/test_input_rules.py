@@ -224,8 +224,6 @@ def test_prices_and_levels_must_broadcast(cs_a, field):
 
 # every price range, as a call that takes the value there
 RANGES = {
-    "grid": lambda cs, v: rx.verify_fbp(cs.stopping, 0.5, n_points=50,
-                                        grid=v),
     "x_range": lambda cs, v: rx.compare_boundaries(cs, n=10, x_range=v),
 }
 
@@ -239,8 +237,8 @@ RANGES = {
          "overflowing_width", "huge_int", "rows"])
 @pytest.mark.parametrize("field", list(RANGES))
 def test_price_ranges_are_pairs_of_numbers(cs_a, monkeypatch, field, value):
-    # x_range=(0.0, 1.0, 2.0) and (1.0,) and grid="ab" raised an untyped
-    # ValueError, x_range="ab" a TypeError, and a descending x_range ran
+    # x_range=(0.0, 1.0, 2.0) and (1.0,) raised an untyped ValueError,
+    # x_range="ab" a TypeError, and a descending x_range ran
     def built(*args, **kw):
         raise AssertionError(f"{field} went past its check")
 
@@ -311,8 +309,7 @@ KINDS = {
     "trace_to_csv": dict(trace="object", path="object", path_index="count"),
     "v": _SELLING,
     "validate": _RATES,
-    "verify_fbp": dict(sol="object", y="levels", n_points="count",
-                       grid="price range"),
+    "verify_fbp": dict(sol="object", y="levels", n_points="count"),
     "verify_hjb": dict(cs="object", nx="count", ny="count"),
     "w": _SELLING,
     "w_x": _SELLING,
@@ -372,8 +369,8 @@ CALLS = {
         _trace(cs), io.StringIO(), path_index),
     "v": lambda cs, x=0.6, i=1, y=0.5: rx.v(cs.stopping, x, i, y),
     "validate": lambda cs, **kw: rx.validate(**{**A_KW, **kw}, cost=EXP),
-    "verify_fbp": lambda cs, y=0.5, n_points=50, grid=None: rx.verify_fbp(
-        cs.stopping, y, n_points, grid),
+    "verify_fbp": lambda cs, y=0.5, n_points=50: rx.verify_fbp(
+        cs.stopping, y, n_points),
     "verify_hjb": lambda cs, nx=4, ny=4: rx.verify_hjb(cs, nx, ny),
     "w": lambda cs, x=0.6, i=1, y=0.5: rx.w(cs.stopping, x, i, y),
     "w_x": lambda cs, x=0.6, i=1, y=0.5: rx.w_x(cs.stopping, x, i, y),
@@ -526,6 +523,6 @@ def test_verify_fbp_takes_one_level_or_a_1d_array(cs_a, monkeypatch, y):
     def built(*args, **kw):
         raise AssertionError("verify_fbp went past its level check")
 
-    monkeypatch.setattr(stopping, "_fbp_table", built)
+    monkeypatch.setattr(stopping, "_fbp_level", built)
     with pytest.raises(OutOfRange, match="^y must be a level or a non-empty"):
         rx.verify_fbp(cs_a.stopping, y, n_points=50)

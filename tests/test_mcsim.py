@@ -116,20 +116,30 @@ def test_sim_config_validation(cs_a):
     assert rx.SimConfig().resolved_horizon(cs_a.params) == pytest.approx(30.0)
 
 
+# a compaction interval that no run reaches (K <= MAX_STEPS)
+NEVER = mcsim.MAX_STEPS + 1
+
+
+def _batch(monkeypatch, every, *args):
+    """_simulate_batch(*args) with mcsim.COMPACT_EVERY set to every."""
+    monkeypatch.setattr(mcsim, "COMPACT_EVERY", every)
+    return _simulate_batch(*args)
+
+
 def b_star_both(cs):
     return lambda i, x: np.where(i == 1, rx.b_star(cs, 1, x),
                                  rx.b_star(cs, 2, x))
 
 
-def test_custom_boundary_at_b_star_matches_reflect_optimal(cs_a):
+def test_custom_boundary_at_b_star_matches_reflect_optimal(cs_a,
+                                                           monkeypatch):
     # the price-threshold trigger and the projection onto b* pay the same
     # on every path when compaction keeps the draws aligned
     args = (cs_a, 0.6, 0.5, 2)
     run = (400, 1e-3, 1500, 5, 0, True)
-    po = _simulate_batch(*args, rx.Policy.reflect_optimal(), *run,
-                         compact_every=0)
-    pc = _simulate_batch(*args, rx.Policy.reflect_at_custom_boundary(
-        b_star_both(cs_a)), *run, compact_every=0)
+    custom = rx.Policy.reflect_at_custom_boundary(b_star_both(cs_a))
+    po = _batch(monkeypatch, NEVER, *args, rx.Policy.reflect_optimal(), *run)
+    pc = _batch(monkeypatch, NEVER, *args, custom, *run)
     assert np.abs(po - pc).max() <= 1e-12
 
 
@@ -146,14 +156,14 @@ def test_engine_mean_matches_scalar_oracle(cs_a, policy):
     assert abs(out.mean - ref.mean()) <= 4*math.hypot(out.std_error, se_ref)
 
 
-def test_compaction_is_statistically_neutral(cs_a):
+def test_compaction_is_statistically_neutral(cs_a, monkeypatch):
     # dropping exhausted pairs reshuffles which draws the survivors see,
     # so only the distribution (not the path pairing) is preserved
     pol = rx.Policy.reflect_optimal()
-    a = _simulate_batch(cs_a, 1.0, 0.5, 2, pol, 4000, 2e-3, 1500, 11, 0, True,
-                        compact_every=0)
-    b = _simulate_batch(cs_a, 1.0, 0.5, 2, pol, 4000, 2e-3, 1500, 11, 1, True,
-                        compact_every=128)
+    a = _batch(monkeypatch, NEVER, cs_a, 1.0, 0.5, 2, pol, 4000, 2e-3, 1500,
+               11, 0, True)
+    b = _batch(monkeypatch, 128, cs_a, 1.0, 0.5, 2, pol, 4000, 2e-3, 1500,
+               11, 1, True)
     ma, mb = a.mean(), b.mean()
     se = (a.mean(axis=0).std(ddof=1) + b.mean(axis=0).std(ddof=1))/math.sqrt(4000)
     assert abs(ma - mb) <= 4*se
@@ -204,14 +214,14 @@ def test_martingale_and_variance_sanity(cs_a, params_a):
     assert abs(var - target.mean()) <= 3*se_var + 0.05
 
 
-def test_trace_increments_sum_to_payoff(cs_a):
+def test_trace_increments_sum_to_payoff(cs_a, monkeypatch):
     cfg = rx.SimConfig(dt=2e-3, horizon=1.0, n_paths=64, base_seed=17)
     for pol in (rx.Policy.reflect_optimal(), rx.Policy.never_extract(),
                 rx.Policy.extract_all_at_start(),
                 rx.Policy.reflect_at_custom_boundary(b_star_both(cs_a))):
         tr = rx.simulate_traces(cs_a, 0.4, 0.7, 2, pol, cfg, 64)
-        pay = _simulate_batch(cs_a, 0.4, 0.7, 2, pol, 32, cfg.dt, 500,
-                              cfg.base_seed, 0, True, compact_every=0)
+        pay = _batch(monkeypatch, NEVER, cs_a, 0.4, 0.7, 2, pol, 32, cfg.dt,
+                     500, cfg.base_seed, 0, True)
         assert np.abs(tr.payoffs() - pay.ravel()).max() <= 1e-12
 
 
@@ -740,7 +750,8 @@ def test_trace_control_is_admissible(cs_a, kind, x0, y0, i0, seed,
     assert np.allclose(tr.Y[:-1] - tr.Y[1:], tr.dnu[1:], rtol=0.0, atol=1e-12)
 
 
-def test_reflect_optimal_custom_cost_matches_builtin(params_a, cs_a):
+def test_reflect_optimal_custom_cost_matches_builtin(params_a, cs_a,
+                                                     monkeypatch):
     # a custom cost equal to the exponential family takes the same
     # threshold trigger and f'-space projection, inverted by bisection
     g = params_a.cost.gamma
@@ -751,8 +762,8 @@ def test_reflect_optimal_custom_cost_matches_builtin(params_a, cs_a):
     cs_c = rx.from_stopping(rx.solve_z(rx.validate(**kw, cost=cost)))
     run = (0.6, 0.5, 2, rx.Policy.reflect_optimal(), 200, 0.01, 300, 3, 0,
            True)
-    pa = _simulate_batch(cs_a, *run, compact_every=0)
-    pc = _simulate_batch(cs_c, *run, compact_every=0)
+    pa = _batch(monkeypatch, NEVER, cs_a, *run)
+    pc = _batch(monkeypatch, NEVER, cs_c, *run)
     assert np.abs(pa - pc).max() <= 1e-12
 
 
@@ -875,13 +886,13 @@ PINNED_BATCHES = {
 
 
 @pytest.mark.parametrize("name", list(PINNED_BATCHES))
-def test_compacted_batch_pinned(params_a, cs_a, name):
+def test_compacted_batch_pinned(params_a, cs_a, monkeypatch, name):
     cs = _exp_cost_twin(params_a) if name == "custom_cost" else cs_a
     pol = _pin_policy("custom" if name == "custom" else "reflect_optimal")
     run = (1.0, 0.5, 2, pol, 300, 0.01, 400, 19, 3, True)
-    pay = _simulate_batch(cs, *run, compact_every=64)
+    pay = _batch(monkeypatch, 64, cs, *run)
     # compaction fired: it reshuffles the draws the survivors see
-    assert not np.array_equal(pay, _simulate_batch(cs, *run, compact_every=0))
+    assert not np.array_equal(pay, _batch(monkeypatch, NEVER, cs, *run))
     assert _sha(pay) == PINNED_BATCHES[name]
 
 
@@ -959,13 +970,13 @@ PINNED_ENGINE_RUNS = {
 
 
 @pytest.mark.parametrize("name", list(PINNED_ENGINE_RUNS))
-def test_engine_run_pinned(cs_a, cs_b, name):
+def test_engine_run_pinned(cs_a, cs_b, monkeypatch, name):
     cs, run = _engine_run(name, cs_a, cs_b)
-    pay = _simulate_batch(cs, *run, compact_every=64)
+    pay = _batch(monkeypatch, 64, cs, *run)
     # (m, n_pairs): one member per path without antithetics
     assert pay.shape == (2 if run[-1] else 1, run[4])
     # compaction fired
-    assert not np.array_equal(pay, _simulate_batch(cs, *run, compact_every=0))
+    assert not np.array_equal(pay, _batch(monkeypatch, NEVER, cs, *run))
     assert _sha(pay) == PINNED_ENGINE_RUNS[name]
 
 

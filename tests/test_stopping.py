@@ -16,7 +16,7 @@ from regime_extract.stopping import FbpReport, _continuation
 
 from conftest import NEAR_EQUAL_KW, draw_from_boxes
 from fault_hooks import perturbed
-from fbp_oracle import fbp_table
+from fbp_oracle import fbp_level
 
 # frozen solver outputs for the example set (grid-search oracle agrees
 # within one 1e-3 cell, see the acceptance suite)
@@ -398,9 +398,8 @@ LEVELS9 = np.arange(1, 10)/10.0
 
 
 def test_verify_fbp_default_grid_is_checked_once(any_sol, monkeypatch):
-    """On the default grid nine levels are one check in u = x - chat, so
-    their reports share every worst value; an explicit grid, a range of
-    x, is checked at each level."""
+    """Nine levels are one check in u = x - chat, so their reports share
+    every worst value."""
     calls, level = [], stopping._fbp_level
 
     def spy(*args):
@@ -413,35 +412,35 @@ def test_verify_fbp_default_grid_is_checked_once(any_sol, monkeypatch):
     worst = {tuple(getattr(r, f"worst_{n}") for n in ("ode", "ineq", "dom",
                                                       "c1")) for r in reps}
     assert len(worst) == 1
-    rx.verify_fbp(any_sol, LEVELS9, n_points=500, grid=(-5.0, 5.0))
-    assert len(calls) == 10
 
 
 def test_verify_fbp_default_grid_agrees_with_its_x_grid(any_sol):
-    """Each level's report from the check in u agrees with the same grid
-    checked in x at that level's chat. Worst measured over the nine
-    levels of cases A, B and C at 10,000 points (and 20 drawn sets at 3,
-    2,000 and 10,000 points): ODE residual and inequality 2.2e-16 apart,
-    domination equal, C1 gap 7.8e-10 (drawn 2.4e-9) apart; grid_lo equal,
-    grid_hi 1 ulp apart, and every ODE, inequality and domination position
-    within 2 ulps of a point of the x grid (the ulp of its largest end).
-    Rounding noise, not the grid, picks which point is worst, so the
-    positions sit on the same grid, not at the same index; the C1 position
-    is x*_1 or x*_2 exactly."""
+    """Each level's report from the check in u agrees with the two-table
+    reference on the same grid of x, at that level's chat. Worst measured
+    over the nine levels of cases A, B and C at 10,000 points (and 20 drawn
+    sets at 3, 2,000 and 10,000 points): ODE residual and inequality
+    2.2e-16 apart, domination equal, C1 gap 7.8e-10 (drawn 2.4e-9) apart;
+    grid_lo equal, grid_hi 1 ulp apart, and every ODE, inequality and
+    domination position within 2 ulps of a point of the x grid (the ulp of
+    its largest end). Rounding noise, not the grid, picks which point is
+    worst, so the positions sit on the same grid, not at the same index;
+    the C1 position is x*_1 or x*_2 exactly."""
     sol = any_sol
     for y in LEVELS9.tolist():
         ch = chat(sol.iparams, y)
         x2 = rx.x_star(sol, sol.internal_regime(2), y)
         got = rx.verify_fbp(sol, y)
-        ref = rx.verify_fbp(sol, y, grid=(ch - 10.0*sol.z1, x2 + 10.0*sol.z1))
-        ulp = np.spacing(max(abs(ref.grid_lo), abs(ref.grid_hi)))
-        xs = np.linspace(ref.grid_lo, ref.grid_hi, ref.n_points)
-        assert got.grid_lo == ref.grid_lo
-        assert abs(got.grid_hi - ref.grid_hi) <= 4*ulp
-        assert got.worst_dom == ref.worst_dom
+        lo, hi = ch - 10.0*sol.z1, x2 + 10.0*sol.z1
+        ref = dict(zip(("ode", "ineq", "dom", "c1"),
+                       fbp_level(sol, got.n_points, lo, hi, at=ch)))
+        ulp = np.spacing(max(abs(lo), abs(hi)))
+        xs = np.linspace(lo, hi, got.n_points)
+        assert got.grid_lo == lo
+        assert abs(got.grid_hi - hi) <= 4*ulp
+        assert got.worst_dom == ref["dom"][0]
         for name, tol in (("ode", 1e-15), ("ineq", 1e-15), ("c1", 1e-8)):
             assert abs(getattr(got, f"worst_{name}")
-                       - getattr(ref, f"worst_{name}")) <= tol, (name, y)
+                       - ref[name][0]) <= tol, (name, y)
         for name in ("ode", "ineq", "dom"):
             at = getattr(got, f"worst_{name}_x")
             assert np.abs(xs - at).min() <= 4*ulp, (name, y)
@@ -467,7 +466,7 @@ def test_verify_fbp_caps_its_points_before_allocating(sol_a, monkeypatch):
     def built(*args):
         raise AssertionError("verify_fbp went past its size check")
 
-    monkeypatch.setattr(stopping, "_fbp_table", built)
+    monkeypatch.setattr(stopping, "_fbp_level", built)
     cap = stopping.MAX_FBP_POINTS
     for n in (cap + 1, 100_000_000):
         with pytest.raises(OutOfRange, match="n_points"):
@@ -504,110 +503,98 @@ def _fbp_outcome(sol, y, **kw):
 def _assert_fbp_equals_oracle(monkeypatch, sol, y, **kw):
     out = _fbp_outcome(sol, y, **kw)
     with monkeypatch.context() as m:
-        m.setattr(stopping, "_fbp_table", fbp_table)
+        m.setattr(stopping, "_fbp_level", fbp_level)
         assert out == _fbp_outcome(sol, y, **kw)
+
+
+def _assert_level_equals_oracle(sol, n_points, lo, hi):
+    """_fbp_level on the u-window (lo, hi) equals the two-table reference
+    at chat 0 bit for bit, NaN included."""
+    assert repr(stopping._fbp_level(sol, n_points, lo, hi)) == \
+        repr(fbp_level(sol, n_points, lo, hi)), (n_points, lo, hi)
+
+
+def _faulty(sol):
+    """sol, its z2 shifted by +-1e-3, and a NaN z2."""
+    return (sol, perturbed(sol, 1e-3), perturbed(sol, -1e-3),
+            replace(sol, z2=math.nan))
 
 
 def test_verify_fbp_equals_two_table_oracle(any_sol, monkeypatch):
     """One w table per pass gives the two-table verifier's reports and
-    failures bit for bit: passing, failing (z2 +- 1e-3) and NaN w."""
-    for sol in (any_sol, perturbed(any_sol, 1e-3), perturbed(any_sol, -1e-3),
-                replace(any_sol, z2=math.nan)):
+    failures bit for bit: passing, failing (z2 +- 1e-3) and NaN w, on each
+    solution's own window [-10 z1, shift(2) + 10 z1] of u."""
+    for sol in _faulty(any_sol):
         _assert_fbp_equals_oracle(monkeypatch, sol, np.linspace(0.0, 1.0, 11))
 
 
-def _boundary_points(monkeypatch, sol):
-    """x*_1 and x*_2 at level 0.5, built as sol.shift(k) + chat, checked
-    to be the points where verify_fbp cuts that level's explicit grid."""
-    cuts, level = [], stopping._fbp_level
-
-    def spy(sol, n_points, ch, x1, x2, *rest):
-        cuts.append((x1, x2))
-        return level(sol, n_points, ch, x1, x2, *rest)
-
-    points = tuple(sol.shift(k) + chat(sol.iparams, 0.5) for k in (1, 2))
-    with monkeypatch.context() as m:
-        m.setattr(stopping, "_fbp_level", spy)
-        list(stopping._fbp_table(sol, np.array([0.5]), 2, (-1.0, 1.0)))
-    assert np.array_equal(cuts, [points], equal_nan=True)
-    return points
-
-
 def test_verify_fbp_right_limits_at_boundary_grid_points(any_sol, monkeypatch):
-    """Grids with a point exactly on x*_1 or x*_2, where w_xx's right
-    limit differs from its left one, match the two-table verifier. Each
-    grid ends or starts at the boundary, which linspace hits exactly."""
-    for sol in (any_sol, perturbed(any_sol, 1e-3), perturbed(any_sol, -1e-3)):
-        for xb in _boundary_points(monkeypatch, sol):
-            for grid in ((xb - 2.0, xb), (xb, xb + 2.0)):
-                assert xb in np.linspace(*grid, 2001)
-                _assert_fbp_equals_oracle(monkeypatch, sol, 0.5,
-                                          n_points=2001, grid=grid)
+    """u-windows with a point exactly on shift(1) or shift(2), where w_xx's
+    right limit differs from its left one, match the two-table verifier,
+    and a spy shows that the right limits were patched in. Each window
+    ends or starts at the boundary, which linspace hits exactly."""
+    patched, table = [], stopping._w_table
+
+    def spy(sol, x, ch, series, side=-1):
+        patched.append(side == 1)
+        return table(sol, x, ch, series, side)
+
+    monkeypatch.setattr(stopping, "_w_table", spy)
+    for sol in _faulty(any_sol)[:3]:
+        for ub in (sol.shift(1), sol.shift(2)):
+            for lo, hi in ((ub - 2.0, ub), (ub, ub + 2.0)):
+                assert ub in np.linspace(lo, hi, 2001)
+                patched.clear()
+                _assert_level_equals_oracle(sol, 2001, lo, hi)
+                assert any(patched), (lo, hi)
 
 
-def test_verify_fbp_on_one_region_grids_equals_oracle(any_sol, monkeypatch):
-    """Grids wholly below x*_1, wholly stopped (no point where the ODE
-    must hold) and starting exactly at x*_2 match the two-table verifier,
-    for z2 +- 1e-3 and NaN too: the region cuts fall at 0, at n_points
-    and on an empty band."""
-    x1, x2 = _boundary_points(monkeypatch, any_sol)
-    grids = [(x1 - 3.0, x1 - 1.0), (x2 + 1.0, x2 + 3.0), (x2, x2 + 2.0)]
-    rep = rx.verify_fbp(any_sol, 0.5, n_points=501, grid=grids[1])
-    assert (rep.worst_ode, rep.worst_ode_x) == (0.0, grids[1][0])
-    for sol in (any_sol, perturbed(any_sol, 1e-3), perturbed(any_sol, -1e-3),
-                replace(any_sol, z2=math.nan)):
-        own_x2 = _boundary_points(monkeypatch, sol)[1]
-        for grid in grids + [(own_x2, own_x2 + 2.0)]*math.isfinite(own_x2):
-            _assert_fbp_equals_oracle(monkeypatch, sol, 0.5, n_points=501,
-                                      grid=grid)
+def test_verify_fbp_on_one_region_grids_equals_oracle(any_sol):
+    """u-windows wholly below shift(1), wholly stopped (no point where the
+    ODE must hold) and starting exactly at shift(2) match the two-table
+    verifier, for z2 +- 1e-3 and NaN too: the region cuts fall at 0, at
+    n_points and on an empty band."""
+    u1, u2 = any_sol.shift(1), any_sol.shift(2)
+    windows = [(u1 - 3.0, u1 - 1.0), (u2 + 1.0, u2 + 3.0), (u2, u2 + 2.0)]
+    assert stopping._fbp_level(any_sol, 501, *windows[1])[0] == \
+        (0.0, windows[1][0])
+    for sol in _faulty(any_sol):
+        own = sol.shift(2)
+        for lo, hi in windows + [(own, own + 2.0)]*math.isfinite(own):
+            _assert_level_equals_oracle(sol, 501, lo, hi)
 
 
 def test_verify_fbp_cut_past_both_boundaries_equals_oracle(monkeypatch):
     """The rows end at the first point where both regimes stop, which is
-    past x*_1, not x*_2, when z2 < 0: with regime 2's boundary 0.3 and 2.0
-    below x*_1, on 2- and 3-point and custom grids, drawn sets match the
-    two-table verifier, which fills the whole grid."""
+    past shift(1), not shift(2), when z2 < 0: with regime 2's boundary 0.3
+    and 2.0 below shift(1), on 2-, 3- and 1001-point windows and on
+    (-5, 5), drawn sets match the two-table verifier, which fills the
+    whole grid."""
     levels = np.array([0.1, 0.5, 0.9])
     for sol in map(rx.solve_z, draw_from_boxes(np.random.default_rng(7), 20)):
         for dz2 in (0.0, -sol.z2 - 0.3, -sol.z2 - 2.0):
-            for kw in (dict(n_points=2), dict(n_points=3),
-                       dict(n_points=1001), dict(n_points=1001,
-                                                 grid=(-5.0, 5.0))):
-                _assert_fbp_equals_oracle(monkeypatch, perturbed(sol, dz2),
-                                          levels, **kw)
-
-
-@pytest.mark.parametrize("grid", [
-    (1.0, -1.0), (0.5, 0.5), (math.nan, 1.0), (-1.0, math.nan),
-    (-math.inf, 1.0), (-1.0, math.inf), (-1e308, 1e308)],
-    ids=["reversed", "equal", "nan_lo", "nan_hi", "inf_lo", "inf_hi",
-         "overflowing_width"])
-def test_verify_fbp_grid_must_ascend_with_finite_ends(sol_a, monkeypatch,
-                                                      grid):
-    # a NaN end used to be reported as the solver's "ODE residual nan"
-    def built(*args):
-        raise AssertionError("verify_fbp went past its grid check")
-
-    monkeypatch.setattr(stopping, "_fbp_table", built)
-    with pytest.raises(OutOfRange, match="grid"):
-        rx.verify_fbp(sol_a, [0.2, 0.5], n_points=50, grid=grid)
-    with pytest.raises(AssertionError):
-        rx.verify_fbp(sol_a, 0.5, n_points=50, grid=(-1.0, 1.0))
+            bad = perturbed(sol, dz2)
+            for n in (2, 3, 1001):
+                _assert_fbp_equals_oracle(monkeypatch, bad, levels,
+                                          n_points=n)
+            _assert_level_equals_oracle(bad, 1001, -5.0, 5.0)
 
 
 def test_verify_fbp_memory_per_point(sol_a):
-    # the memory that MAX_FBP_POINTS's comment and the README state: a
-    # level peaks near 88 B a point on a grid wholly below x*_1, where both
-    # regimes continue everywhere; the default grid, whose rows end just
-    # past x*_2, near 50 B
-    x1 = sol_a.z1 + chat(sol_a.iparams, 0.5)
+    # the memory that MAX_FBP_POINTS's comment and the README state: the
+    # check, whose rows end just past shift(2), peaks near 50 B a point,
+    # and near 88 B on a window wholly below shift(1), where both regimes
+    # continue everywhere
+    u1 = sol_a.shift(1)
     n = 100_000
     rx.verify_fbp(sol_a, 0.5, n_points=200)
-    for grid, most in ((None, 55.0), ((x1 - 3.0, x1 - 1.0), 90.0)):
+    for check, most in ((lambda: rx.verify_fbp(sol_a, 0.5, n_points=n), 55.0),
+                        (lambda: stopping._fbp_level(sol_a, n, u1 - 3.0,
+                                                     u1 - 1.0), 90.0)):
         tracemalloc.start()
         try:
-            rx.verify_fbp(sol_a, 0.5, n_points=n, grid=grid)
+            check()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak/n <= most, grid
+        assert peak/n <= most, most
