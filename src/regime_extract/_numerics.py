@@ -88,6 +88,7 @@ EULER = 0.5772156649015329
 # Ei's positive root x0 = _X0 + _X0_LO (Cody & Thacher)
 _X0, _X0_LO = 0.3725074107813666, 1.3140183414386028e-17
 _TERMS = 21   # terms kept after the constant
+_EXPI_SORT_MIN = 64   # fewest values expi_scaled deduplicates
 
 
 def _factorials(n):
@@ -145,15 +146,27 @@ def _expi_rows():
 
 def expi_scaled(u):
     """e^{-u} Ei(u), elementwise, for finite u != 0 (Ei(u) = -E1(-u) for
-    u < 0): finite everywhere, about 1e-14 relative. One row of
-    _expi_rows per element, evaluated in slices of SLICE_NODES."""
+    u < 0): finite everywhere, about 1e-14 relative. Evaluated in slices
+    of SLICE_NODES, one row of _expi_rows per distinct value of a slice,
+    gathered back: U's arguments repeat (kappa f'(end) at ends shared
+    across its grid), and each value is the one it has alone."""
     u = np.asarray(u, dtype=float)
     flat = u.reshape(-1)
     if flat.size <= SLICE_NODES:
-        return _expi_slice(flat).reshape(u.shape)
-    return np.concatenate([_expi_slice(flat[s:s + SLICE_NODES])
+        return _expi_distinct(flat).reshape(u.shape)
+    return np.concatenate([_expi_distinct(flat[s:s + SLICE_NODES])
                            for s in range(0, flat.size, SLICE_NODES)]
                           ).reshape(u.shape)
+
+
+def _expi_distinct(u):
+    """_expi_slice once per distinct value of u; below _EXPI_SORT_MIN
+    values (a single state of U has 8) the sort would cost more than
+    the evaluations it saves."""
+    if u.size < _EXPI_SORT_MIN:
+        return _expi_slice(u)
+    vals, back = np.unique(u, return_inverse=True)
+    return _expi_slice(vals)[back]
 
 
 def _expi_slice(u):

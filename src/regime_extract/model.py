@@ -132,10 +132,12 @@ class CostFunction:
         Quadratic: E is linear in z, so the integral is e^{E(end)} (1 -
         e^{-k (hi - lo)})/k, k = 2 alpha |kappa|, at the end where E is
         largest. Exponential: u = kappa gamma e^z makes it the integral of
-        e^{rate (x - anchor)} e^u/u du, [e^E e^{-u} Ei(u)] from lo to hi.
-        Custom: Simpson doubling, one row per entry, to SIMPSON_TOL. The
-        closed forms cap E at cap, the most it reaches on [lo, hi], to
-        keep empty intervals finite; Simpson takes E only inside."""
+        e^{rate (x - anchor)} e^u/u du, [e^E e^{-u} Ei(u)] from lo to hi;
+        on a grid of states the ends, so the u, repeat, and expi_scaled
+        evaluates each distinct u once. Custom: Simpson doubling, one row
+        per entry, to SIMPSON_TOL. The closed forms cap E at cap, the most
+        it reaches on [lo, hi], to keep empty intervals finite; Simpson
+        takes E only inside."""
         if self.kind == "custom":   # fp as a default: no closure cell per call
             return adaptive_simpson(
                 lambda z, a, xr, s, k, fp=self.fprime:

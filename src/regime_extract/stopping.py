@@ -136,12 +136,18 @@ def _branches(params: ModelParams, roots: Characteristic, v):
 
 
 def m1(params: ModelParams, roots: Characteristic, v):
-    """u-branch of the reduced system; increasing to +inf on [0, zhat2)."""
+    """u-branch of the reduced system; increasing to +inf on [0, zhat2).
+    Raises DomainError outside it and where its denominator A1, negative
+    on it, rounds to 0 or above (within a few ulps of zhat2)."""
     zh = zhat2(params, roots)
     va = finite_prices(v, "v")
     if np.any(va < 0.0) or np.any(va >= zh):
         raise DomainError(f"M1 domain is [0, zhat2={zh}), got {v}")
-    out = _branches(params, roots, va)[0]
+    A1, T1, _, _ = _reduced(params, roots, va)
+    if not np.all(A1 < 0.0):
+        raise DomainError(f"M1's denominator rounds to {np.max(A1)} >= 0 "
+                          f"at {v}, too near zhat2={zh}")
+    out = (T1 - roots.a2)/A1
     return float(out) if out.ndim == 0 else out
 
 

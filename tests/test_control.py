@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -248,6 +249,26 @@ def test_verify_hjb_small_grid(cs_a):
 def test_verify_hjb_case_b(cs_b):
     rep = rx.verify_hjb(cs_b, nx=40, ny=10)
     assert rep.worst_max_abs <= 1e-5
+
+
+def test_u_memory_per_state(cs_a):
+    # the memory that MAX_U_STATES's comment and the README state: near
+    # 470 B a state at most for the exponential cost, on a tensor grid,
+    # whose Ei arguments repeat, and on distinct states alike
+    n = 131_072
+    rng = np.random.default_rng(0)
+    states = ((np.linspace(-6.0, 4.0, 2048)[:, None],
+               np.linspace(0.0, 1.0, 64)),
+              (rng.uniform(-6.0, 4.0, n), rng.uniform(0.0, 1.0, n)))
+    rx.U(cs_a, 0.2, 0.5, 2)
+    for x, y in states:
+        tracemalloc.start()
+        try:
+            rx.U(cs_a, x, y, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak/n <= 470.0
 
 
 @pytest.mark.parametrize("nx,ny", [(0, 10), (40, 0), (-1, 10)])

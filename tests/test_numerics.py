@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regime_extract as rx
-from regime_extract._numerics import adaptive_simpson, bisect, expi_scaled
+from regime_extract import _numerics, model
+from regime_extract._numerics import (SLICE_NODES, adaptive_simpson, bisect,
+                                      expi_scaled)
 from regime_extract.errors import NoBracket, QuadratureNotConverged
 
 
@@ -123,3 +125,65 @@ def test_expi_scaled_extremes_and_shapes():
     big = np.linspace(-80.0, 80.0, 40000)   # several slices, no zero
     assert np.array_equal(expi_scaled(big)[::997], expi_scaled(big[::997]))
     assert isinstance(float(expi_scaled(2.0)), float)
+
+
+def _one_by_one(u):
+    """expi_scaled's values evaluated one element at a time."""
+    flat = np.asarray(u, dtype=float).reshape(-1)
+    return np.array([_numerics._expi_slice(flat[j:j + 1])[0]
+                     for j in range(flat.size)]).reshape(np.shape(u))
+
+
+def _spy_expi(monkeypatch):
+    """Records expi_scaled's arguments from model (args) and the sizes of
+    the arrays _expi_slice evaluates (evaluated)."""
+    args, evaluated = [], []
+    real_expi, real_slice = model.expi_scaled, _numerics._expi_slice
+
+    def expi(u):
+        args.append(np.copy(u))
+        return real_expi(u)
+
+    def expi_slice(u):
+        evaluated.append(u.size)
+        return real_slice(u)
+
+    monkeypatch.setattr(model, "expi_scaled", expi)
+    monkeypatch.setattr(_numerics, "_expi_slice", expi_slice)
+    return args, evaluated
+
+
+def test_expi_scaled_deduplicated_is_bit_identical(cs_a, monkeypatch):
+    """Each value evaluated once per distinct argument of a slice and
+    gathered back is, bit for bit, the value evaluated alone: on the
+    arguments verify_hjb builds, on repeats spanning a slice boundary and
+    on small and empty shapes."""
+    args, _ = _spy_expi(monkeypatch)
+    rx.verify_hjb(cs_a, 40, 10)
+    monkeypatch.undo()
+    rng = np.random.default_rng(3)
+    pool = np.concatenate([rng.uniform(-80.0, 80.0, 300), [1e-3, -1e-3]])
+    grid = np.linspace(-50.0, 50.0, 40).reshape(8, 5) + 0.25
+    cases = [args[0], rng.choice(pool, SLICE_NODES + 3000),
+             np.float64(2.5), np.zeros((0, 3)), grid, np.tile(grid, (5, 8))]
+    assert args[0].shape == (2, 4, 400)
+    for u in cases:
+        got, want = expi_scaled(u), _one_by_one(u)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_expi_scaled_evaluates_each_distinct_value_once(cs_a, monkeypatch):
+    """The work the deduplication saves, counted: verify_hjb's 40x10 grid
+    on example.json hands Ei 3,200 arguments holding 68 distinct values,
+    and at 400x50 no more than each slice's distinct values are
+    evaluated."""
+    args, evaluated = _spy_expi(monkeypatch)
+    rx.verify_hjb(cs_a, 40, 10)
+    assert [a.size for a in args] == [3200] and sum(evaluated) == 68
+    args.clear()
+    evaluated.clear()
+    rx.verify_hjb(cs_a, 400, 50)
+    flat = args[0].reshape(-1)
+    distinct = [np.unique(flat[s:s + SLICE_NODES]).size
+                for s in range(0, flat.size, SLICE_NODES)]
+    assert flat.size == 160_000 and sum(evaluated) <= sum(distinct) < 1000

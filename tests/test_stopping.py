@@ -71,6 +71,21 @@ def test_m_functions_reject_out_of_domain(params_a, roots_a):
         rx.m2(params_a, roots_a, -0.1)
 
 
+def test_m1_rises_or_raises_next_to_zhat2():
+    # one ulp below zhat2 lies inside M1's domain, where M1 rises to +inf;
+    # there A1 rounded to 0 (M1 = -inf) on 75 of these sets and above 0
+    # (finite and negative) on 34
+    raised = 0
+    for sol in map(rx.solve_z, draw_from_boxes(np.random.default_rng(0), 300)):
+        try:
+            out = rx.m1(sol.iparams, sol.roots, np.nextafter(sol.zhat2, 0.0))
+        except DomainError:
+            raised += 1
+        else:
+            assert math.isfinite(out) and out > sol.z1
+    assert raised
+
+
 def test_solve_example_set(sol_a):
     assert sol_a.case == "A" and not sol_a.relabeled
     assert sol_a.z1 == pytest.approx(Z1_A, abs=5e-10)
