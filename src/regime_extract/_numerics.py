@@ -1,5 +1,6 @@
-"""Bracketed bisection, adaptive Simpson quadrature batched over rows (one
-integrand each) and the scaled exponential integral e^{-u} Ei(u)."""
+"""Bracketed bisection, the level tables that integrate e^{kappa f'} over
+reserve levels for a custom cost, and the scaled exponential integral
+e^{-u} Ei(u)."""
 import functools
 import math
 
@@ -8,9 +9,10 @@ import numpy as np
 from .errors import NoBracket, QuadratureNotConverged
 
 BISECT_MAX_ITER = 200   # halvings before bisect returns the midpoint
-# Most nodes one interval may take: past it Simpson raises instead of
-# allocating. Rows reach the integrand in cache-sized slices of nodes.
-NODE_BUDGET, SLICE_NODES = 1 << 20, 1 << 14
+# a level table's most nodes per try, first mean rise of kappa f' per
+# panel and agreement of logs; expi_scaled takes values in cache-sized
+# slices
+NODE_BUDGET, PANEL_RISE, TABLE_TOL, SLICE_NODES = 1 << 20, 2.0, 1e-13, 1 << 14
 
 
 def bisect(fun, lo, hi, xtol=1e-12):
@@ -40,48 +42,52 @@ def bisect(fun, lo, hi, xtol=1e-12):
     return 0.5*(lo + hi)
 
 
-def adaptive_simpson(g, a, b, *row_data, tol=1e-9):
-    """Integrate g over [a, b], one integrand per row, by composite
-    Simpson from n = 8 panels, doubling n: a, b and row_data broadcast to
-    the rows' shape, and g(z, *row_data) maps a (rows, n + 1) node matrix
-    and row_data as columns to values of that shape. Each row keeps the
-    Richardson-extrapolated value of the first doubling that moves it by
-    less than tol (absolute), as if integrated alone; b <= a gives 0.
-    Scalars give a float. Raises QuadratureNotConverged past NODE_BUDGET
-    nodes."""
-    data = np.broadcast_arrays(
-        *(np.asarray(d, dtype=float) for d in (a, b, *row_data)))
-    a, b, *row_data = (d.reshape(-1) for d in data)
-    rows, n = np.flatnonzero(b > a), 8
-    s_prev = _composite(g, a, b, row_data, rows, n)
-    out = np.zeros(a.shape)
-    while rows.size:
-        n *= 2
-        s = _composite(g, a, b, row_data, rows, n)
-        hit = np.abs(s - s_prev) < tol
-        out[rows[hit]] = s[hit] + (s[hit] - s_prev[hit])/15.0
-        rows, s_prev = rows[~hit], s[~hit]
-    out = out.reshape(data[0].shape)
-    return float(out) if out.ndim == 0 else out
+def level_table(fprime, kappa):
+    """(P, logs, t, w): logs[j] = log of the integral of e^{kappa f'}, f'
+    increasing, from the anchor (the end of [0, 1] where it is least: 0
+    if kappa > 0, else 1) to the level j/P away; logs[0] = -inf. 8-point
+    Gauss-Legendre per panel, nodes t and weights w on [0, 1], summed by
+    np.logaddexp.accumulate. P/2 starts at the least 8 2^k past |kappa|
+    (f'(1) - f'(0))/PANEL_RISE and doubles until the P/2- and P-panel
+    logs agree to TABLE_TOL relative to max(1, |log|), else
+    QuadratureNotConverged past NODE_BUDGET nodes a try."""
+    # made here, not at import: numpy.polynomial costs every process 2 MB
+    t, w = 0.5*np.array(np.polynomial.legendre.leggauss(8)) + [[0.5], [0.0]]
+    rise = abs(kappa)*(fprime(1.0) - fprime(0.0))/PANEL_RISE
+    panels = 8 << max(0, math.ceil(math.log2(rise/8.0)))
+    while 24*panels <= NODE_BUDGET:
+        sizes = (panels, 2*panels)   # one f' call on both rules' nodes
+        s = np.concatenate([((np.arange(n)[:, None] + t)/n).ravel()
+                            for n in sizes])
+        phi = np.split(kappa*fprime(s if kappa > 0 else 1.0 - s), [8*panels])
+        # from the first panel's end on: the anchor's -inf is left out
+        logs, half = (np.logaddexp.accumulate(
+            (p.reshape(n, 8) + np.log(w/n)).ravel())[7::8]
+            for p, n in zip(phi, sizes))
+        gap = np.abs(logs - half[1::2])/np.maximum(1.0, np.abs(logs))
+        if np.all(gap <= TABLE_TOL):
+            return 2*panels, np.concatenate([[-np.inf], half]), t, w
+        panels *= 2
+    raise QuadratureNotConverged(f"the level table of kappa = {kappa} "
+                                 f"needs over {NODE_BUDGET} nodes")
 
 
-def _composite(g, a, b, row_data, rows, n):
-    """Composite Simpson with n panels on each row, the rows handed to g
-    in slices (an empty row set still makes one call, for the shape)."""
-    if n + 1 > NODE_BUDGET:
-        raise QuadratureNotConverged(
-            f"Simpson needs {n + 1} nodes, over the budget of {NODE_BUDGET}")
-    step, j, parts = max(1, SLICE_NODES//(n + 1)), np.arange(n + 1), []
-    for s in range(0, max(rows.size, 1), step):
-        r = rows[s:s + step]
-        lo, hi = a[r], b[r]
-        z = j*((hi - lo)/n)[:, None] + lo[:, None]   # np.linspace, row-wise
-        z[:, -1] = hi
-        v = np.asarray(g(z, *(d[r, None] for d in row_data)), dtype=float)
-        parts.append((hi - lo)/(3.0*n)*(
-            v[:, 0] + v[:, -1] + 4.0*v[:, 1:-1:2].sum(axis=-1)
-            + 2.0*v[:, 2:-2:2].sum(axis=-1)))
-    return np.concatenate(parts)
+def scaled_antiderivative(tables, fprime, kappa, z, phi):
+    """H(z) = e^{-kappa f'(z)} times the integral of e^{kappa f'} from the
+    anchor of tables(kappa), a level_table, to z, negated if kappa < 0
+    (|H| <= 1), at phi = kappa f'(z), kappa and z broadcast: the table at
+    the panel edge below z and the rest of the way by the same rule."""
+    kappa, z = np.broadcast_arrays(kappa, z)
+    h = np.empty(phi.shape)
+    for k in map(float, np.unique(kappa)):
+        at = kappa == k
+        (panels, logs, t, w), s = tables(k), z[at] if k > 0 else 1.0 - z[at]
+        j = np.minimum((s*panels).astype(int), panels - 1)
+        width = (s - j/panels)[:, None]   # of the partial panel [j/P, s]
+        nodes = z[at][:, None] - np.sign(k)*width*t
+        part = width*w*np.exp(k*fprime(nodes) - phi[at][:, None])
+        h[at] = np.sign(k)*(np.exp(logs[j] - phi[at]) + part.sum(axis=1))
+    return h
 
 
 EULER = 0.5772156649015329

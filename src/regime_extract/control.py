@@ -8,9 +8,9 @@ w continues as a sum of exponential terms in x - x*_i(z) (the stopping
 module's _branch_form, anchored at the boundaries, so on its panel no
 exponential exceeds e^{alpha5 z2}) plus a linear term. The cost
 integrates each term over z (CostFunction.exp_integral: in closed form
-for the built-in families, by Simpson for a custom cost), so this module
-never asks which family it has. Every regime and x-derivative order
-weighs the same integrals.
+for the built-in families, from a level table of e^{kappa f'} for a
+custom cost), so this module never asks which family it has. Every
+regime and x-derivative order weighs the same integrals.
 """
 from __future__ import annotations
 
@@ -168,9 +168,9 @@ def _value(cs: ControlSolution, x, y, i: int, order: int):
 
 def U(cs: ControlSolution, x, y, i: int):
     """Control value U(x,y,i) = integral_0^y v(x,i;z) dz: in closed form
-    for the built-in costs; for a custom cost by Simpson doubling, each
-    branch term's integral to SIMPSON_TOL (model). x and y broadcast
-    as arrays of at most MAX_U_STATES states; scalars give a float."""
+    for the built-in costs, from a level table per branch term for a
+    custom cost (model). x and y broadcast as arrays of at most
+    MAX_U_STATES states; scalars give a float."""
     return _value(cs, x, y, i, 0)
 
 

@@ -58,7 +58,7 @@ class VerificationFailed(SolverError):
 
 
 class QuadratureNotConverged(SolverError):
-    """Adaptive Simpson refinement exceeded the maximum depth."""
+    """A custom cost's level table did not settle within its node budget."""
 
 
 class OrderingViolated(SolverError):

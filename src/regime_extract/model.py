@@ -8,6 +8,7 @@ unit time, with f strictly increasing, strictly convex and f(0) = 0.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -15,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._numerics import adaptive_simpson, bisect, expi_scaled
+from ._numerics import bisect, expi_scaled, level_table, scaled_antiderivative
 from .errors import (CostNotConvex, CrossCheckFailed,
                      DegenerateDiscriminant, NonPositiveParameter,
                      OutOfRange)
@@ -24,23 +25,16 @@ from .errors import (CostNotConvex, CrossCheckFailed,
 def _vectorized(fn: Callable) -> Callable:
     """fn as-is when it accepts arrays, else a numpy-vectorized wrapper."""
     try:
-        out = fn(np.array([0.0, 0.5]))
-        if np.shape(out) == (2,):
+        if np.shape(fn(np.array([0.0, 0.5]))) == (2,):
             return fn
     except Exception:
         pass
     wrapped = np.vectorize(fn, otypes=[float])
-
-    def call(y):
-        out = wrapped(y)
-        return float(out) if np.ndim(y) == 0 else out
-
-    return call
+    return lambda y: float(wrapped(y)) if np.ndim(y) == 0 else wrapped(y)
 
 
 # grid over [0, 1] and slack of f'' on which a custom cost is checked
 CUSTOM_GRID, CUSTOM_CONVEX_TOL = 1001, 1e-9
-SIMPSON_TOL = 1e-9   # absolute, per integral of a custom cost
 
 
 @dataclass(frozen=True)
@@ -77,6 +71,8 @@ class CostFunction:
             object.__setattr__(self, "f", _vectorized(self.f))
             object.__setattr__(self, "fprime", _vectorized(self.fprime))
             self._check_custom()
+            object.__setattr__(self, "_table", functools.cache(   # per kappa
+                functools.partial(level_table, self.fprime)))
         elif self.kind not in family:
             raise CostNotConvex(f"unknown cost kind {self.kind!r}")
         object.__setattr__(self, "_fp_range",
@@ -134,22 +130,19 @@ class CostFunction:
         largest. Exponential: u = kappa gamma e^z makes it the integral of
         e^{rate (x - anchor)} e^u/u du, [e^E e^{-u} Ei(u)] from lo to hi;
         on a grid of states the ends, so the u, repeat, and expi_scaled
-        evaluates each distinct u once. Custom: Simpson doubling, one row
-        per entry, to SIMPSON_TOL. The closed forms cap E at cap, the most
-        it reaches on [lo, hi], to keep empty intervals finite; Simpson
-        takes E only inside."""
-        if self.kind == "custom":   # fp as a default: no closure cell per call
-            return adaptive_simpson(
-                lambda z, a, xr, s, k, fp=self.fprime:
-                    np.exp(a*(xr - s) + k*fp(z)),
-                *ends, rate, x, anchor, kappa, tol=SIMPSON_TOL)
+        evaluates each distinct u once. Custom: the same line, with H =
+        scaled_antiderivative for e^{-u} Ei(u), from the cost's level
+        table of each kappa. E is capped at cap, the most it reaches on
+        [lo, hi], to keep empty intervals finite."""
         u = kappa*self.derivative(ends)
         expo = np.minimum(rate*(x - anchor) + u, cap)
         if self.kind == "quadratic":
             k = 2.0*self.alpha*np.abs(kappa)
             return (np.exp(np.where(kappa > 0.0, expo[1], expo[0]))
                     * np.expm1(-k*(ends[1] - ends[0]))/-k)
-        ends = np.exp(expo)*expi_scaled(u)
+        ends = np.exp(expo)*(expi_scaled(u) if self.kind == "exponential"
+                             else scaled_antiderivative(
+                                 self._table, self.fprime, kappa, ends, u))
         return ends[1] - ends[0]
 
     def _clipped(self, fp):

@@ -79,7 +79,7 @@ def test_regime_rule_takes_numpy_integers(cs_a):
 
 
 def _exp_twin(cs):
-    """cs with its exponential cost written as a custom cost."""
+    """cs with its built-in cost written as a custom cost."""
     cost = cs.params.cost
     return rx.solve_control(dataclasses.replace(
         cs.params, cost=rx.CostFunction.custom(cost.value, cost.derivative)))
@@ -558,6 +558,45 @@ def test_closed_form_past_expi_overflow():
         oracle = _quad_oracle(cs, x, y, i)
         for value, ref in zip((rx.U, rx.U_x, rx.U_xx), oracle):
             assert value(cs, x, y, i) == pytest.approx(ref, abs=1e-12)
+
+
+# a drawn set from FEASIBLE_BOXES[1] whose alpha4/rho is 975.8, where a
+# level table takes 512 (quadratic) to 1024 (exponential) panels
+STEEP_KAPPA = dict(rho=0.0257716480751784, sigma1=0.038856328998187216,
+                   sigma2=0.6483402932549694, lambda1=0.45154701093593,
+                   lambda2=0.04203057931319343, c=0.5)
+
+
+@pytest.mark.parametrize("kind", ["exponential", "quadratic"])
+def test_custom_twin_matches_closed_form(kind):
+    """A custom cost with a built-in cost's f and f' integrates by level
+    tables to the closed form's U, U_x and U_xx within
+    1e-11 max(1, |U|): on test_closed_form_matches_simpson's drawn sets,
+    at STEEP_KAPPA and (quadratic) at SIMPSON_TRAP's state."""
+    rng = np.random.default_rng(17)
+    cases = []   # (solution, prices, levels, regimes)
+    for p in draw_from_boxes(rng, 6) + [rx.validate(
+            **STEEP_KAPPA, cost=rx.CostFunction.exponential(1/3))]:
+        cost = (p.cost if kind == "exponential"
+                else rx.CostFunction.quadratic(rng.uniform(0.1, 0.3), 1/3))
+        exact = rx.solve_control(dataclasses.replace(p, cost=cost))
+        sol = exact.stopping
+        lo, hi = sorted((rx.x_star(sol, 1, 0.5), rx.x_star(sol, 2, 0.5)))
+        cases.append((exact, np.array([lo - 1.0, 0.5*(lo + hi), hi + 1.0,
+                                       lo - 5.0]), (0.3, 1.0), (1, 2)))
+    assert cases[-1][0].stopping.roots.alpha4/STEEP_KAPPA["rho"] > 975.0
+    if kind == "quadratic":
+        kw, cost, (x, y, i) = SIMPSON_TRAP
+        cases.append((rx.solve_control(rx.validate(**kw, cost=cost)),
+                      np.array([x]), (y,), (i,)))
+    for exact, xs, levels, regimes in cases:
+        twin = _exp_twin(exact)
+        for y in levels:
+            for value in (rx.U, rx.U_x, rx.U_xx):
+                for i in regimes:
+                    a, b = value(exact, xs, y, i), value(twin, xs, y, i)
+                    assert np.all(np.abs(a - b)
+                                  <= 1e-11*np.maximum(1.0, np.abs(a)))
 
 
 @pytest.mark.parametrize("kind", ["exponential", "quadratic"])

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 import time
 
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 
 import regime_extract as rx
 from regime_extract import _numerics, model
-from regime_extract._numerics import (SLICE_NODES, adaptive_simpson, bisect,
-                                      expi_scaled)
+from regime_extract._numerics import (SLICE_NODES, bisect, expi_scaled,
+                                      level_table, scaled_antiderivative)
 from regime_extract.errors import NoBracket, QuadratureNotConverged
 
 
@@ -23,50 +25,147 @@ def test_bisect_requires_sign_change():
         bisect(lambda x: x*x + 1.0, -1.0, 1.0)
 
 
-def test_simpson_exact_on_cubic():
-    val = adaptive_simpson(lambda x: x**3 - x, 0.0, 2.0, tol=1e-12)
-    assert val == pytest.approx(2.0, abs=1e-12)
+def _linear_h(kappa, z, slope=0.4):
+    """H(z) of f'(z) = slope z + 1/3 in closed form."""
+    k = kappa*slope
+    return -np.expm1(-k*z if kappa > 0 else k*(1.0 - z))/k
 
 
-def test_simpson_oscillatory_vs_closed_form():
-    val = adaptive_simpson(lambda x: np.sin(3.0*x), 0.0, 2.0, tol=1e-11)
-    assert val == pytest.approx((1 - math.cos(6.0))/3.0, abs=1e-10)
+def _h(fprime, kappa, z):
+    """scaled_antiderivative at the levels z from a fresh level_table."""
+    z = np.asarray(z, dtype=float)
+    table = level_table(fprime, kappa)
+    return scaled_antiderivative(lambda k: table, fprime, kappa, z,
+                                 kappa*fprime(z))
 
 
-def test_simpson_empty_interval():
-    assert adaptive_simpson(lambda x: x, 1.0, 1.0) == 0.0
+LINEAR_FP = lambda z: 0.4*z + 1/3   # noqa: E731
+EXP_FP = lambda z: np.exp(z)/3.0   # noqa: E731
 
 
-def test_simpson_node_budget_stops_default_depth():
-    # tol=0 never converges; the node budget ends the doubling (2^17 panels)
+def _ulps(fprime, kappa):
+    """The tables' round-off: a few ulps of the largest |kappa f'|, which
+    their logs carry."""
+    return 8.0*np.finfo(float).eps*max(1.0, abs(kappa)*fprime(1.0))
+
+
+@pytest.mark.parametrize("kappa", [20.0, -22.0, 975.8, -3000.0])
+def test_level_table_exact_on_linear_fprime(kappa):
+    """A linear f' (the quadratic cost) has H in closed form: each level,
+    on a panel edge or inside one, to round-off (_ulps) relative."""
+    z = np.concatenate([np.linspace(0.0, 1.0, 33), [1e-9, 0.3, 0.7071]])
+    assert np.allclose(_h(LINEAR_FP, kappa, z), _linear_h(kappa, z),
+                       rtol=_ulps(LINEAR_FP, kappa), atol=0.0)
+
+
+@pytest.mark.parametrize("kappa", [20.0, -22.0, 975.8, -3000.0])
+def test_level_table_matches_ei(kappa):
+    """The exponential cost's f' = gamma e^z against its closed form
+    e^{-u} (Ei(u) - Ei(u0)), u = kappa f'(z), u0 at the anchor, to
+    round-off (_ulps) relative to the largest |H|."""
+    z = np.linspace(0.0, 1.0, 41)
+    u, u0 = kappa*EXP_FP(z), kappa*EXP_FP(0.0 if kappa > 0 else 1.0)
+    want = expi_scaled(u) - np.exp(u0 - u)*expi_scaled(u0)
+    got = _h(EXP_FP, kappa, z)
+    assert np.all(np.abs(got - want)
+                  <= _ulps(EXP_FP, kappa)*np.abs(want).max())
+
+
+def test_level_table_empty_panel_gives_zero():
+    """H is exactly 0 at the anchor, and an empty panel, lo = hi,
+    integrates to exactly 0 through exp_integral, wherever it lies."""
+    assert _h(EXP_FP, 20.0, [0.0])[0] == _h(EXP_FP, -20.0, [1.0])[0] == 0.0
+    cost = rx.CostFunction.custom(lambda y: (np.exp(y) - 1.0)/3.0, EXP_FP)
+    ends = np.broadcast_to([0.0, 0.123, 0.5, 1.0], (2, 2, 4))   # lo = hi
+    out = cost.exp_integral(np.array([[2.0], [-2.0]]), 0.3, 0.1,
+                            np.array([[20.0], [-20.0]]), ends, 10.0)
+    assert out.shape == (2, 4) and np.all(out == 0.0)
+
+
+def test_level_table_finite_past_exp_overflow():
+    """kappa f' up to 12,000, far past e^709: the table's logs and H stay
+    finite, |H| <= 1, and H matches the closed form of a linear f'."""
+    fprime = lambda z: 1.0 + 3.0*z*z   # noqa: E731
+    for kappa in (3000.0, -3000.0):
+        panels, logs, *_ = level_table(fprime, kappa)
+        assert np.isneginf(logs[0]) and np.all(np.isfinite(logs[1:]))
+        assert abs(logs[-1]) > 709.0
+        h = _h(fprime, kappa, np.linspace(0.0, 1.0, 101))
+        assert np.all(np.isfinite(h)) and np.all(np.abs(h) <= 1.0)
+    z = np.array([0.5, 1.0])
+    assert np.allclose(_h(LINEAR_FP, 1e4, z), _linear_h(1e4, z),
+                       rtol=_ulps(LINEAR_FP, 1e4), atol=0.0)
+
+
+def test_scaled_antiderivative_rows_match_one_row_calls():
+    """Each level of a batch, kappa > 0 and < 0 mixed, equals its own
+    one-level call bit for bit, and a (4, 10) batch the flat one
+    reshaped."""
+    rng = np.random.default_rng(3)
+    z, kappa = rng.uniform(0.0, 1.0, 40), rng.choice([20.0, -22.0], 40)
+    z[::7] = 0.0
+    tables = functools.cache(functools.partial(level_table, EXP_FP))
+    phi = kappa*EXP_FP(z)
+    batch = scaled_antiderivative(tables, EXP_FP, kappa, z, phi)
+    rows = [scaled_antiderivative(tables, EXP_FP, kappa[j], z[j:j + 1],
+                                  phi[j:j + 1])[0] for j in range(z.size)]
+    assert np.array_equal(batch, rows) and np.all(batch[::7][kappa[::7] > 0]
+                                                  == 0.0)
+    assert np.array_equal(scaled_antiderivative(
+        tables, EXP_FP, kappa.reshape(4, 10), z.reshape(4, 10),
+        phi.reshape(4, 10)), batch.reshape(4, 10))
+
+
+def _on_cost(cs, cost):
+    """cs's solution with cost in place of its internal cost."""
+    return rx.from_stopping(dataclasses.replace(
+        cs.stopping, iparams=dataclasses.replace(cs.stopping.iparams,
+                                                 cost=cost)))
+
+
+@pytest.mark.parametrize("f, fprime", [
+    (lambda y: y + y**1.5, lambda y: 1.0 + 1.5*np.sqrt(y)),   # f'' = inf at 0
+    (lambda y: y + 5e8*y*y, lambda y: 1.0 + 1e9*y),   # kappa f' rises 1e10
+], ids=["sqrt", "steep"])
+def test_unresolved_custom_cost_raises(cs_a, f, fprime):
+    """A custom cost whose level table does not settle within
+    NODE_BUDGET raises QuadratureNotConverged from U, in seconds, with no
+    NaN or RuntimeWarning on the way: for the sqrt cost the P- and
+    2P-panel tables never agree, and their comparison leaves out the
+    anchor's -inf."""
+    cs = _on_cost(cs_a, rx.CostFunction.custom(f, fprime))
     t0 = time.time()
-    with pytest.raises(QuadratureNotConverged, match="budget"):
-        adaptive_simpson(lambda x: np.sin(50*x), 0.0, 3.0, tol=0.0)
+    with pytest.raises(QuadratureNotConverged, match="needs over"):
+        rx.U(cs, 0.3, 0.5, 1)
     assert time.time() - t0 < 5.0
 
 
-def test_simpson_rows_match_one_row_calls():
-    """Each row of a batch, one integrand per row, equals its own one-row
-    call bit for bit, in a flat batch and in a (4, 10) one."""
-    rng = np.random.default_rng(3)
-    a = rng.uniform(-1.0, 0.5, 40)
-    b = a + rng.uniform(0.0, 1.5, 40)
-    b[::7] = a[::7]  # empty intervals integrate to 0
-    c = rng.uniform(-6.0, 12.0, 40)
-    batches = {}
-    for name, g in (("exp", lambda z, c: np.exp(c*z)),
-                    ("sin", lambda z, c: np.sin(7.0*z)*c)):
-        batch = batches[name] = adaptive_simpson(g, a, b, c)
-        assert batch.shape == (40,)
-        rows = np.array([adaptive_simpson(g, lo, hi, ci)
-                         for lo, hi, ci in zip(a, b, c)])
-        assert np.array_equal(batch, rows)
-        assert np.array_equal(adaptive_simpson(
-            g, a.reshape(4, 10), b.reshape(4, 10), c.reshape(4, 10)),
-            batch.reshape(4, 10))
-        assert np.all(batch[::7] == 0.0)
-    assert batches["exp"][1] == pytest.approx(
-        (math.exp(c[1]*b[1]) - math.exp(c[1]*a[1]))/c[1], rel=1e-9)
+def test_level_table_built_once_per_cost_and_kappa(cs_a):
+    """A spy on f': each of the solution's four kappa (cs._terms.a_rho)
+    builds its table, one f' call on the table's levels, in the first U
+    call; a second U call and a verify_hjb build none."""
+    calls = []
+
+    def fprime(y):
+        calls.append(np.copy(y))
+        return np.exp(y)/3.0
+
+    cost = rx.CostFunction.custom(lambda y: (np.exp(y) - 1.0)/3.0, fprime)
+    cs = _on_cost(cs_a, cost)
+
+    def builds():
+        # a build's 24 P levels, its two rules' nodes, come in one flat
+        # array; a partial panel's are 2-D, verify_hjb's own ny = 4
+        out = [a for a in calls if a.ndim == 1 and a.size % 24 == 0]
+        calls.clear()
+        return out
+
+    calls.clear()
+    rx.U(cs, np.linspace(-3.0, 1.0, 7), 0.6, 1)
+    assert len(builds()) == np.unique(cs._terms.a_rho).size == 4
+    rx.U(cs, 0.2, np.linspace(0.1, 1.0, 5), 2)
+    rx.verify_hjb(cs, 12, 4)
+    assert builds() == [] and cost._table.cache_info().currsize == 4
 
 
 @given(st.floats(0.02, 0.98))
