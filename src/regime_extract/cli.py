@@ -21,9 +21,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .control import (MAX_BOUNDARY_GRID, U_report, _boundary_span, b_sharp,
-                      b_star, from_stopping, single_regime_boundary,
-                      solve_control, verify_hjb)
+from .control import (MAX_BOUNDARY_GRID, U_report, _boundary_table,
+                      from_stopping, single_regime_boundary, solve_control,
+                      verify_hjb)
 from .control import U as U_value
 from .errors import (AssumptionViolated, OutOfRange, SolverError,
                      VerificationFailed)
@@ -125,10 +125,9 @@ def cmd_boundary(args, params):
     _count("--grid", args.grid, 2, MAX_BOUNDARY_GRID)
     cs = solve_control(params)
     sol = cs.stopping
-    xs = np.linspace(*_boundary_span(cs), args.grid)
-    rows = np.column_stack([
-        xs, b_star(cs, 1, xs), b_star(cs, 2, xs),
-        b_sharp(params, params.sigma1, xs), b_sharp(params, params.sigma2, xs)])
+    t = _boundary_table(cs, args.grid)
+    rows = np.column_stack([t.x, t.b_star_1, t.b_star_2, t.b_sharp_1,
+                            t.b_sharp_2])
     ys = np.linspace(0.0, 1.0, args.grid)
     rows_y = np.column_stack([
         ys, x_star(sol, 1, ys), x_star(sol, 2, ys),
@@ -142,7 +141,7 @@ def cmd_boundary(args, params):
                                         rows_y)}
     if args.svg:
         files[args.out + ".svg"] = _svg_curves(
-            xs, rows[:, 1:5],
+            t.x, rows[:, 1:],
             ["b1_star", "b2_star", "bhash_sigma1", "bhash_sigma2"])
     return EXIT_OK, None, files
 

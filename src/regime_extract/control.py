@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import (OrderingViolated, PreconditionViolated,
                      VerificationFailed)
-from .model import (LEVELS, ModelParams, _count, _price_range,
-                    _single_shift, _states, chat, finite_prices)
+from .model import (LEVELS, ModelParams, _count, _single_shift, _states,
+                    chat, finite_prices)
 from .stopping import (StoppingSolution, _branch_form, solve_z,
                        v as v_stop, x_star)
 
@@ -93,16 +93,6 @@ def _boundary_inverse(params: ModelParams, shift: float, x):
     cost's derivative_inverse, at float prices x. Scalars give a float."""
     out = params.cost.derivative_inverse(params.rho*(params.c + shift - x))
     return float(out) if np.ndim(out) == 0 else out
-
-
-def _boundary_span(cs: ControlSolution):
-    """Prices (lo, hi) past the four curves b#(sigma1), b*_1, b*_2 and
-    b#(sigma2) by 1, in either labeling: a curve of shift s is 1 up to
-    s + chat(1) and 0 from s + chat(0)."""
-    p = cs.params
-    shifts = (_single_shift(p, p.sigma1), _single_shift(p, p.sigma2),
-              external_shift(cs, 1), external_shift(cs, 2))
-    return min(shifts) + chat(p, 1.0) - 1.0, max(shifts) + chat(p, 0.0) + 1.0
 
 
 def b_star(cs: ControlSolution, i: int, x):
@@ -320,25 +310,36 @@ class OrderingReport:
     b_sharp_2: np.ndarray
 
 
-def compare_boundaries(cs: ControlSolution, n: int = 1000,
-                       x_range=None) -> OrderingReport:
-    """Tabulate and order-check b#(.;sigma1) <= b*_1 <= b*_2 <= b#(.;sigma2).
+def _boundary_table(cs: ControlSolution, n: int) -> OrderingReport:
+    """b#(sigma1), b*_1, b*_2 and b#(sigma2) at n prices past the four
+    curves by 1, in either labeling: a curve of shift s is 1 up to
+    s + chat(1) and 0 from s + chat(0), so every curve starts at 1 and
+    ends at 0."""
+    p = cs.params
+    shifts = (_single_shift(p, p.sigma1), external_shift(cs, 1),
+              external_shift(cs, 2), _single_shift(p, p.sigma2))
+    xs = finite_prices(np.linspace(min(shifts) + chat(p, 1.0) - 1.0,
+                                   max(shifts) + chat(p, 0.0) + 1.0, n))
+    return OrderingReport(xs, *(_boundary_inverse(p, s, xs) for s in shifts))
+
+
+def compare_boundaries(cs: ControlSolution, n: int = 1000) -> OrderingReport:
+    """Tabulate (_boundary_table) and order-check b#(.;sigma1) <= b*_1 <=
+    b*_2 <= b#(.;sigma2).
 
     Equality is allowed only on the clamp plateaus (both curves at 0 or
     at 1); in the equal-volatility case all four curves coincide. An n
-    that is not an integer in [1, MAX_BOUNDARY_GRID], checked before
-    anything is allocated, or an x_range that is not a pair of numbers
-    (lo, hi) with lo < hi and a finite width raises OutOfRange.
+    that is not an integer in [1, MAX_BOUNDARY_GRID] raises OutOfRange
+    before anything is allocated.
     """
     _count("n", n, 1, MAX_BOUNDARY_GRID)
-    p, sol = cs.params, cs.stopping
+    sol = cs.stopping
     if sol.relabeled:
         raise PreconditionViolated(
             "boundary comparison expects sigma1 < sigma2 labeling")
-    span = _boundary_span(cs) if x_range is None else x_range
-    xs = np.linspace(*_price_range("x_range", span), n)
-    curves = (b_sharp(p, p.sigma1, xs), b_star(cs, 1, xs),
-              b_star(cs, 2, xs), b_sharp(p, p.sigma2, xs))
+    rep = _boundary_table(cs, n)
+    xs = rep.x
+    curves = (rep.b_sharp_1, rep.b_star_1, rep.b_star_2, rep.b_sharp_2)
     names = ("b#(sigma1)", "b*1", "b*2", "b#(sigma2)")
     equal_case = sol.case == "B"
     for (lo_c, hi_c), (lo_n, hi_n) in zip(
@@ -357,4 +358,4 @@ def compare_boundaries(cs: ControlSolution, n: int = 1000,
                 raise OrderingViolated(
                     f"{lo_n} not strictly below {hi_n} off the plateaus "
                     f"at x={xs[j]}", x=float(xs[j]))
-    return OrderingReport(xs, *curves)
+    return rep

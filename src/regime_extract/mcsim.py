@@ -48,13 +48,17 @@ from .model import LEVELS, ModelParams, _count, _positive, _regime, \
     finite_prices
 
 DEFAULT_BATCH_PAIRS = 25_000
+# most path pairs of one estimate batch; the engine peaks near 180-260 B a
+# pair, so about 1 GB at the cap
+MAX_BATCH_PAIRS = 1 << 22
 MAX_STEPS = 10_000_000   # grid steps per path; arrays of K + 1 are made
 # skorokhod_check's slack between reserve and boundary, and the least
 # step extraction it counts as one
 BARRIER_TOL, DNU_TOL = 1e-9, 1e-12
 # entries in one of skorokhod_check's row blocks (at least one row each)
 CHECK_BLOCK_ENTRIES = 2**15
-# bytes of a recorded Trace's grid arrays: t, regime, X, Y, dnu, disc_inc
+# bytes of a recorded Trace: its grid arrays t, regime, X, Y, dnu and
+# disc_inc, and its switch record, 32 B an entry, twice while it is joined
 MAX_TRACE_BYTES = 2**31
 # every COMPACT_EVERY steps an estimate drops its exhausted path pairs, if
 # more than a quarter are (a recorded trace is never compacted)
@@ -85,8 +89,9 @@ class SimConfig:
     batch_pairs: int = DEFAULT_BATCH_PAIRS
 
     def __post_init__(self):
-        for name, least in dict(n_paths=1, base_seed=0, batch_pairs=1).items():
-            _count(name, getattr(self, name), least)
+        _count("n_paths", self.n_paths, 1)
+        _count("base_seed", self.base_seed, 0)
+        _count("batch_pairs", self.batch_pairs, 1, MAX_BATCH_PAIRS)
         if not isinstance(self.antithetic, (bool, np.bool_)):
             raise OutOfRange(f"antithetic must be a bool: {self.antithetic!r}")
 
@@ -297,6 +302,8 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
         # pay and dnu_row are step k's rows of the trace
         pay, dnu_row = trace.disc_inc[0], trace.dnu[0]
         switches = []
+        # what the switch record may take: the cap less the grid arrays
+        room = MAX_TRACE_BYTES - (K + 1)*(8 + m*n*33)
 
         def snapshot(k):
             trace.regime[k] = np.tile(i, m)
@@ -342,6 +349,12 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
                     e = members(hp)
                     threshold(e, shift_tbl[i[e % n]])
                     if record:
+                        room -= 64*e.size
+                        if room < 0:
+                            raise OutOfRange(
+                                f"trace and switch record would pass "
+                                f"{MAX_TRACE_BYTES} bytes at step {k + 1}; "
+                                "reduce n_paths, horizon or switch rates")
                         switches.append((np.full(e.size, k + 1), e,
                                          i[e % n], X[e]))
                     reflect(disc[k]*np.exp(-rho*tloc[hit]), hp)
@@ -378,7 +391,9 @@ def simulate_traces(cs: ControlSolution, x0, y0, i0, policy: Policy,
                     cfg: SimConfig, n_paths: int) -> Trace:
     """Record full uniform-grid traces for n_paths paths. Runs whose grid
     arrays would pass MAX_TRACE_BYTES raise OutOfRange before anything is
-    allocated."""
+    allocated; a run whose switch record would take the trace past it
+    (counting the copy that joins the record) raises it once the record
+    grows that far."""
     cfg = replace(cfg, n_paths=n_paths)
     x0, y0, T, K, m = _checked_run(cs, x0, y0, i0, cfg)
     need = (K + 1)*(8 + cfg.n_paths*(4*8 + 1))   # float64 but int8 regime
@@ -528,23 +543,20 @@ def _switch_exemptions(boundary: Callable, trace: Trace):
     return s_k[fine][order], s_j[fine][order]
 
 
-def trace_to_csv(trace: Trace, path, path_index: int = 0) -> None:
-    """Dump one traced path: columns t, regime, X, Y, dnu, discounted_increment,
-    to a str or os.PathLike path or a writable text stream (else
-    OutOfRange, before anything is opened); path_index in [0, paths)."""
+def trace_to_csv(trace: Trace, path) -> None:
+    """Dump the trace's first path: columns t, regime, X, Y, dnu,
+    discounted_increment, to a str or os.PathLike path or a writable text
+    stream (else OutOfRange, before anything is opened)."""
     import csv
-    n = trace.X.shape[1]
-    _count("path_index", path_index, 0, n - 1)
     if isinstance(path, (str, os.PathLike)):
         with open(path, "w", newline="") as fh:
-            return trace_to_csv(trace, fh, path_index)
+            return trace_to_csv(trace, fh)
     if not hasattr(path, "write"):   # open would take an int for a descriptor
         raise OutOfRange(f"path must be a file path or a stream, got {path!r}")
     wr = csv.writer(path)
     wr.writerow(["t", "regime", "X", "Y", "dnu", "discounted_increment"])
     for k in range(trace.t.size):
-        wr.writerow([f"{trace.t[k]:.10g}", int(trace.regime[k, path_index]),
-                     repr(float(trace.X[k, path_index])),
-                     repr(float(trace.Y[k, path_index])),
-                     repr(float(trace.dnu[k, path_index])),
-                     repr(float(trace.disc_inc[k, path_index]))])
+        wr.writerow([f"{trace.t[k]:.10g}", int(trace.regime[k, 0]),
+                     repr(float(trace.X[k, 0])), repr(float(trace.Y[k, 0])),
+                     repr(float(trace.dnu[k, 0])),
+                     repr(float(trace.disc_inc[k, 0]))])

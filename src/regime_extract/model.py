@@ -325,21 +325,6 @@ def _states(x, y):
     return x, y
 
 
-def _price_range(name: str, value):
-    """(lo, hi) from value as floats: a pair of prices (finite_prices)
-    with lo < hi and a finite width hi - lo, else OutOfRange naming it,
-    before a caller makes its grid."""
-    try:
-        lo, hi = value
-        lo, hi = finite_prices(lo, one=True), finite_prices(hi, one=True)
-    except (TypeError, ValueError, OutOfRange):   # not a pair of prices
-        lo = hi = math.nan
-    if not _positive(hi - lo):
-        raise OutOfRange(f"{name} must be (lo, hi) with lo < hi and a "
-                         f"finite width, got {value!r}")
-    return lo, hi
-
-
 def chat(params: ModelParams, y) -> float:
     """Effective selling cost c - f'(y)/rho, strictly decreasing in y."""
     y = finite_prices(y, *LEVELS)

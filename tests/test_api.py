@@ -43,7 +43,7 @@ PINNED_SIGNATURES = {
     "b_star": ("cs", "i", "x"),
     "chat": ("params", "y"),
     "check_assumptions": ("params", "eps"),
-    "compare_boundaries": ("cs", "n", "x_range"),
+    "compare_boundaries": ("cs", "n"),
     "estimate_value": ("cs", "x0", "y0", "i0", "policy", "cfg"),
     "feasibility_scan": ("rho", "lambda1", "lambda2", "sigma1_grid",
                          "sigma2_grid"),
@@ -60,7 +60,7 @@ PINNED_SIGNATURES = {
     "solve_characteristic": ("params",),
     "solve_control": ("params",),
     "solve_z": ("params",),
-    "trace_to_csv": ("trace", "path", "path_index"),
+    "trace_to_csv": ("trace", "path"),
     "v": ("sol", "x", "i", "y"),
     "validate": ("rho", "sigma1", "sigma2", "lambda1", "lambda2", "c",
                  "cost"),

@@ -815,6 +815,22 @@ def test_boundary_csv_pinned(capsys, tmp_path):
         PINNED_BOUNDARY
 
 
+@pytest.mark.parametrize("name", ["example.json", "equal_vol.json"])
+def test_boundary_csv_reads_the_compare_boundaries_table(tmp_path, name):
+    # the CLI's x CSV and compare_boundaries each built the table once
+    params = regime_extract.params_from_config(
+        json.loads((CONFIGS/name).read_text()))
+    rep = regime_extract.compare_boundaries(
+        regime_extract.solve_control(params), n=400)   # --grid's default
+    out = tmp_path/"b.csv"
+    assert main(["boundary", "--config", str(CONFIGS/name), "--out",
+                 str(out)]) == 0
+    table = np.array([[float(v) for v in row.split(",")]
+                      for row in out.read_text().splitlines()[1:]])
+    cols = (rep.x, rep.b_star_1, rep.b_star_2, rep.b_sharp_1, rep.b_sharp_2)
+    assert np.array_equal(table, np.column_stack(cols))
+
+
 # README's scan-region box at its midpoint (z2 = 2.49), where the span
 # between the optimal boundaries cut b*_1 at 0.947 and b*_2 at 0.131
 SCAN_MIDPOINT = dict(EXAMPLE, rho=0.0315, sigma1=0.0245, sigma2=0.78,

@@ -1,11 +1,10 @@
 """The input rules of regime_extract.model, each tested over every entry
 point that takes that kind of input: a count (_count), a finite positive
-number (_positive), a price, reserve level or margin (finite_prices), a
-price range (_price_range), the one state cap of U's grids
-(MAX_U_STATES) and the cap of compare_boundaries' grid
-(MAX_BOUNDARY_GRID). KINDS declares the kind of every parameter of the
-public API, and test_every_wrong_kind_is_refused feeds each numeric one
-every wrong value of its kind."""
+number (_positive), a price, reserve level or margin (finite_prices),
+the one state cap of U's grids (MAX_U_STATES) and the cap of
+compare_boundaries' grid (MAX_BOUNDARY_GRID). KINDS declares the kind of
+every parameter of the public API, and test_every_wrong_kind_is_refused
+feeds each numeric one every wrong value of its kind."""
 import dataclasses
 import inspect
 import io
@@ -42,8 +41,6 @@ COUNTS = {
     "nx": lambda cs, v: rx.verify_hjb(cs, nx=v, ny=4),
     "ny": lambda cs, v: rx.verify_hjb(cs, nx=4, ny=v),
     "n": lambda cs, v: rx.compare_boundaries(cs, n=v),
-    "path_index": lambda cs, v: rx.trace_to_csv(_trace(cs), io.StringIO(),
-                                                v),
 }
 
 
@@ -222,47 +219,17 @@ def test_prices_and_levels_must_broadcast(cs_a, field):
         STATES[field](cs_a, [0.1, 0.2, 0.3], [0.5, 0.6])
 
 
-# every price range, as a call that takes the value there
-RANGES = {
-    "x_range": lambda cs, v: rx.compare_boundaries(cs, n=10, x_range=v),
-}
-
-
-@pytest.mark.parametrize("value", [
-    (0.0, 1.0, 2.0), (1.0,), "ab", "12", (1.0, 0.0), (0.5, 0.5),
-    (True, 2.0), ("0", "1"), 3.0, (math.nan, 1.0), (0.0, math.inf),
-    (-1e308, 1e308), (0, 10**400), np.array([[0.0, 1.0], [1.0, 2.0]])],
-    ids=["triple", "single", "text", "digits", "descending", "equal",
-         "bool_end", "str_ends", "number", "nan", "inf",
-         "overflowing_width", "huge_int", "rows"])
-@pytest.mark.parametrize("field", list(RANGES))
-def test_price_ranges_are_pairs_of_numbers(cs_a, monkeypatch, field, value):
-    # x_range=(0.0, 1.0, 2.0) and (1.0,) raised an untyped ValueError,
-    # x_range="ab" a TypeError, and a descending x_range ran
-    def built(*args, **kw):
-        raise AssertionError(f"{field} went past its check")
-
-    monkeypatch.setattr(control.np, "linspace", built)
-    for good in ((-1.0, 1.0), [-1, 1], np.array([-1.0, 1.0]),
-                 (np.float64(-1.0), np.int64(1))):
-        with pytest.raises(AssertionError):
-            RANGES[field](cs_a, good)
-    with pytest.raises(OutOfRange, match=f"^{field} must be \\(lo, hi\\)"):
-        RANGES[field](cs_a, value)
-
-
 # The kind of every parameter of PINNED_SIGNATURES, checked against it both
 # ways, so a new public parameter fails here until it is given one. A
 # numeric kind names the rule in model that checks it: price(s), level(s)
 # and margin (finite_prices; "prices" also covers alpha and the shifts
 # u, v, which have no ends either), regime and count (_count; w_xx's side
-# is the count -1 or +1), positive(s) (_positive), price range
-# (_price_range) and flag (a bool). The singular kinds take one value.
+# is the count -1 or +1), positive(s) (_positive) and flag (a bool).
+# The singular kinds take one value.
 # "object" is a non-numeric input.
 SCALAR_KINDS = {"price", "level", "margin", "regime", "count", "positive",
                 "flag"}
-NUMERIC_KINDS = SCALAR_KINDS | {"prices", "levels", "positives",
-                                "price range"}
+NUMERIC_KINDS = SCALAR_KINDS | {"prices", "levels", "positives"}
 _RATES = dict(rho="positive", sigma1="positive", sigma2="positive",
               lambda1="positive", lambda2="positive", c="positive",
               cost="object")
@@ -286,8 +253,7 @@ KINDS = {
     "b_star": dict(cs="object", i="regime", x="prices"),
     "chat": dict(params="object", y="levels"),
     "check_assumptions": dict(params="object", eps="margin"),
-    "compare_boundaries": dict(cs="object", n="count",
-                               x_range="price range"),
+    "compare_boundaries": dict(cs="object", n="count"),
     "estimate_value": _START,
     "feasibility_scan": dict(rho="positive", lambda1="positive",
                              lambda2="positive", sigma1_grid="positives",
@@ -306,7 +272,7 @@ KINDS = {
     "solve_characteristic": dict(params="object"),
     "solve_control": dict(params="object"),
     "solve_z": dict(params="object"),
-    "trace_to_csv": dict(trace="object", path="object", path_index="count"),
+    "trace_to_csv": dict(trace="object", path="object"),
     "v": _SELLING,
     "validate": _RATES,
     "verify_fbp": dict(sol="object", y="levels", n_points="count"),
@@ -348,8 +314,7 @@ CALLS = {
     "chat": lambda cs, y=0.5: rx.chat(cs.params, y),
     "check_assumptions": lambda cs, eps=0.0: rx.check_assumptions(cs.params,
                                                                   eps),
-    "compare_boundaries": lambda cs, n=10, x_range=None:
-        rx.compare_boundaries(cs, n, x_range),
+    "compare_boundaries": lambda cs, n=10: rx.compare_boundaries(cs, n),
     "estimate_value": lambda cs, x0=0.6, y0=0.5, i0=2: rx.estimate_value(
         cs, x0, y0, i0, REFLECT, SMALL),
     "feasibility_scan": lambda cs, **kw: rx.feasibility_scan(**{**SCAN,
@@ -365,8 +330,6 @@ CALLS = {
         rx.simulate_traces(cs, x0, y0, i0, REFLECT, SMALL, n_paths),
     "single_regime_boundary": lambda cs, sigma=0.5, y=0.5:
         rx.single_regime_boundary(cs.params, sigma, y),
-    "trace_to_csv": lambda cs, path_index=0: rx.trace_to_csv(
-        _trace(cs), io.StringIO(), path_index),
     "v": lambda cs, x=0.6, i=1, y=0.5: rx.v(cs.stopping, x, i, y),
     "validate": lambda cs, **kw: rx.validate(**{**A_KW, **kw}, cost=EXP),
     "verify_fbp": lambda cs, y=0.5, n_points=50: rx.verify_fbp(

@@ -14,6 +14,7 @@ import skorokhod_oracle
 from regime_extract import mcsim
 from regime_extract.errors import OutOfRange, PreconditionViolated, SRPViolated
 from regime_extract.mcsim import _simulate_batch, tail_bound
+from conftest import B_KW
 from scalar_oracle import simulate_chain, simulate_path
 
 
@@ -535,6 +536,41 @@ def test_trace_cap_counts_every_grid_array(cs_a, monkeypatch):
         rx.simulate_traces(cs_a, 0.4, 0.5, 2, pol, cfg, 6)
 
 
+def test_trace_cap_counts_the_switch_record(monkeypatch):
+    # the cap checked only the grid arrays: a case-B set with rates 2e4
+    # recorded 12.8 MB of switches against 0.67 MB of grid arrays
+    p = rx.validate(**dict(B_KW, lambda1=2e4, lambda2=2e4),
+                    cost=rx.CostFunction.quadratic(1.0, 1.0))
+    cs, pol = rx.solve_control(p), rx.Policy.reflect_optimal()
+    cfg = rx.SimConfig(dt=1e-2, horizon=0.1, n_paths=4, base_seed=5)
+    tr = rx.simulate_traces(cs, 0.4, 0.5, 2, pol, cfg, 4)
+    grid = sum(a.nbytes for a in (tr.t, tr.regime, tr.X, tr.Y, tr.dnu,
+                                  tr.disc_inc))
+    entries = tr.switches[0].size
+    assert entries > 20   # every entry is 32 B, held twice while joined
+    assert sum(a.nbytes for a in tr.switches) == 32*entries
+    monkeypatch.setattr(mcsim, "MAX_TRACE_BYTES", grid + 64*entries)
+    again = rx.simulate_traces(cs, 0.4, 0.5, 2, pol, cfg, 4)
+    assert all(np.array_equal(a, b) for a, b in zip(again.switches,
+                                                    tr.switches))
+    for cap in (grid + 64*entries - 1, grid + 64):
+        monkeypatch.setattr(mcsim, "MAX_TRACE_BYTES", cap)
+        with pytest.raises(OutOfRange, match="trace and switch record"):
+            rx.simulate_traces(cs, 0.4, 0.5, 2, pol, cfg, 4)
+
+
+def test_batch_pairs_capped_where_made():
+    # SimConfig(dt=0.1, n_paths=2*10**9, batch_pairs=10**9) was accepted,
+    # and estimate_value raised numpy's untyped _ArrayMemoryError
+    cap = mcsim.MAX_BATCH_PAIRS
+    for good in (mcsim.DEFAULT_BATCH_PAIRS, 10_000, cap, np.int64(cap)):
+        assert rx.SimConfig(batch_pairs=good).batch_pairs == good
+    for bad in (cap + 1, 10**9, np.int64(2**40)):
+        with pytest.raises(OutOfRange, match="^batch_pairs must be an "
+                                             f"integer in \\[1, {cap}\\]"):
+            rx.SimConfig(dt=0.1, n_paths=2*10**9, batch_pairs=bad)
+
+
 def test_trace_one_step_over_the_cap_allocates_nothing(cs_a, monkeypatch):
     def engine(*args, **kw):
         raise AssertionError("the engine ran past the trace cap")
@@ -711,16 +747,6 @@ def test_sim_config_takes_numpy_integers(cs_a):
     assert out.mean == rx.estimate_value(
         cs_a, 0.2, 0.5, 2, rx.Policy.reflect_optimal(),
         _small_cfg(batch_pairs=2)).mean
-
-
-@pytest.mark.parametrize("path_index", [99, 8, -1, 1.0, None])
-def test_trace_to_csv_checks_path_index(cs_a, tmp_path, path_index):
-    tr = rx.simulate_traces(cs_a, 0.2, 0.5, 2, rx.Policy.reflect_optimal(),
-                            _small_cfg(), 8)
-    out = tmp_path/"t.csv"
-    with pytest.raises(OutOfRange, match="path_index"):
-        rx.trace_to_csv(tr, out, path_index)
-    assert not out.exists()
 
 
 def test_unknown_policy_rejected(cs_a):
