@@ -37,11 +37,10 @@ class DomainError(SolverError):
 
 
 class AssumptionViolated(SolverError):
-    """Feasibility conditions fail in both regime labelings."""
+    """Feasibility conditions fail on the labeling ordered by volatility."""
 
-    def __init__(self, message, report=None, swapped_report=None):
+    def __init__(self, message, report=None):
         self.report = report
-        self.swapped_report = swapped_report
         super().__init__(message)
 
 

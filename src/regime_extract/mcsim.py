@@ -58,7 +58,8 @@ BARRIER_TOL, DNU_TOL = 1e-9, 1e-12
 # entries in one of skorokhod_check's row blocks (at least one row each)
 CHECK_BLOCK_ENTRIES = 2**15
 # bytes of a recorded Trace: its grid arrays t, regime, X, Y, dnu and
-# disc_inc, and its switch record, 32 B an entry, twice while it is joined
+# disc_inc, and its switch record's buffers, 32 B an entry they can hold,
+# the old and the new ones both while they double
 MAX_TRACE_BYTES = 2**31
 # every COMPACT_EVERY steps an estimate drops its exhausted path pairs, if
 # more than a quarter are (a recorded trace is never compacted)
@@ -207,6 +208,12 @@ def _checked_run(cs: ControlSolution, x0, y0, i0, cfg: SimConfig, units=1):
     return x0, y0, K*cfg.dt, K, m
 
 
+def _grid_bytes(K, n_paths):
+    """Bytes of a trace's grid arrays: t, and per path the int8 regime
+    and the float64 X, Y, dnu and disc_inc, on K + 1 rows."""
+    return (K + 1)*(8 + n_paths*33)
+
+
 def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
                     dt, K, seed, batch_idx, antithetic, record=False):
     """n_pairs path pairs (single paths without antithetics) seeded from
@@ -301,9 +308,28 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
                       disc_inc=np.zeros((K + 1, m*n)), dt=dt)
         # pay and dnu_row are step k's rows of the trace
         pay, dnu_row = trace.disc_inc[0], trace.dnu[0]
-        switches = []
-        # what the switch record may take: the cap less the grid arrays
-        room = MAX_TRACE_BYTES - (K + 1)*(8 + m*n*33)
+        # the switch record (step, column, new regime, price) fills
+        # buffers that double, from one entry a path
+        sw, n_sw = [np.empty(0, np.int64)]*3 + [np.empty(0)], 0
+        grid = _grid_bytes(K, m*n)
+
+        def record_switches(k, e):
+            nonlocal sw, n_sw
+            end, held = n_sw + e.size, sw[0].size
+            if end > held:   # held >= m n >= e.size: one doubling suffices
+                size = max(2*held, m*n)
+                if grid + 32*(held + size) > MAX_TRACE_BYTES:
+                    raise OutOfRange(
+                        f"trace and switch record would pass "
+                        f"{MAX_TRACE_BYTES} bytes at step {k + 1}; "
+                        "reduce n_paths, horizon or switch rates")
+                new = [np.empty(size, b.dtype) for b in sw]
+                for a, b in zip(new, sw):
+                    a[:n_sw] = b[:n_sw]
+                sw = new
+            for b, v in zip(sw, (k + 1, e, i[e % n], X[e])):
+                b[n_sw:end] = v
+            n_sw = end
 
         def snapshot(k):
             trace.regime[k] = np.tile(i, m)
@@ -349,14 +375,7 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
                     e = members(hp)
                     threshold(e, shift_tbl[i[e % n]])
                     if record:
-                        room -= 64*e.size
-                        if room < 0:
-                            raise OutOfRange(
-                                f"trace and switch record would pass "
-                                f"{MAX_TRACE_BYTES} bytes at step {k + 1}; "
-                                "reduce n_paths, horizon or switch rates")
-                        switches.append((np.full(e.size, k + 1), e,
-                                         i[e % n], X[e]))
+                        record_switches(k, e)
                     reflect(disc[k]*np.exp(-rho*tloc[hit]), hp)
                 keep = rem > 1e-15
                 if not keep.all():
@@ -381,7 +400,7 @@ def _simulate_batch(cs: ControlSolution, x0, y0, i0, policy: Policy, n_pairs,
                     for a in (X, Y, fpY, fY, pay, dlast, xthr))
                 n = int(keep.sum())
     if record:
-        trace.switches = tuple(map(np.concatenate, zip(*switches)))
+        trace.switches = tuple(b[:n_sw] for b in sw) if n_sw else ()
         return trace
     pay = (pay - fY*(dlast - disc[K])/rho).reshape(m, n)
     return np.concatenate(pay_done + [pay], axis=1) if pay_done else pay
@@ -392,11 +411,11 @@ def simulate_traces(cs: ControlSolution, x0, y0, i0, policy: Policy,
     """Record full uniform-grid traces for n_paths paths. Runs whose grid
     arrays would pass MAX_TRACE_BYTES raise OutOfRange before anything is
     allocated; a run whose switch record would take the trace past it
-    (counting the copy that joins the record) raises it once the record
-    grows that far."""
+    (counting the old and new buffers while they double) raises it once
+    the record grows that far."""
     cfg = replace(cfg, n_paths=n_paths)
     x0, y0, T, K, m = _checked_run(cs, x0, y0, i0, cfg)
-    need = (K + 1)*(8 + cfg.n_paths*(4*8 + 1))   # float64 but int8 regime
+    need = _grid_bytes(K, cfg.n_paths)
     if need > MAX_TRACE_BYTES:
         raise OutOfRange(f"trace would need {need/2**30:.1f} GiB; "
                          "reduce n_paths, dt resolution or horizon")

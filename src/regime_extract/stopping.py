@@ -63,9 +63,10 @@ class StoppingSolution:
     """Solved boundary shifts plus the frames needed to evaluate w.
 
     params is the caller's parameter set; iparams/roots are the internal
-    (possibly label-swapped) frame in which regime 1 is the one satisfying
-    the feasibility conditions. z1 = x1* - chat, z2 = x2* - x1* in that
-    frame. g1/g2 residuals are the reduced-system values at (z1, z2).
+    frame, in which regime 1 is the less volatile one (relabeled: the
+    caller's labels swapped, when sigma1 > sigma2 off case B). z1 = x1* -
+    chat, z2 = x2* - x1* in that frame. g1/g2 residuals are the
+    reduced-system values at (z1, z2).
     m1_at_0/m2_at_0 are the equal-volatility candidate shifts M1(0) and
     M2(0); they coincide, at sigma/sqrt(2 rho), iff sigma1 = sigma2.
     """
@@ -166,23 +167,24 @@ def m2(params: ModelParams, roots: Characteristic, v):
 def solve_z(params: ModelParams) -> StoppingSolution:
     """Solve the smooth-fit system, detecting the case.
 
-    Order: equal volatilities (1e-14 relative) -> Case B closed form
-    z1 = sigma/sqrt(2 rho), z2 = 0; otherwise the feasibility conditions
-    as labeled -> Case A; if they fail, swap the regime labels and retry
-    -> Case C solved by symmetry; if both labelings fail,
-    AssumptionViolated (no heuristic fallback).
+    The regimes are ordered by volatility: the labels are swapped when
+    sigma1 > sigma2, and the feasibility conditions are checked once, on
+    that labeling. Equal volatilities (1e-14 relative) -> Case B closed
+    form z1 = sigma/sqrt(2 rho), z2 = 0, labels as given; otherwise Case
+    A, or Case C (A with the labels swapped); if the conditions fail,
+    AssumptionViolated with that labeling's report (no heuristic fallback).
     """
-    report = check_assumptions(params)
-    if report.case_b or report.solvable_case_a:
-        iparams, case, relabeled = params, "B" if report.case_b else "A", False
-    else:
-        swapped = params.swapped()
-        report_sw = check_assumptions(swapped)
-        if not report_sw.solvable_case_a:
-            raise AssumptionViolated(
-                "feasibility conditions fail in both regime labelings",
-                report=report, swapped_report=report_sw)
-        iparams, case, relabeled = swapped, "C_relabeled", True
+    ordered = params.swapped() if params.sigma1 > params.sigma2 else params
+    swap = ordered is not params
+    report = check_assumptions(ordered)
+    if not report.solvable_case_a:
+        raise AssumptionViolated(
+            "feasibility conditions fail with the less volatile regime "
+            f"labeled 1 (labels {'swapped' if swap else 'as given'})",
+            report=report)
+    relabeled = swap and not report.case_b   # sigma1 may pass sigma2 by ulps
+    iparams = ordered if relabeled else params
+    case = "B" if report.case_b else "C_relabeled" if relabeled else "A"
 
     roots = solve_characteristic(iparams)
     zh = zhat2(iparams, roots)

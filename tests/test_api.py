@@ -13,7 +13,7 @@ from regime_extract import mcsim
 PINNED_SIGNATURES = {
     "AssumptionReport": ("a5_le_1", "cond2", "cond3", "cond4", "assm2",
                          "lemma_signs", "all_ok", "case_b", "values"),
-    "AssumptionViolated": ("message", "report", "swapped_report"),
+    "AssumptionViolated": ("message", "report"),
     "Characteristic": ("disc", "beta1", "beta2", "alpha3", "alpha4", "alpha5",
                        "a1", "a2", "a3", "a4"),
     "ControlSolution": ("stopping",),

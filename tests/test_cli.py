@@ -536,6 +536,9 @@ def test_scan_region_file_and_svg(capsys, tmp_path):
 CONFIG_DEFECTS = {
     "infeasible": (dict(EXAMPLE, sigma1=0.5, sigma2=0.51, rho=1.0,
                         lambda1=1.0, lambda2=1.0), 1),
+    # the four flags pass only with the more volatile regime labeled 1
+    "flags_volatile_first": (dict(EXAMPLE, rho=0.073, sigma1=1.94,
+                                  sigma2=0.96, lambda1=9.0, lambda2=0.13), 1),
     "rho_negative": (dict(EXAMPLE, rho=-1.0), 2),
     "gamma_missing": (dict(EXAMPLE, cost={"type": "exp"}), 2),
     "gamma_negative": (dict(EXAMPLE, cost={"type": "exp", "gamma": -1.0}), 2),
@@ -571,6 +574,8 @@ def test_config_error_exit_codes(capsys, tmp_path, monkeypatch, defect, cmd):
     if code == 2:
         assert out == "" and err.startswith("error: ")
         assert not Path("b.csv").exists()
+    elif cmd == "solve":
+        assert json.loads(out)["error"] == "AssumptionViolated"
 
 
 def _strict_json(text):

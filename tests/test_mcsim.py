@@ -536,27 +536,60 @@ def test_trace_cap_counts_every_grid_array(cs_a, monkeypatch):
         rx.simulate_traces(cs_a, 0.4, 0.5, 2, pol, cfg, 6)
 
 
-def test_trace_cap_counts_the_switch_record(monkeypatch):
-    # the cap checked only the grid arrays: a case-B set with rates 2e4
-    # recorded 12.8 MB of switches against 0.67 MB of grid arrays
+@pytest.fixture(scope="module")
+def cs_switching():
+    """A case-B set whose rates 2e4 switch about 20 times a path-step."""
     p = rx.validate(**dict(B_KW, lambda1=2e4, lambda2=2e4),
                     cost=rx.CostFunction.quadratic(1.0, 1.0))
-    cs, pol = rx.solve_control(p), rx.Policy.reflect_optimal()
+    return rx.solve_control(p)
+
+
+def _grid_and_held(tr):
+    """A trace's grid bytes and the entries its switch buffers hold."""
+    return (sum(a.nbytes for a in (tr.t, tr.regime, tr.X, tr.Y, tr.dnu,
+                                   tr.disc_inc)), tr.switches[0].base.size)
+
+
+def test_trace_cap_counts_the_switch_record(cs_switching, monkeypatch):
+    # the switch record fills buffers that double from one entry a path;
+    # each holds 32 B an entry, and at the last doubling the old and new
+    # buffers are both held
+    pol = rx.Policy.reflect_optimal()
     cfg = rx.SimConfig(dt=1e-2, horizon=0.1, n_paths=4, base_seed=5)
-    tr = rx.simulate_traces(cs, 0.4, 0.5, 2, pol, cfg, 4)
-    grid = sum(a.nbytes for a in (tr.t, tr.regime, tr.X, tr.Y, tr.dnu,
-                                  tr.disc_inc))
-    entries = tr.switches[0].size
-    assert entries > 20   # every entry is 32 B, held twice while joined
-    assert sum(a.nbytes for a in tr.switches) == 32*entries
-    monkeypatch.setattr(mcsim, "MAX_TRACE_BYTES", grid + 64*entries)
-    again = rx.simulate_traces(cs, 0.4, 0.5, 2, pol, cfg, 4)
+    tr = rx.simulate_traces(cs_switching, 0.4, 0.5, 2, pol, cfg, 4)
+    grid, held = _grid_and_held(tr)
+    assert tr.switches[0].size > 20 and held >= 4*8   # doubled three times
+    assert all(a.base.nbytes == held*a.itemsize for a in tr.switches)
+    counted = grid + 32*(held//2 + held)
+    monkeypatch.setattr(mcsim, "MAX_TRACE_BYTES", counted)
+    again = rx.simulate_traces(cs_switching, 0.4, 0.5, 2, pol, cfg, 4)
     assert all(np.array_equal(a, b) for a, b in zip(again.switches,
                                                     tr.switches))
-    for cap in (grid + 64*entries - 1, grid + 64):
+    for cap in (counted - 1, grid + 32*4 - 1):
         monkeypatch.setattr(mcsim, "MAX_TRACE_BYTES", cap)
         with pytest.raises(OutOfRange, match="trace and switch record"):
-            rx.simulate_traces(cs, 0.4, 0.5, 2, pol, cfg, 4)
+            rx.simulate_traces(cs_switching, 0.4, 0.5, 2, pol, cfg, 4)
+
+
+@pytest.mark.slow   # about 30 s: tracemalloc slows the engine 14-fold
+def test_trace_cap_bounds_the_peak(cs_switching):
+    # this run's 399,426 switches were recorded as four small arrays a
+    # switch round, then joined: tracemalloc's peak was 43.4 MB against
+    # 26.2 MB counted. A short run first, so that the modules the engine
+    # imports on first use are not counted here
+    pol = rx.Policy.reflect_optimal()
+    rx.simulate_traces(cs_switching, 0.4, 0.5, 2, pol,
+                       rx.SimConfig(dt=1e-2, horizon=0.1, n_paths=4), 4)
+    cfg = rx.SimConfig(dt=1e-3, horizon=1.0, n_paths=20, base_seed=5)
+    tracemalloc.start()
+    try:
+        tr = rx.simulate_traces(cs_switching, 0.4, 0.5, 2, pol, cfg, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid, held = _grid_and_held(tr)
+    assert tr.switches[0].size > 300_000
+    assert peak <= grid + 32*(held//2 + held) + 2**20
 
 
 def test_batch_pairs_capped_where_made():
